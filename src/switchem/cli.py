@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -49,14 +50,12 @@ from .em import (
 )
 from .errors import ConfigError, EvaluationError, NumericalFailure
 from .likelihood import ObservationSeries, Theta
-from .sde import SimulationConfig, simulate_path
+from .sde import GRID_TOL, SimulationConfig, simulate_path
 from .smoother import smooth_regimes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-_GRID_TOL = 1e-9
 
 
 def _fmt(x: float) -> str:
@@ -101,17 +100,27 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _parse_simulation(cfg: dict) -> tuple[SimulationConfig, dict]:
+def _simulation_section(cfg: dict) -> dict:
     sim = cfg.get("simulation")
     if not isinstance(sim, dict):
         raise ConfigError("config needs a 'simulation' object section")
-    b = np.asarray(_require(sim, "b", "simulation"), dtype=float)
-    lam = float(_require(sim, "lambda", "simulation"))
-    delta = float(_require(sim, "delta", "simulation"))
+    return sim
+
+
+def _parse_truth(sim: dict) -> Theta:
+    b, lam, delta = (_require(sim, k, "simulation") for k in ("b", "lambda", "delta"))
     try:
-        theta = Theta(b, lam, delta)
+        return Theta(np.asarray(b, dtype=float), float(lam), float(delta))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad true theta in simulation section: {exc}") from exc
+
+
+def _parse_simulation(cfg: dict) -> tuple[SimulationConfig, dict]:
+    sim = _simulation_section(cfg)
+    theta = _parse_truth(sim)
+    try:
         g = validate_generator(
-            _require(sim, "q", "simulation"), allow_single_state=b.size == 1
+            _require(sim, "q", "simulation"), allow_single_state=theta.n_states == 1
         )
         sc = SimulationConfig(
             theta_true=theta,
@@ -222,9 +231,12 @@ def _read_path_csv(path: str) -> ObservationSeries:
     t = np.asarray(t_vals)
     dt = np.diff(t)
     h = float(dt[0])
-    if h <= 0.0 or np.any(np.abs(dt - h) > _GRID_TOL * max(1.0, abs(h))):
+    if h <= 0.0 or np.any(np.abs(dt - h) > GRID_TOL * max(1.0, abs(h))):
         raise ConfigError(f"{path}: time column is not an equally spaced grid")
-    return ObservationSeries(np.asarray(x_vals), h, t0=float(t[0]))
+    try:
+        return ObservationSeries(np.asarray(x_vals), h, t0=float(t[0]))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -253,7 +265,7 @@ def _fit_once(
     theta_true: Theta | None,
     stable: bool,
     theta0: Theta | None = None,
-) -> tuple[EmResult, dict, float]:
+) -> tuple[EmResult, dict]:
     t_start = time.perf_counter()
     result = em_fit(obs, g, em_cfg, theta0)
     elapsed_ms = 0.0 if stable else (time.perf_counter() - t_start) * 1e3
@@ -276,29 +288,32 @@ def _fit_once(
             "lambda": float(qe[-2]),
             "delta": float(qe[-1]),
         }
-    return result, payload, elapsed_ms
+    return result, payload
+
+
+def _random_start(n_states: int, seed: int, em_cfg: EmConfig) -> Theta:
+    """Uniform start in ``em_cfg``'s init ranges; the second seed word
+    decouples this stream from the path simulation stream."""
+    return random_theta0(
+        n_states,
+        np.random.default_rng([seed, 1]),
+        em_cfg.init_b_range,
+        em_cfg.init_lambda_range,
+        em_cfg.init_delta_range,
+    )
 
 
 def _parse_fit_inputs(cfg: dict) -> tuple[GeneratorMatrix, Theta | None, int | None]:
     """Fitting needs only the generator; the true theta is optional and,
     when present, enables quadratic-error reporting."""
-    sim = cfg.get("simulation")
-    if not isinstance(sim, dict):
-        raise ConfigError("config needs a 'simulation' object section")
+    sim = _simulation_section(cfg)
     try:
         g = validate_generator(_require(sim, "q", "simulation"))
     except ValueError as exc:
         raise ConfigError(f"bad simulation.q: {exc}") from exc
     truth = None
     if all(k in sim for k in ("b", "lambda", "delta")):
-        try:
-            truth = Theta(
-                np.asarray(sim["b"], dtype=float),
-                float(sim["lambda"]),
-                float(sim["delta"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad true theta in simulation section: {exc}") from exc
+        truth = _parse_truth(sim)
         if truth.n_states != g.n_states:
             raise ConfigError(
                 f"simulation.b has {truth.n_states} levels but q has "
@@ -314,22 +329,15 @@ def cmd_fit(args) -> int:
     obs = _read_path_csv(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    theta0 = None
     if em_cfg.theta0 is None and em_cfg.init_seed is None:
         if seed is None:
             raise ConfigError(
                 "fit needs em.theta0, em.init_seed, or simulation.seed "
                 "to choose a reproducible starting point"
             )
-        theta0 = random_theta0(
-            g.n_states,
-            np.random.default_rng([seed, 1]),
-            em_cfg.init_b_range,
-            em_cfg.init_lambda_range,
-            em_cfg.init_delta_range,
-        )
-    else:
-        theta0 = None
-    result, payload, _ = _fit_once(
+        theta0 = _random_start(g.n_states, seed, em_cfg)
+    result, payload = _fit_once(
         obs, g, em_cfg, truth, args.stable_output, theta0=theta0
     )
     payload["config"] = cfg
@@ -358,66 +366,37 @@ def _write_probs_csv(path: Path, result: EmResult, obs: ObservationSeries) -> No
 
 def _run_replication(packed) -> dict:
     """Worker entry point: simulate one path with its derived seed and fit it."""
-    cfg, rep, seed, stable = packed
-    base, _ = _parse_simulation(cfg)
-    sc = SimulationConfig(
-        theta_true=base.theta_true,
-        a_nuisance=base.a_nuisance,
-        generator=base.generator,
-        horizon_t=base.horizon_t,
-        obs_step_h=base.obs_step_h,
-        fine_factor=base.fine_factor,
-        x0=base.x0,
-        alpha0=base.alpha0,
-        seed=seed,
-    )
-    em_cfg = _parse_em(cfg)
+    base, em_cfg, rep, seed, stable = packed
+    sc = dataclasses.replace(base, seed=seed)
     obs, _, _ = simulate_path(sc)
+    row = {"rep": rep, "seed": seed, "estimate": None, "qe": None, "iters": 0,
+           "status": "numerical_failure", "trace": ""}
     try:
+        # independent starting point per replication
+        theta0 = None
         if em_cfg.theta0 is None:
-            # independent starting point per replication; the second seed
-            # word decouples this stream from the path simulation stream
-            theta0 = random_theta0(
-                sc.theta_true.n_states,
-                np.random.default_rng([seed, 1]),
-                em_cfg.init_b_range,
-                em_cfg.init_lambda_range,
-                em_cfg.init_delta_range,
-            )
-        else:
-            theta0 = None
+            theta0 = _random_start(sc.theta_true.n_states, seed, em_cfg)
         result = em_fit(obs, sc.generator, em_cfg, theta0)
         if result.status == "numerical_failure":
             raise NumericalFailure(result.message)
         est, _ = sort_regimes(result.theta)
         truth, _ = sort_regimes(sc.theta_true)
-        qe = quadratic_error(est, truth)
-        return {
-            "rep": rep,
-            "seed": seed,
-            "estimate": est.to_vector().tolist(),
-            "qe": qe.tolist(),
-            "iters": result.iterations,
-            "status": result.status,
-            "trace": _trace_csv_text(result, sc.generator.n_states, stable),
-        }
+        row.update(
+            estimate=est.to_vector().tolist(),
+            qe=quadratic_error(est, truth).tolist(),
+            iters=result.iterations,
+            status=result.status,
+            trace=_trace_csv_text(result, sc.generator.n_states, stable),
+        )
     except (NumericalFailure, EvaluationError) as exc:
-        return {
-            "rep": rep,
-            "seed": seed,
-            "estimate": None,
-            "qe": None,
-            "iters": 0,
-            "status": "numerical_failure",
-            "message": str(exc),
-            "trace": "",
-        }
+        row["message"] = str(exc)
+    return row
 
 
 def cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
     sc, sim_section = _parse_simulation(cfg)
-    _parse_em(cfg)  # validate up front
+    em_cfg = _parse_em(cfg)
     exp = cfg.get("experiment", {})
     if not isinstance(exp, dict):
         raise ConfigError("'experiment' section must be a JSON object")
@@ -431,7 +410,9 @@ def cmd_experiment(args) -> int:
     if seed_base is None:
         raise ConfigError("experiments need simulation.seed (or SWITCHEM_SEED)")
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    tasks = [(cfg, r, seed_base + r, args.stable_output) for r in range(1, reps + 1)]
+    tasks = [
+        (sc, em_cfg, r, seed_base + r, args.stable_output) for r in range(1, reps + 1)
+    ]
     if jobs > 1 and reps > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_replication, tasks))

@@ -107,13 +107,16 @@ def transition_matrix_approx(g: GeneratorMatrix, h: float) -> np.ndarray:
 
     Rows sum to exactly 1.0: the diagonal is computed as one minus the
     off-diagonal row sum, with an ulp-level fix-up so ``row.sum() == 1.0``
-    holds exactly, not merely within tolerance.
+    holds exactly, not merely within tolerance.  No entry is negative: at
+    the step bound (1 + q_ii h == 0) the off-diagonal sum can round past
+    1, so the diagonal is clamped at 0 and the fix-up moves an off-diagonal
+    entry instead.
     """
     _check_step(g, h)
     a = g.q * h
     np.fill_diagonal(a, 0.0)
     for i in range(g.n_states):
-        a[i, i] = 1.0 - a[i].sum()
+        a[i, i] = max(0.0, 1.0 - a[i].sum())
         _force_row_sum_one(a[i], i)
     return a
 
@@ -124,7 +127,7 @@ def _force_row_sum_one(row: np.ndarray, i: int) -> None:
     The diagonal alone cannot always reach an exact sum (the pairwise
     accumulation may round past 1 in both directions), so every entry is a
     nudge candidate; each accepted nudge perturbs one probability by one
-    ulp, far below any statistical resolution.
+    ulp, far below any statistical resolution, and never below zero.
     """
     for _ in range(8):
         err = row.sum() - 1.0
@@ -143,7 +146,7 @@ def _force_row_sum_one(row: np.ndarray, i: int) -> None:
                 continue
             for m in range(-64, 65):
                 row[k] = old + m * step
-                if row.sum() - 1.0 == 0.0:
+                if row[k] >= 0.0 and row.sum() - 1.0 == 0.0:
                     return
             row[k] = old
     if row.sum() != 1.0:

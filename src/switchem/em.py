@@ -285,19 +285,19 @@ def em_fit(
     for m in range(1, cfg.max_iters + 1):
         try:
             fs = forward_filter(theta, gen, obs, init_probs)
-            w = backward_smooth(fs, theta, gen, obs)
+            w = backward_smooth(fs)
             h_before = H_n(theta, gen, obs, w)
             grad = grad_H(theta, gen, obs, w)
             fallback = False
             if cfg.m_step == "newton":
                 hess = hessian_H(theta, gen, obs, w)
-                theta_new, failed = newton_step(theta, grad, hess, boxes)
-                if failed or H_n(theta_new, gen, obs, w) < h_before:
-                    theta_new = first_order_step(theta, grad, cfg.rho, boxes)
-                    fallback = True
-            else:
+                theta_new, fallback = newton_step(theta, grad, hess, boxes)
+                if not fallback:
+                    h_after = H_n(theta_new, gen, obs, w)
+                    fallback = h_after < h_before
+            if fallback or cfg.m_step == "first_order":
                 theta_new = first_order_step(theta, grad, cfg.rho, boxes)
-            h_after = H_n(theta_new, gen, obs, w)
+                h_after = H_n(theta_new, gen, obs, w)
             if cfg.update_q:
                 gen = update_generator(gen, w, obs.h)
         except NumericalFailure as exc:

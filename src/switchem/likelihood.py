@@ -136,19 +136,15 @@ def cauchy_transition_density(x_next, x_prev, b_i, theta: Theta, h: float):
     return out
 
 
-def cauchy_density_matrix(theta: Theta, obs: ObservationSeries, shift: bool = True) -> np.ndarray:
+def cauchy_density_matrix(theta: Theta, obs: ObservationSeries) -> np.ndarray:
     """Matrix D[j, i] = f(X_j | X_{j-1}, regime i; theta) for j = 1..n.
 
-    With ``shift`` the result has shape (n+1, N) and D[0] = 0, matching the
-    1-based pair index convention; otherwise shape (n, N).
+    Shape (n+1, N) with D[0] = 0, matching the 1-based pair index convention.
     """
     u = _residuals(theta, obs)
     scale = theta.delta * obs.h
-    d = scale / (np.pi * (scale * scale + u * u))
-    if not shift:
-        return d
     out = np.zeros((obs.n + 1, theta.n_states))
-    out[1:] = d
+    out[1:] = scale / (np.pi * (scale * scale + u * u))
     return out
 
 

@@ -157,26 +157,6 @@ def euler_path(
     return x
 
 
-def _euler_paths_batch(
-    x0: float,
-    theta: Theta,
-    states: np.ndarray,
-    increments: np.ndarray,
-    step: float,
-) -> np.ndarray:
-    """Vectorized Euler over a batch: states (R, n+1), increments (R, n)."""
-    reps, n = increments.shape
-    b_of = theta.b[states[:, :-1] - 1]
-    x = np.full(reps, float(x0))
-    out = np.empty((reps, n + 1))
-    out[:, 0] = x
-    lam = theta.lam
-    for k in range(n):
-        x = x + lam * (b_of[:, k] - x) * step + increments[:, k]
-        out[:, k + 1] = x
-    return out
-
-
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Coupled mean-square gaps between successive Euler refinements.
@@ -246,9 +226,11 @@ def self_convergence_test(
     for lvl in range(levels + 1):
         sub = f ** (levels - lvl)
         step_l = finest_step * sub
-        st_l = states[:, ::sub]
         inc_l = incr.reshape(n_reps, n_finest // sub, sub).sum(axis=2)
-        full = _euler_paths_batch(cfg.x0, theta, st_l, inc_l, step_l)
+        full = np.stack([
+            euler_path(cfg.x0, theta, states[r, ::sub], inc_l[r], step_l)
+            for r in range(n_reps)
+        ])
         paths.append(full[:, :: f**lvl])  # thin to the coarse observation grid
         steps.append(step_l)
 

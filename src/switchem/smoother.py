@@ -113,28 +113,12 @@ def forward_filter(
     return FilterState(filtered, pair, marginal)
 
 
-def backward_smooth(
-    fs: FilterState,
-    theta: Theta | None = None,
-    g: GeneratorMatrix | None = None,
-    obs: ObservationSeries | None = None,
-) -> SmoothedPairProbs:
+def backward_smooth(fs: FilterState) -> SmoothedPairProbs:
     """Backward pass producing the pairwise weights w[j, i, k].
 
-    The pass only needs the forward-pass arrays; ``theta``, ``g`` and
-    ``obs`` are accepted for dimension cross-checks when provided.
-    Smoothed marginals are recoverable via :func:`smoothed_marginals`.
+    The pass needs only the forward-pass arrays.  Smoothed marginals are
+    recoverable via :func:`smoothed_marginals`.
     """
-    if g is not None and fs.n_states != g.n_states:
-        raise ConfigError(
-            f"filter has {fs.n_states} states, generator {g.n_states}"
-        )
-    if obs is not None and fs.n != obs.n:
-        raise ConfigError(f"filter length {fs.n} != observation length {obs.n}")
-    if theta is not None and theta.n_states != fs.n_states:
-        raise ConfigError(
-            f"theta has {theta.n_states} regimes, filter {fs.n_states} states"
-        )
     n, m = fs.n, fs.n_states
     smoothed = np.zeros((n + 1, m))
     w = np.zeros((n + 1, m, m))
@@ -157,15 +141,10 @@ def backward_smooth(
 def smoothed_marginals(fs: FilterState, w: SmoothedPairProbs) -> np.ndarray:
     """Smoothed one-point probabilities P(a_{t_j} = k | X_{0..n}).
 
-    The terminal slice equals the filtered distribution; earlier slices
-    marginalize the pairwise weights over the later state.
+    Slices 0..n-1 marginalize the pairwise weights w[j+1] over the later
+    state; the terminal slice is the filtered distribution.
     """
-    n, m = fs.n, fs.n_states
-    smoothed = np.zeros((n + 1, m))
-    smoothed[n] = fs.filtered[n]
-    for j in range(n, 0, -1):
-        smoothed[j - 1] = w.w[j].sum(axis=1)
-    return smoothed
+    return np.vstack([w.w[1:].sum(axis=2), fs.filtered[-1:]])
 
 
 def smooth_regimes(
@@ -176,5 +155,5 @@ def smooth_regimes(
 ) -> tuple[FilterState, np.ndarray, SmoothedPairProbs]:
     """Convenience wrapper: forward pass then backward pass."""
     fs = forward_filter(theta, g, obs, initial_probs)
-    w = backward_smooth(fs, theta, g, obs)
+    w = backward_smooth(fs)
     return fs, smoothed_marginals(fs, w), w

@@ -4,6 +4,17 @@ import os
 import numpy as np
 import pytest
 
+from switchem import (
+    EmConfig,
+    ObservationSeries,
+    SimulationConfig,
+    Theta,
+    em_fit,
+    random_theta0,
+    simulate_path,
+    sort_regimes,
+    validate_generator,
+)
 from switchem.cli import main
 
 BASE_CONFIG = {
@@ -135,6 +146,14 @@ class TestFit:
         assert main(["fit", "--config", cfg_file, "--data", str(bad),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_observation_exits_2(self, cfg_file, tmp_path, capsys, value):
+        bad = tmp_path / "nonfinite.csv"
+        bad.write_text(f"t,x\n0,0\n0.1,{value}\n0.2,1\n")
+        assert main(["fit", "--config", cfg_file, "--data", str(bad),
+                     "--out", str(tmp_path / "fit")]) == 2
+        assert str(bad) in capsys.readouterr().err
+
 
 class TestExperiment:
     def test_summary_shape_and_aggregate(self, cfg_file, tmp_path):
@@ -184,3 +203,93 @@ class TestExperiment:
         lines = read(out / "summary.csv").splitlines()
         statuses = [ln.split(",")[-1] for ln in lines[1:]]
         assert statuses == ["numerical_failure", "numerical_failure"]
+
+    def test_kernel_diagonal_at_zero_does_not_abort(self, tmp_path):
+        # from its random start, seed 1046 drives a generator row to
+        # q_11 = -1/h; the experiment must still finish
+        cfg = {
+            "simulation": {
+                "b": [6.0, 3.0, 0.0],
+                "lambda": 2.0,
+                "delta": 1.0,
+                "a": 0.3,
+                "q": [[-0.02, 0.01, 0.01], [0.01, -0.02, 0.01], [0.01, 0.01, -0.02]],
+                "horizon_t": 100.0,
+                "obs_step_h": 0.1,
+                "seed": 1045,
+            },
+            "em": {"epsilon": 0.05, "rho": 1e-4, "m_step": "newton", "update_q": True},
+            "experiment": {"replications": 1},
+        }
+        p = tmp_path / "n3.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(p), "--out", str(tmp_path / "o"),
+                     "--jobs", "1", "--stable-output"]) == 0
+
+
+class TestStartingPoint:
+    """Without em.theta0 the CLI draws the EM start from the init ranges
+    with the generator seeded by [seed, 1]; fit honours em.init_seed."""
+
+    EM = EmConfig(epsilon=0.05, rho=0.0001, max_iters=120)
+
+    @staticmethod
+    def sim_truth():
+        s = BASE_CONFIG["simulation"]
+        return Theta(np.array(s["b"]), s["lambda"], s["delta"]), validate_generator(s["q"])
+
+    @staticmethod
+    def read_path(path):
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        return ObservationSeries(data[:, 1], float(data[1, 0] - data[0, 0]))
+
+    def random_start(self, seed):
+        em = self.EM
+        return random_theta0(
+            2, np.random.default_rng([seed, 1]),
+            em.init_b_range, em.init_lambda_range, em.init_delta_range,
+        )
+
+    @staticmethod
+    def estimate(result):
+        return sort_regimes(result.theta)[0].to_vector().tolist()
+
+    def fit_cli(self, cfg_file, tmp_path, em_section):
+        sim = tmp_path / "sim"
+        main(["simulate", "--config", cfg_file, "--out", str(sim)])
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["em"] = em_section
+        p = tmp_path / "fit.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "fit"
+        assert main(["fit", "--config", str(p), "--data", str(sim / "path.csv"),
+                     "--out", str(out), "--stable-output"]) == 0
+        est = json.loads(read(out / "result.json"))["estimate"]
+        return est["b"] + [est["lambda"], est["delta"]], self.read_path(sim / "path.csv")
+
+    def test_fit_draws_start_from_simulation_seed(self, cfg_file, tmp_path):
+        got, obs = self.fit_cli(cfg_file, tmp_path, BASE_CONFIG["em"])
+        _, g = self.sim_truth()
+        want = em_fit(obs, g, self.EM, self.random_start(42))
+        assert got == self.estimate(want)
+
+    def test_fit_honours_init_seed(self, cfg_file, tmp_path):
+        got, obs = self.fit_cli(cfg_file, tmp_path, {**BASE_CONFIG["em"], "init_seed": 7})
+        _, g = self.sim_truth()
+        em = EmConfig(epsilon=0.05, rho=0.0001, max_iters=120, init_seed=7)
+        assert got == self.estimate(em_fit(obs, g, em))
+        assert got != self.estimate(em_fit(obs, g, self.EM, self.random_start(42)))
+
+    def test_experiment_draws_one_start_per_replication(self, cfg_file, tmp_path):
+        out = tmp_path / "exp"
+        assert main(["experiment", "--config", cfg_file, "--out", str(out),
+                     "--jobs", "1", "--stable-output"]) == 0
+        rows = read(out / "summary.csv").splitlines()[1:3]
+        truth, g = self.sim_truth()
+        s = BASE_CONFIG["simulation"]
+        for r, row in enumerate(rows, start=1):
+            seed = s["seed"] + r
+            sc = SimulationConfig(truth, s["a"], g, s["horizon_t"], s["obs_step_h"], seed=seed)
+            obs, _, _ = simulate_path(sc)
+            want = self.estimate(em_fit(obs, g, self.EM, self.random_start(seed)))
+            assert row.split(",")[:6] == [str(r), str(seed)] + [format(v, ".9g") for v in want]

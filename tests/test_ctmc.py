@@ -71,6 +71,20 @@ class TestTransitionKernel:
             for i in range(n):
                 assert a[i].sum() == 1.0  # exact, not approximate
 
+    def test_exit_rate_at_step_bound_gives_no_negative_entry(self):
+        # a generator row reached by EM generator updates: 1 + q_11*h
+        # rounds to exactly 0 at h = 0.1, while 1 minus the off-diagonal
+        # kernel row sum rounds below 0
+        g = validate_generator([
+            [-10.0, 9.995196389104132, 0.004803610895868315],
+            [7.842573840070078e-37, -0.023259082536973927, 0.023259082536973927],
+            [0.0011539583584654295, 0.021335322807412477, -0.02248928116587791],
+        ])
+        a = transition_matrix_approx(g, 0.1)
+        assert np.all(a >= 0.0)
+        for i in range(3):
+            assert a[i].sum() == 1.0
+
     def test_step_guard(self):
         g = validate_generator([[-3.0, 3.0], [1.0, -1.0]])
         with pytest.raises(ConfigError, match="state 1"):

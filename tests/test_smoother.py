@@ -91,7 +91,7 @@ class TestBackwardSmooth:
         rng = np.random.default_rng(12)
         theta, g, obs = small_instance(rng, n=150)
         fs = forward_filter(theta, g, obs)
-        w = backward_smooth(fs, theta, g, obs)
+        w = backward_smooth(fs)
         np.testing.assert_allclose(w.w[1:].sum(axis=(1, 2)), 1.0, atol=1e-12)
         assert np.all(w.w >= 0.0) and np.all(w.w <= 1.0)
 
@@ -141,14 +141,6 @@ class TestBackwardSmooth:
         )
         gap = np.max(np.abs(w.w[1:] - ref_pair[1:]))
         assert gap > 1e-2  # the approximation is not exact in general
-
-    def test_dimension_checks(self):
-        rng = np.random.default_rng(15)
-        theta, g, obs = small_instance(rng)
-        fs = forward_filter(theta, g, obs)
-        other = ObservationSeries(np.zeros(3), 0.1)
-        with pytest.raises(ConfigError):
-            backward_smooth(fs, obs=other)
 
 
 class TestSmoothRegimes:
