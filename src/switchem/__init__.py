@@ -13,7 +13,6 @@ from .ctmc import (
     GeneratorMatrix,
     simulate_chain,
     transition_matrix_approx,
-    transition_prob_approx,
     validate_generator,
 )
 from .em import (
@@ -35,11 +34,9 @@ from .likelihood import (
     SmoothedPairProbs,
     Theta,
     H_n,
-    cauchy_transition_density,
     grad_H,
     grad_H_q,
     hessian_H,
-    mu_prev,
 )
 from .nig import (
     NigParams,
@@ -87,7 +84,6 @@ __all__ = [
     "UnderflowWarning",
     "backward_smooth",
     "bessel_k1",
-    "cauchy_transition_density",
     "em_fit",
     "euler_path",
     "first_order_step",
@@ -95,7 +91,6 @@ __all__ = [
     "grad_H",
     "grad_H_q",
     "hessian_H",
-    "mu_prev",
     "newton_step",
     "nig_density",
     "quadratic_error",
@@ -111,7 +106,6 @@ __all__ = [
     "std_cauchy_limit_check",
     "termination_stat",
     "transition_matrix_approx",
-    "transition_prob_approx",
     "update_generator",
     "validate_generator",
 ]

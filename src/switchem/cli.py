@@ -20,9 +20,13 @@ failure (for experiments: more than half of the replications failed).
 
 The environment variable ``SWITCHEM_SEED`` overrides the configured seed
 base.  Replication r runs with seed ``seed_base + r``, so partial
-experiments can be resumed or re-run selectively.  ``--stable-output``
-zeroes the elapsed-time fields, making outputs bit-identical across runs
-and across ``--jobs`` values.
+experiments can be resumed or re-run selectively.  The EM starting point
+is ``em.theta0`` when given.  Otherwise ``fit`` draws it from
+``em.init_seed`` if set, else from the stream ``[seed, 1]``; replication
+r of ``experiment`` draws it from ``[seed_base + r, 1]``, as
+``em.init_seed`` applies to ``fit`` only.  ``--stable-output`` zeroes the
+elapsed-time fields, making outputs bit-identical across runs and across
+``--jobs`` values.
 """
 
 from __future__ import annotations
@@ -154,23 +158,19 @@ def _parse_em(cfg: dict) -> EmConfig:
     ):
         if key in em:
             kwargs[key] = em[key]
-    for key in (
-        "b_box",
-        "lambda_box",
-        "delta_box",
-        "init_b_range",
-        "init_lambda_range",
-        "init_delta_range",
-    ):
-        if key in em:
-            kwargs[key] = tuple(float(v) for v in em[key])
-    if em.get("theta0") is not None:
-        kwargs["theta0"] = tuple(float(v) for v in em["theta0"])
-    if em.get("initial_filter_probs") is not None:
-        kwargs["initial_filter_probs"] = tuple(
-            float(v) for v in em["initial_filter_probs"]
-        )
     try:
+        for key in (
+            "b_box",
+            "lambda_box",
+            "delta_box",
+            "init_b_range",
+            "init_lambda_range",
+            "init_delta_range",
+            "theta0",
+            "initial_filter_probs",
+        ):
+            if em.get(key) is not None:
+                kwargs[key] = tuple(float(v) for v in em[key])
         return EmConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad em section: {exc}") from exc
@@ -400,7 +400,10 @@ def cmd_experiment(args) -> int:
     exp = cfg.get("experiment", {})
     if not isinstance(exp, dict):
         raise ConfigError("'experiment' section must be a JSON object")
-    reps = int(exp.get("replications", 1))
+    try:
+        reps = int(exp.get("replications", 1))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"experiment.replications must be an integer: {exc}") from exc
     if reps < 1:
         raise ConfigError(f"experiment.replications must be >= 1, got {reps}")
     emit_trace = bool(exp.get("emit_trace", False))

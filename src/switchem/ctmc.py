@@ -153,13 +153,6 @@ def _force_row_sum_one(row: np.ndarray, i: int) -> None:
         raise NumericalFailure(f"cannot normalize kernel row {i + 1} exactly")
 
 
-def transition_prob_approx(g: GeneratorMatrix, h: float, i: int, k: int) -> float:
-    """Single entry of the one-step kernel for 1-based states ``i``, ``k``."""
-    if not (1 <= i <= g.n_states and 1 <= k <= g.n_states):
-        raise ConfigError(f"states must lie in 1..{g.n_states}, got ({i}, {k})")
-    return float(transition_matrix_approx(g, h)[i - 1, k - 1])
-
-
 def simulate_chain(
     g: GeneratorMatrix,
     t_grid_step: float,
@@ -171,7 +164,7 @@ def simulate_chain(
 
     At each step the chain jumps i -> k with probability q_ik * step and
     stays put otherwise, exactly the o(h)-free kernel of
-    :func:`transition_prob_approx`.  Holding times under that kernel are
+    :func:`transition_matrix_approx`.  Holding times under that kernel are
     geometric, so the path is generated by sampling geometric sojourns and
     categorical jump targets; this is distributionally identical to
     stepwise sampling and much faster for small jump rates.

@@ -20,6 +20,7 @@ stop is the last iterate.
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -87,10 +88,20 @@ class EmConfig:
             ("lambda_box", self.lambda_box),
             ("delta_box", self.delta_box),
         ):
-            if not (box[0] <= box[1]):
-                raise ConfigError(f"{name} has low > high: {box}")
+            if len(box) != 2 or not (box[0] <= box[1]):
+                raise ConfigError(f"{name} must be (low, high) with low <= high: {box}")
         if self.lambda_box[0] <= 0.0 or self.delta_box[0] <= 0.0:
             raise ConfigError("lambda_box and delta_box lows must be > 0")
+        for name in ("init_b_range", "init_lambda_range", "init_delta_range"):
+            if len(getattr(self, name)) != 2:
+                raise ConfigError(f"{name} must be (low, high): {getattr(self, name)}")
+        if self.theta0 is not None:
+            v = np.asarray(self.theta0, dtype=float)
+            if v.ndim != 1 or v.size < 3 or not np.all(np.isfinite(v)) or min(v[-2:]) <= 0.0:
+                raise ConfigError(
+                    "theta0 must be finite (b(1..N), lam, delta) with lam, delta > 0, "
+                    f"got {self.theta0}"
+                )
 
     def theta_boxes(self, n_states: int) -> tuple[np.ndarray, np.ndarray]:
         """Stacked (low, high) bound vectors in theta coordinate order."""
@@ -129,7 +140,8 @@ class IterationRecord:
 
     ``h_before`` is H(theta_m; theta_m) and ``h_after`` H(theta_{m+1};
     theta_m), both under the weights smoothed at theta_m, so
-    h_after < h_before marks an ascent violation.
+    h_after < h_before marks an ascent violation.  ``elapsed_ms`` is the
+    iteration's wall time, E-step and M-step together.
     """
 
     iteration: int
@@ -283,21 +295,22 @@ def em_fit(
     trace: list[IterationRecord] = []
     init_probs = cfg.initial_filter_probs
     for m in range(1, cfg.max_iters + 1):
+        t_start = time.perf_counter()
         try:
             fs = forward_filter(theta, gen, obs, init_probs)
             w = backward_smooth(fs)
-            h_before = H_n(theta, gen, obs, w)
-            grad = grad_H(theta, gen, obs, w)
+            h_before = H_n(theta, fs.kernel, obs, w)
+            grad = grad_H(theta, obs, w)
             fallback = False
             if cfg.m_step == "newton":
-                hess = hessian_H(theta, gen, obs, w)
+                hess = hessian_H(theta, obs, w)
                 theta_new, fallback = newton_step(theta, grad, hess, boxes)
                 if not fallback:
-                    h_after = H_n(theta_new, gen, obs, w)
+                    h_after = H_n(theta_new, fs.kernel, obs, w)
                     fallback = h_after < h_before
             if fallback or cfg.m_step == "first_order":
                 theta_new = first_order_step(theta, grad, cfg.rho, boxes)
-                h_after = H_n(theta_new, gen, obs, w)
+                h_after = H_n(theta_new, fs.kernel, obs, w)
             if cfg.update_q:
                 gen = update_generator(gen, w, obs.h)
         except NumericalFailure as exc:
@@ -316,6 +329,7 @@ def em_fit(
                 stat,
                 bool(h_after < h_before),
                 fallback,
+                (time.perf_counter() - t_start) * 1e3,
             )
         )
         theta = theta_new

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import GeneratorMatrix, transition_matrix_approx
+from .ctmc import GeneratorMatrix
 from .errors import EvaluationError
 
 PAIR_SLICE_TOL = 1e-9
@@ -121,31 +121,19 @@ class SmoothedPairProbs:
         return self.w.shape[1]
 
 
-def mu_prev(x_prev, b_i, lam: float, h: float):
-    """One-step Euler location X_{j-1} + lam*(b_i - X_{j-1})*h."""
-    return x_prev + lam * (np.asarray(b_i, dtype=float) - x_prev) * h
-
-
-def cauchy_transition_density(x_next, x_prev, b_i, theta: Theta, h: float):
-    """Cauchy density with location mu_prev and scale delta*h at ``x_next``."""
-    scale = theta.delta * h
-    r = (np.asarray(x_next, dtype=float) - mu_prev(x_prev, b_i, theta.lam, h)) / scale
-    out = 1.0 / (scale * np.pi * (1.0 + r * r))
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
 def cauchy_density_matrix(theta: Theta, obs: ObservationSeries) -> np.ndarray:
     """Matrix D[j, i] = f(X_j | X_{j-1}, regime i; theta) for j = 1..n.
 
     Shape (n+1, N) with D[0] = 0, matching the 1-based pair index convention.
     """
-    u = _residuals(theta, obs)
-    scale = theta.delta * obs.h
     out = np.zeros((obs.n + 1, theta.n_states))
-    out[1:] = scale / (np.pi * (scale * scale + u * u))
+    out[1:] = _density(_residuals(theta, obs), theta.delta * obs.h)
     return out
+
+
+def _density(u: np.ndarray, scale: float) -> np.ndarray:
+    """Cauchy density with scale ``scale`` at residuals ``u``."""
+    return scale / (np.pi * (scale * scale + u * u))
 
 
 def _residuals(theta: Theta, obs: ObservationSeries) -> np.ndarray:
@@ -164,14 +152,15 @@ def _check_pair_support(a: np.ndarray, pair_tot: np.ndarray) -> None:
         )
 
 
-def H_n(theta: Theta, g: GeneratorMatrix, obs: ObservationSeries, w: SmoothedPairProbs) -> float:
-    """Weighted quasi-log-likelihood H(theta; w).
+def H_n(theta: Theta, a: np.ndarray, obs: ObservationSeries, w: SmoothedPairProbs) -> float:
+    """Weighted quasi-log-likelihood H(theta; w) under the one-step kernel ``a``.
 
-    Terms with zero weight contribute zero (0*log 0 = 0 convention); a zero
-    transition probability carrying positive weight is an evaluation error.
+    ``a`` is the kernel the weights were smoothed under
+    (:attr:`FilterState.kernel`).  Terms with zero weight contribute zero
+    (0*log 0 = 0 convention); a zero transition probability carrying
+    positive weight is an evaluation error.
     """
-    _check_dims(theta, g, obs, w)
-    a = transition_matrix_approx(g, obs.h)
+    _check_dims(obs, w, theta.n_states, *a.shape)
     u = _residuals(theta, obs)
     scale = theta.delta * obs.h
     logf = -np.log(np.pi * (scale * scale + u * u) / scale)
@@ -188,27 +177,25 @@ def _kernels(theta: Theta, obs: ObservationSeries):
     v = theta.b[None, :] - obs.x[:-1, None]
     h = obs.h
     delta = theta.delta
-    scale = delta * h
-    k2 = scale / (np.pi * (scale * scale + u * u))
+    k2 = _density(u, delta * h)
     k1 = np.pi * u * u / (delta * delta * h) - h * np.pi
     k3 = 2.0 * np.pi * u * v / delta
     k4 = 2.0 * np.pi * u * theta.lam / delta
     return u, v, k1, k2, k3, k4
 
 
-def _check_dims(theta, g, obs, w):
-    if theta.n_states != g.n_states or w.n_states != g.n_states or w.n != obs.n:
+def _check_dims(obs: ObservationSeries, w: SmoothedPairProbs, *sizes: int) -> None:
+    """Each of ``sizes`` must equal the weights' regime count."""
+    if any(k != w.n_states for k in sizes) or w.n != obs.n:
         raise EvaluationError(
-            f"dimension mismatch: theta N={theta.n_states}, generator N={g.n_states}, "
+            f"dimension mismatch: regime counts {sizes}, "
             f"weights (n={w.n}, N={w.n_states}), observations n={obs.n}"
         )
 
 
-def grad_H(
-    theta: Theta, g: GeneratorMatrix, obs: ObservationSeries, w: SmoothedPairProbs
-) -> np.ndarray:
+def grad_H(theta: Theta, obs: ObservationSeries, w: SmoothedPairProbs) -> np.ndarray:
     """Analytic gradient of H in the coordinates (b(1..N), lam, delta)."""
-    _check_dims(theta, g, obs, w)
+    _check_dims(obs, w, theta.n_states)
     _, _, k1, k2, k3, k4 = _kernels(theta, obs)
     wi = w.w[1:].sum(axis=2)
     d_b = np.sum(k2 * k4 * wi, axis=0)
@@ -217,11 +204,9 @@ def grad_H(
     return np.concatenate([d_b, [d_lam, d_delta]])
 
 
-def hessian_H(
-    theta: Theta, g: GeneratorMatrix, obs: ObservationSeries, w: SmoothedPairProbs
-) -> np.ndarray:
+def hessian_H(theta: Theta, obs: ObservationSeries, w: SmoothedPairProbs) -> np.ndarray:
     """Analytic Hessian of H; the b-b off-diagonal block is exactly zero."""
-    _check_dims(theta, g, obs, w)
+    _check_dims(obs, w, theta.n_states)
     u, v, k1, k2, k3, k4 = _kernels(theta, obs)
     h = obs.h
     delta = theta.delta
@@ -249,7 +234,7 @@ def hessian_H(
 
 
 def grad_H_q(
-    theta: Theta, g: GeneratorMatrix, obs: ObservationSeries, w: SmoothedPairProbs
+    g: GeneratorMatrix, obs: ObservationSeries, w: SmoothedPairProbs
 ) -> tuple[np.ndarray, np.ndarray]:
     """First and second derivatives of H in the generator entries q_lm.
 
@@ -259,7 +244,7 @@ def grad_H_q(
     by the 0*log 0 convention; a zero off-diagonal rate with positive
     weight raises.
     """
-    _check_dims(theta, g, obs, w)
+    _check_dims(obs, w, g.n_states)
     h = obs.h
     pair_tot = w.w[1:].sum(axis=0)
     n = g.n_states

@@ -3,19 +3,18 @@
 Forward pass (for j = 1..n, with D[j, i] the Cauchy emission density of X_j
 given X_{j-1} in regime i, and A the one-step chain kernel):
 
-    predicted_pair[j, i, k]  = A[i, k] * filtered[j-1, i]
-    predicted_marginal[j, k] = sum_i predicted_pair[j, i, k]
-    filtered[j, k] propto D[j, i-summed] ... specifically
-    filtered[j, k] = sum_i D[j, i] * predicted_pair[j, i, k] / normalizer.
+    pair[j, i, k]  = A[i, k] * filtered[j-1, i]
+    filtered[j, k] = sum_i D[j, i] * pair[j, i, k] / normalizer.
 
 Note the emission density attaches to the *earlier* state i (the regime in
 force over (t_{j-1}, t_j)), so the update mixes over i inside the sum
 rather than multiplying the predicted marginal.
 
 Backward pass (Kim-style one-lag approximation, exact when emissions would
-depend only on the later state):
+depend only on the later state), with the predicted pair recomputed from
+the filtered row and its marginal pm[j, k] = sum_i pair[j, i, k]:
 
-    w[j, i, k] = smoothed[j, k] * predicted_pair[j, i, k] / predicted_marginal[j, k]
+    w[j, i, k] = smoothed[j, k] * pair[j, i, k] / pm[j, k]
     smoothed[j-1, i] = sum_k w[j, i, k],
 
 with each pair slice renormalized to sum to one.
@@ -41,15 +40,15 @@ from .likelihood import (
 class FilterState:
     """Forward-pass output.
 
-    filtered[j, k]           = P(a_{t_j} = k | X_{0..j});
-    predicted_pair[j, i, k]  = P(a_{t_{j-1}} = i, a_{t_j} = k | X_{0..j-1});
-    predicted_marginal[j, k] = P(a_{t_j} = k | X_{0..j-1}).
-    Pair and marginal slices at index 0 are zero (no pair before t_0).
+    filtered[j, k] = P(a_{t_j} = k | X_{0..j});
+    kernel[i, k]   = A[i, k], the one-step chain kernel the pass ran under.
+    The predicted pair P(a_{t_{j-1}} = i, a_{t_j} = k | X_{0..j-1}) is
+    ``kernel * filtered[j-1][:, None]``; the M-step evaluates H under the
+    same kernel.
     """
 
     filtered: np.ndarray
-    predicted_pair: np.ndarray
-    predicted_marginal: np.ndarray
+    kernel: np.ndarray
 
     @property
     def n(self) -> int:
@@ -87,13 +86,9 @@ def forward_filter(
     d = cauchy_density_matrix(theta, obs)
 
     filtered = np.zeros((n + 1, m))
-    pair = np.zeros((n + 1, m, m))
-    marginal = np.zeros((n + 1, m))
     filtered[0] = _initial_probs(m, initial_probs)
     for j in range(1, n + 1):
         pj = a * filtered[j - 1][:, None]
-        pair[j] = pj
-        marginal[j] = pj.sum(axis=0)
         post = d[j][:, None] * pj
         col = post.sum(axis=0)
         z = col.sum()
@@ -110,23 +105,25 @@ def forward_filter(
                     f"forward filter normalizer {z!r} at observation {j}", index=j
                 )
         filtered[j] = col / z
-    return FilterState(filtered, pair, marginal)
+    return FilterState(filtered, a)
 
 
 def backward_smooth(fs: FilterState) -> SmoothedPairProbs:
     """Backward pass producing the pairwise weights w[j, i, k].
 
-    The pass needs only the forward-pass arrays.  Smoothed marginals are
-    recoverable via :func:`smoothed_marginals`.
+    The pass needs only the filter state: each predicted pair is rebuilt
+    from the kernel and the filtered row exactly as the forward pass built
+    it.  Smoothed marginals are recoverable via :func:`smoothed_marginals`.
     """
     n, m = fs.n, fs.n_states
     smoothed = np.zeros((n + 1, m))
     w = np.zeros((n + 1, m, m))
     smoothed[n] = fs.filtered[n]
     for j in range(n, 0, -1):
-        pm = fs.predicted_marginal[j]
+        pj = fs.kernel * fs.filtered[j - 1][:, None]
+        pm = pj.sum(axis=0)
         ratio = np.where(pm > 0.0, smoothed[j] / np.where(pm > 0.0, pm, 1.0), 0.0)
-        wj = fs.predicted_pair[j] * ratio[None, :]
+        wj = pj * ratio[None, :]
         z = wj.sum()
         if not np.isfinite(z) or z <= 0.0:
             raise NumericalFailure(

@@ -120,19 +120,20 @@ def test_criterion_2_derivatives_match_finite_differences():
         for _ in range(100):
             theta, g, obs, w = random_instance(rng)
             v = theta.to_vector()
+            a = transition_matrix_approx(g, obs.h)
 
             def f(vv):
-                return H_n(Theta.from_vector(vv), g, obs, w)
+                return H_n(Theta.from_vector(vv), a, obs, w)
 
             def gr(vv):
-                return grad_H(Theta.from_vector(vv), g, obs, w)
+                return grad_H(Theta.from_vector(vv), obs, w)
 
-            analytic_g = grad_H(theta, g, obs, w)
+            analytic_g = grad_H(theta, obs, w)
             fd_g = central_diff(f, v)
             rel = np.abs(analytic_g - fd_g) / np.maximum(np.abs(fd_g), 1e-8)
             worst_grad = max(worst_grad, float(rel.max()))
 
-            analytic_h = hessian_H(theta, g, obs, w)
+            analytic_h = hessian_H(theta, obs, w)
             fd_h = central_diff_jacobian(gr, v)
             fd_h = 0.5 * (fd_h + fd_h.T)
             m = theta.n_states
@@ -292,7 +293,9 @@ def test_criterion_8_probability_invariants_on_fitted_paths():
             fs = forward_filter(theta, g, obs)
             w = backward_smooth(fs)
             sm = smoothed_marginals(fs, w)
-            for arr in (fs.filtered, w.w, sm, fs.predicted_pair[1:], fs.predicted_marginal[1:]):
+            pair = fs.kernel * fs.filtered[:-1, :, None]
+            marginal = pair.sum(axis=1)
+            for arr in (fs.filtered, w.w, sm, pair, marginal):
                 if np.any(arr < 0.0) or np.any(arr > 1.0):
                     in_range = False
             worst = max(
@@ -300,13 +303,11 @@ def test_criterion_8_probability_invariants_on_fitted_paths():
                 float(np.max(np.abs(fs.filtered.sum(axis=1) - 1.0))),
                 float(np.max(np.abs(w.w[1:].sum(axis=(1, 2)) - 1.0))),
                 float(np.max(np.abs(sm.sum(axis=1) - 1.0))),
-                float(np.max(np.abs(fs.predicted_pair[1:].sum(axis=(1, 2)) - 1.0))),
+                float(np.max(np.abs(pair.sum(axis=(1, 2)) - 1.0))),
                 # marginalizing pairs over the earlier state reproduces the
                 # smoothed marginal at the later time point
                 float(np.max(np.abs(w.w[1:].sum(axis=1) - sm[1:]))),
-                float(
-                    np.max(np.abs(fs.predicted_pair.sum(axis=1) - fs.predicted_marginal))
-                ),
+                float(np.max(np.abs(pair.sum(axis=1) - marginal))),
             )
     ok = worst < 1e-9 and in_range
     report(

@@ -146,6 +146,13 @@ class TestFit:
         assert main(["fit", "--config", cfg_file, "--data", str(bad),
                      "--out", str(tmp_path)]) == 2
 
+    def test_elapsed_ms_recorded_without_stable_output(self, cfg_file, tmp_path, sim_out):
+        out = tmp_path / "fit4"
+        assert main(["fit", "--config", cfg_file, "--data", str(sim_out / "path.csv"),
+                     "--out", str(out)]) == 0
+        rows = read(out / "trace.csv").splitlines()[1:]
+        assert rows and all(float(row.split(",")[-1]) > 0.0 for row in rows)
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_observation_exits_2(self, cfg_file, tmp_path, capsys, value):
         bad = tmp_path / "nonfinite.csv"
@@ -225,6 +232,46 @@ class TestExperiment:
         p.write_text(json.dumps(cfg))
         assert main(["experiment", "--config", str(p), "--out", str(tmp_path / "o"),
                      "--jobs", "1", "--stable-output"]) == 0
+
+
+class TestBadEmSection:
+    """Malformed em and experiment values exit 2 from fit and experiment."""
+
+    @staticmethod
+    def run(cfg_file, tmp_path, command, section, key, value):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg[section][key] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        args = [command, "--config", str(p), "--out", str(tmp_path / "out")]
+        if command == "fit":
+            sim = tmp_path / "sim"
+            assert main(["simulate", "--config", cfg_file, "--out", str(sim)]) == 0
+            args += ["--data", str(sim / "path.csv")]
+        else:
+            args += ["--jobs", "1"]
+        return main(args)
+
+    @pytest.mark.parametrize("command", ["fit", "experiment"])
+    @pytest.mark.parametrize("theta0", [[6, 3, -1, 1], [6, 3, 1, 0]])
+    def test_nonpositive_theta0_exits_2(self, cfg_file, tmp_path, capsys, command, theta0):
+        assert self.run(cfg_file, tmp_path, command, "em", "theta0", theta0) == 2
+        assert "theta0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,section,key,value",
+        [
+            ("fit", "em", "theta0", ["x", 3, 1, 1]),
+            ("experiment", "em", "theta0", ["x", 3, 1, 1]),
+            ("fit", "em", "b_box", 3),
+            ("experiment", "em", "b_box", 3),
+            ("fit", "em", "lambda_box", [1.0]),
+            ("experiment", "em", "init_b_range", [1.0]),
+            ("experiment", "experiment", "replications", "x"),
+        ],
+    )
+    def test_malformed_value_exits_2(self, cfg_file, tmp_path, command, section, key, value):
+        assert self.run(cfg_file, tmp_path, command, section, key, value) == 2
 
 
 class TestStartingPoint:

@@ -5,7 +5,6 @@ from switchem import (
     ConfigError,
     simulate_chain,
     transition_matrix_approx,
-    transition_prob_approx,
     validate_generator,
 )
 
@@ -54,10 +53,11 @@ class TestTransitionKernel:
     def test_entries(self):
         g = validate_generator(BENCH_Q)
         h = 0.1
+        a = transition_matrix_approx(g, h)
         # stay probability 1 + q_11 h with q_11 = -0.009
-        assert transition_prob_approx(g, h, 1, 1) == pytest.approx(0.9991, abs=1e-12)
-        assert transition_prob_approx(g, h, 1, 2) == pytest.approx(0.0009, abs=1e-12)
-        assert transition_prob_approx(g, h, 2, 1) == pytest.approx(0.0005, abs=1e-12)
+        assert a[0, 0] == pytest.approx(0.9991, abs=1e-12)
+        assert a[0, 1] == pytest.approx(0.0009, abs=1e-12)
+        assert a[1, 0] == pytest.approx(0.0005, abs=1e-12)
 
     def test_rows_sum_to_exactly_one(self):
         rng = np.random.default_rng(3)
@@ -89,13 +89,6 @@ class TestTransitionKernel:
         g = validate_generator([[-3.0, 3.0], [1.0, -1.0]])
         with pytest.raises(ConfigError, match="state 1"):
             transition_matrix_approx(g, 0.5)
-
-    def test_state_bounds(self):
-        g = validate_generator(BENCH_Q)
-        with pytest.raises(ConfigError):
-            transition_prob_approx(g, 0.1, 0, 1)
-        with pytest.raises(ConfigError):
-            transition_prob_approx(g, 0.1, 1, 3)
 
 
 class TestSimulateChain:

@@ -66,10 +66,10 @@ class TestSteps:
         theta_true, g, obs = short_path
         theta = Theta(np.array([5.0, 2.0]), 1.0, 2.0)
         cfg = EmConfig()
-        _, _, w = smooth_regimes(theta, g, obs)
-        grad = grad_H(theta, g, obs, w)
+        fs, _, w = smooth_regimes(theta, g, obs)
+        grad = grad_H(theta, obs, w)
         new = first_order_step(theta, grad, cfg.rho, cfg.theta_boxes(2))
-        assert H_n(new, g, obs, w) >= H_n(theta, g, obs, w)
+        assert H_n(new, fs.kernel, obs, w) >= H_n(theta, fs.kernel, obs, w)
 
     def test_first_order_respects_boxes(self):
         theta = Theta(np.array([9.9]), 1.0, 1.0)

