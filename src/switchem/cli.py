@@ -169,8 +169,12 @@ def _parse_em(cfg: dict) -> EmConfig:
             "theta0",
             "initial_filter_probs",
         ):
-            if em.get(key) is not None:
-                kwargs[key] = tuple(float(v) for v in em[key])
+            value = em.get(key)
+            if value is None:
+                continue
+            if not isinstance(value, list):
+                raise ConfigError(f"em.{key} must be a list of numbers, got {value!r}")
+            kwargs[key] = tuple(float(v) for v in value)
         return EmConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad em section: {exc}") from exc
@@ -400,13 +404,14 @@ def cmd_experiment(args) -> int:
     exp = cfg.get("experiment", {})
     if not isinstance(exp, dict):
         raise ConfigError("'experiment' section must be a JSON object")
-    try:
-        reps = int(exp.get("replications", 1))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"experiment.replications must be an integer: {exc}") from exc
+    reps = exp.get("replications", 1)
+    if isinstance(reps, bool) or not isinstance(reps, int):
+        raise ConfigError(f"experiment.replications must be an integer, got {reps!r}")
     if reps < 1:
         raise ConfigError(f"experiment.replications must be >= 1, got {reps}")
-    emit_trace = bool(exp.get("emit_trace", False))
+    emit_trace = exp.get("emit_trace", False)
+    if not isinstance(emit_trace, bool):
+        raise ConfigError(f"experiment.emit_trace must be true or false, got {emit_trace!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed_base = _seed_base(sim_section)

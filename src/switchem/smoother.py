@@ -1,23 +1,42 @@
-"""Forward filtering and backward smoothing of the hidden regime.
+"""Forward filtering and backward smoothing of the hidden regime, as scans.
 
-Forward pass (for j = 1..n, with D[j, i] the Cauchy emission density of X_j
-given X_{j-1} in regime i, and A the one-step chain kernel):
+Forward pass.  With D[j, i] the Cauchy emission density of X_j given
+X_{j-1} in regime i and A the one-step chain kernel, the filter is
 
-    pair[j, i, k]  = A[i, k] * filtered[j-1, i]
-    filtered[j, k] = sum_i D[j, i] * pair[j, i, k] / normalizer.
+    filtered[j, k] = sum_i filtered[j-1, i] * D[j, i] * A[i, k] / normalizer,
 
-Note the emission density attaches to the *earlier* state i (the regime in
-force over (t_{j-1}, t_j)), so the update mixes over i inside the sum
-rather than multiplying the predicted marginal.
+i.e. filtered[j] is proportional to filtered[0] M_1 ... M_j with
+M_j = diag(D[j]) A.  The emission density attaches to the *earlier* state i
+(the regime in force over (t_{j-1}, t_j)), so it scales rows of A rather
+than the predicted marginal.
 
 Backward pass (Kim-style one-lag approximation, exact when emissions would
-depend only on the later state), with the predicted pair recomputed from
-the filtered row and its marginal pm[j, k] = sum_i pair[j, i, k]:
+depend only on the later state).  With the predicted pair
+pair[j, i, k] = A[i, k] * filtered[j-1, i] and its marginal
+pm[j, k] = sum_i pair[j, i, k], let B_j[i, k] = pair[j, i, k] / pm[j, k]
+(0 where pm[j, k] = 0).  The smoothed marginals satisfy
+smoothed[j-1] = B_j smoothed[j] from smoothed[n] = filtered[n], so
+smoothed[j-1] is proportional to B_j ... B_n filtered[n], and the pair
+weights are w[j] = B_j * smoothed[j][None, :], each slice renormalized to
+sum to one.
 
-    w[j, i, k] = smoothed[j, k] * pair[j, i, k] / pm[j, k]
-    smoothed[j-1, i] = sum_k w[j, i, k],
+Both products are computed by one blocked two-level scan (:func:`_scan`)
+in about 2 sqrt(n) vectorized steps rather than one per observation: the
+stack is cut into about sqrt(n) blocks, the prefix products inside every
+block advance together, each row renormalized to sum to one with its log
+mass carried alongside, and the block boundaries are then chained in about
+sqrt(n) vector steps.  Carrying
+row scales in logs keeps a row that is improbable within one block from
+underflowing while the filter may still need it (absorbing states, one-hot
+starts).
 
-with each pair slice renormalized to sum to one.
+Each emission row is scaled by its maximum before the forward scan, so
+observations whose densities underflow jointly still filter.  Failure is
+located after the scan by one vectorized check of each step's mass under
+the previous row: the forward pass reports the first step whose emission
+mass under filtered[j-1] is non-positive or non-finite, the backward pass
+the highest j whose slice sum is; rows before (forward) or after (backward)
+that step do not depend on it.
 """
 
 from __future__ import annotations
@@ -68,6 +87,46 @@ def _initial_probs(n_states: int, initial) -> np.ndarray:
     return p / p.sum()
 
 
+def _mix(v: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Normalized v diag(exp(r)) s over the last two axes, with log weights
+    shifted by their maximum so no row weight underflows on its own."""
+    lw = np.log(v) + r
+    wt = np.exp(lw - lw.max(axis=-1, keepdims=True))
+    u = (wt[..., :, None] * s).sum(axis=-2)
+    return u / u.sum(axis=-1, keepdims=True)
+
+
+def _scan(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
+    """Rows v_j = v_0 mats[0] ... mats[j-1] of an (n, N, N) nonnegative
+    stack, each normalized to sum to one; shape (n+1, N), row 0 = ``v0``.
+
+    ``nb`` blocks of ``bl`` steps: ``prod``/``logm`` hold every
+    within-block prefix product, rows normalized, with their log masses.
+    """
+    n, m = mats.shape[0], mats.shape[1]
+    bl = max(1, int(np.ceil(np.sqrt(n))))
+    nb = -(-n // bl)
+    steps = np.broadcast_to(np.eye(m), (nb * bl, m, m)).copy()
+    steps[:n] = mats
+    steps = steps.reshape(nb, bl, m, m).swapaxes(0, 1)
+    prod = np.empty((bl, nb, m, m))
+    logm = np.empty((bl, nb, m))
+    cur, cur_log = np.broadcast_to(np.eye(m), (nb, m, m)), np.zeros((nb, m))
+    for t in range(bl):
+        cur = cur @ steps[t]
+        tot = cur.sum(axis=2)
+        cur_log = cur_log + np.log(tot)
+        cur = cur / np.where(tot > 0.0, tot, 1.0)[:, :, None]
+        prod[t], logm[t] = cur, cur_log
+    starts = np.empty((nb, m))
+    v = v0
+    for b in range(nb):
+        starts[b] = v
+        v = _mix(v, prod[-1, b], logm[-1, b])
+    rows = _mix(starts[None], prod, logm).swapaxes(0, 1).reshape(nb * bl, m)
+    return np.vstack([v0, rows[:n]])
+
+
 def forward_filter(
     theta: Theta,
     g: GeneratorMatrix,
@@ -81,30 +140,20 @@ def forward_filter(
         raise ConfigError(
             f"theta has {theta.n_states} regimes, generator {g.n_states} states"
         )
-    n, m = obs.n, g.n_states
     a = transition_matrix_approx(g, obs.h)
-    d = cauchy_density_matrix(theta, obs)
-
-    filtered = np.zeros((n + 1, m))
-    filtered[0] = _initial_probs(m, initial_probs)
-    for j in range(1, n + 1):
-        pj = a * filtered[j - 1][:, None]
-        post = d[j][:, None] * pj
-        col = post.sum(axis=0)
-        z = col.sum()
-        if not np.isfinite(z) or z <= 0.0:
-            # densities can underflow jointly for far-outlying observations;
-            # retry the step with the densities rescaled by their maximum
-            dm = d[j].max()
-            if dm > 0.0 and np.isfinite(dm):
-                col = (d[j] / dm)[:, None] * pj
-                col = col.sum(axis=0)
-                z = col.sum()
-            if not np.isfinite(z) or z <= 0.0:
-                raise NumericalFailure(
-                    f"forward filter normalizer {z!r} at observation {j}", index=j
-                )
-        filtered[j] = col / z
+    d = cauchy_density_matrix(theta, obs)[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dm = d.max(axis=1, keepdims=True)
+        d = np.where((dm > 0.0) & np.isfinite(dm), d / dm, d)
+        steps = d[:, :, None] * a
+        filtered = _scan(steps, _initial_probs(g.n_states, initial_probs))
+        mass = (steps * filtered[:-1, :, None]).sum(axis=(1, 2))
+    bad = ~(np.isfinite(mass) & (mass > 0.0))
+    if bad.any():
+        j = int(np.argmax(bad)) + 1
+        raise NumericalFailure(
+            f"forward filter normalizer {mass[j - 1]!r} at observation {j}", index=j
+        )
     return FilterState(filtered, a)
 
 
@@ -112,27 +161,24 @@ def backward_smooth(fs: FilterState) -> SmoothedPairProbs:
     """Backward pass producing the pairwise weights w[j, i, k].
 
     The pass needs only the filter state: each predicted pair is rebuilt
-    from the kernel and the filtered row exactly as the forward pass built
-    it.  Smoothed marginals are recoverable via :func:`smoothed_marginals`.
+    from the kernel and the filtered row as the forward pass built it.
+    Smoothed marginals are recoverable via :func:`smoothed_marginals`.
     """
     n, m = fs.n, fs.n_states
-    smoothed = np.zeros((n + 1, m))
-    w = np.zeros((n + 1, m, m))
-    smoothed[n] = fs.filtered[n]
-    for j in range(n, 0, -1):
-        pj = fs.kernel * fs.filtered[j - 1][:, None]
-        pm = pj.sum(axis=0)
-        ratio = np.where(pm > 0.0, smoothed[j] / np.where(pm > 0.0, pm, 1.0), 0.0)
-        wj = pj * ratio[None, :]
-        z = wj.sum()
-        if not np.isfinite(z) or z <= 0.0:
-            raise NumericalFailure(
-                f"backward smoother slice sum {z!r} at observation {j}", index=j
-            )
-        wj /= z
-        w[j] = wj
-        smoothed[j - 1] = wj.sum(axis=1)
-    return SmoothedPairProbs(w)
+    pair = fs.kernel * fs.filtered[:-1, :, None]
+    pm = pair.sum(axis=1)[:, None, :]
+    back = np.divide(pair, pm, out=np.zeros_like(pair), where=pm > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        smoothed = _scan(back[::-1].swapaxes(1, 2), fs.filtered[-1])[::-1]
+        w = back * smoothed[1:, None, :]
+        z = w.sum(axis=(1, 2))
+    bad = ~(np.isfinite(z) & (z > 0.0))
+    if bad.any():
+        j = n - int(np.argmax(bad[::-1]))
+        raise NumericalFailure(
+            f"backward smoother slice sum {z[j - 1]!r} at observation {j}", index=j
+        )
+    return SmoothedPairProbs(np.concatenate([np.zeros((1, m, m)), w / z[:, None, None]]))
 
 
 def smoothed_marginals(fs: FilterState, w: SmoothedPairProbs) -> np.ndarray:

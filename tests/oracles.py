@@ -121,6 +121,50 @@ def enumerate_filter_smoother(x, h, b, lam, delta, a_kernel, p0):
     return filtered, pair, marg
 
 
+def loop_filter_smoother(a_kernel, dens, p0):
+    """Forward filter and Kim backward pass as one Python loop over observations.
+
+    The step-by-step form of ``forward_filter``/``backward_smooth``: ``dens``
+    is the (n+1, N) emission matrix (row 0 unused), ``a_kernel`` the one-step
+    kernel and ``p0`` the initial filter row.  A step whose emission mass
+    underflows is retried with the densities scaled by their maximum.
+    Returns (filtered, w) in the package's index conventions; a breakdown
+    raises ``ArithmeticError(message, j)`` at the first failing forward step
+    or the highest failing backward step.
+    """
+    a_kernel = np.asarray(a_kernel, dtype=float)
+    n, m = dens.shape[0] - 1, a_kernel.shape[0]
+    filtered = np.zeros((n + 1, m))
+    filtered[0] = p0
+    for j in range(1, n + 1):
+        pj = a_kernel * filtered[j - 1][:, None]
+        col = (dens[j][:, None] * pj).sum(axis=0)
+        z = col.sum()
+        if not np.isfinite(z) or z <= 0.0:
+            dm = dens[j].max()
+            if dm > 0.0 and np.isfinite(dm):
+                col = ((dens[j] / dm)[:, None] * pj).sum(axis=0)
+                z = col.sum()
+            if not np.isfinite(z) or z <= 0.0:
+                raise ArithmeticError(f"forward normalizer {z!r} at observation {j}", j)
+        filtered[j] = col / z
+
+    smoothed = np.zeros((n + 1, m))
+    w = np.zeros((n + 1, m, m))
+    smoothed[n] = filtered[n]
+    for j in range(n, 0, -1):
+        pj = a_kernel * filtered[j - 1][:, None]
+        pm = pj.sum(axis=0)
+        ratio = np.where(pm > 0.0, smoothed[j] / np.where(pm > 0.0, pm, 1.0), 0.0)
+        wj = pj * ratio[None, :]
+        z = wj.sum()
+        if not np.isfinite(z) or z <= 0.0:
+            raise ArithmeticError(f"backward slice sum {z!r} at observation {j}", j)
+        w[j] = wj / z
+        smoothed[j - 1] = w[j].sum(axis=1)
+    return filtered, w
+
+
 def h_bruteforce(x, h, b, lam, delta, a_kernel, w):
     """Direct triple-loop evaluation of the weighted quasi-log-likelihood."""
     n = len(x) - 1

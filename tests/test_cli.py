@@ -268,10 +268,19 @@ class TestBadEmSection:
             ("fit", "em", "lambda_box", [1.0]),
             ("experiment", "em", "init_b_range", [1.0]),
             ("experiment", "experiment", "replications", "x"),
+            ("fit", "em", "theta0", "6311"),
+            ("experiment", "em", "b_box", "05"),
         ],
     )
     def test_malformed_value_exits_2(self, cfg_file, tmp_path, command, section, key, value):
         assert self.run(cfg_file, tmp_path, command, section, key, value) == 2
+
+    @pytest.mark.parametrize(
+        "key,value", [("replications", 2.7), ("replications", True), ("emit_trace", "false")]
+    )
+    def test_mistyped_experiment_value_exits_2(self, cfg_file, tmp_path, capsys, key, value):
+        assert self.run(cfg_file, tmp_path, "experiment", "experiment", key, value) == 2
+        assert f"experiment.{key}" in capsys.readouterr().err
 
 
 class TestStartingPoint:

@@ -1,4 +1,5 @@
-"""Property tests: kernel and forward-backward invariants on random generators."""
+"""Property tests: kernel and forward-backward invariants on random generators,
+and the scans against the step-by-step loop."""
 
 import warnings
 
@@ -14,6 +15,9 @@ from switchem import (
     transition_matrix_approx,
     validate_generator,
 )
+from switchem.likelihood import cauchy_density_matrix
+
+from oracles import loop_filter_smoother
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -66,3 +70,15 @@ def test_filter_carries_the_kernel_and_slices_are_distributions(inst):
     w = backward_smooth(fs).w[1:]
     assert np.all(w >= 0.0)
     np.testing.assert_allclose(w.sum(axis=(1, 2)), 1.0, rtol=0, atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(filter_instance())
+def test_scans_match_the_loop(inst):
+    theta, g, obs = inst
+    fs = forward_filter(theta, g, obs)
+    ref_filt, ref_w = loop_filter_smoother(
+        fs.kernel, cauchy_density_matrix(theta, obs), fs.filtered[0]
+    )
+    np.testing.assert_allclose(fs.filtered, ref_filt, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(backward_smooth(fs).w, ref_w, rtol=0, atol=1e-12)

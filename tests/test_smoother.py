@@ -5,18 +5,27 @@ import pytest
 
 from switchem import (
     ConfigError,
+    FilterState,
     NumericalFailure,
     ObservationSeries,
+    SimulationConfig,
     Theta,
     backward_smooth,
     forward_filter,
+    simulate_path,
     smooth_regimes,
     smoothed_marginals,
     transition_matrix_approx,
     validate_generator,
 )
+from switchem.likelihood import cauchy_density_matrix
 
-from oracles import enumerate_filter_smoother
+from oracles import enumerate_filter_smoother, loop_filter_smoother
+
+# Scan vs loop: both round once per product in float64 (eps 2.2e-16), the
+# scan along at most about 2*sqrt(n) chained products at n <= 2000, so a
+# gap above 1e-12 means a wrong product, not rounding.
+SCAN_TOL = 1e-12
 
 
 def small_instance(rng, n=5, m=2):
@@ -141,6 +150,90 @@ class TestBackwardSmooth:
         )
         gap = np.max(np.abs(w.w[1:] - ref_pair[1:]))
         assert gap > 1e-2  # the approximation is not exact in general
+
+
+def assert_scan_matches_loop(theta, g, obs, initial_probs=None):
+    fs = forward_filter(theta, g, obs, initial_probs)
+    w = backward_smooth(fs)
+    dens = cauchy_density_matrix(theta, obs)
+    ref_filt, ref_w = loop_filter_smoother(fs.kernel, dens, fs.filtered[0])
+    np.testing.assert_allclose(fs.filtered, ref_filt, rtol=0, atol=SCAN_TOL)
+    np.testing.assert_allclose(w.w, ref_w, rtol=0, atol=SCAN_TOL)
+    return fs
+
+
+def two_regime_path(n, seed):
+    theta = Theta(np.array([6.0, 3.0]), 2.0, 1.0)
+    g = validate_generator([[-0.009, 0.009], [0.005, -0.005]])
+    cfg = SimulationConfig(theta, 0.3, g, n * 0.1, 0.1, seed=seed)
+    return simulate_path(cfg)[0]
+
+
+class TestScanMatchesLoop:
+    """The scans reproduce the step-by-step loop of tests/oracles.py."""
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(30)
+        for m in range(2, 6):
+            for n in (1, 2, 37, 500, 2000):
+                theta, g, obs = small_instance(rng, n=n, m=m)
+                h = min(obs.h, 0.9 * g.max_step())
+                assert_scan_matches_loop(theta, g, ObservationSeries(obs.x, h))
+
+    def test_underflowing_normalizer_is_rescaled(self):
+        # delta*h = 1e-320: the first step pins the filter to regime 1 up
+        # to the kernel's 1e-13, the second fits only regime 2, whose
+        # density 3e-315 times 1e-13 underflows to a zero normalizer
+        theta = Theta(np.array([0.0, 1000.0]), 1.0, 1e-319)
+        g = validate_generator([[-1e-12, 1e-12], [1e-12, -1e-12]])
+        x = [0.0, 1e-160]
+        x.append(x[-1] + 0.1 * (1000.0 - x[-1]) + 1e-3)
+        x.append(x[-1] + 0.1 * (1000.0 - x[-1]) + 1e-160)
+        obs = ObservationSeries(np.array(x), 0.1)
+        fs = assert_scan_matches_loop(theta, g, obs)
+        dens = cauchy_density_matrix(theta, obs)
+        unscaled = (dens[2][:, None] * fs.kernel * fs.filtered[1][:, None]).sum()
+        assert unscaled == 0.0 and dens[2].max() > 0.0
+        np.testing.assert_allclose(fs.filtered[2], [1e-13, 1.0], rtol=1e-12)
+
+    @pytest.mark.parametrize("start", [[1.0, 0.0], [0.0, 1.0], None])
+    def test_absorbing_state(self, start):
+        # regime 1 absorbs, and its level is so far from the path that
+        # each step favours regime 2 by a factor near 1e8: started in
+        # regime 1 the filter must stay there, although over one block of
+        # the scan (45 steps at n = 2000) that row of the product falls
+        # hundreds of orders of magnitude below the other
+        obs = two_regime_path(2000, seed=31)
+        theta = Theta(np.array([1e4, 3.0]), 2.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            g = validate_generator([[0.0, 0.0], [0.5, -0.5]])
+        fs = assert_scan_matches_loop(theta, g, obs, start)
+        if start == [1.0, 0.0]:
+            np.testing.assert_array_equal(fs.filtered[:, 1], 0.0)
+
+    def test_zero_diagonal_kernel(self):
+        # exit rate 1/h clamps the kernel diagonal to 0: regimes alternate
+        obs = two_regime_path(2000, seed=32)
+        g = validate_generator([[-10.0, 10.0], [10.0, -10.0]])
+        theta = Theta(np.array([6.0, 3.0]), 2.0, 1.0)
+        fs = assert_scan_matches_loop(theta, g, obs)
+        np.testing.assert_array_equal(np.diag(fs.kernel), 0.0)
+
+    def test_one_hot_initial_probs(self):
+        rng = np.random.default_rng(33)
+        theta, g, obs = small_instance(rng, n=1000, m=3)
+        assert_scan_matches_loop(theta, g, obs, [0.0, 0.0, 1.0])
+
+    def test_backward_breakdown_reports_highest_index(self):
+        # filtered rows that jump between the states of an identity kernel
+        # leave no predicted mass under the smoothed row at j = 3; the rows
+        # below it are then undefined, and the pass reports the highest
+        # failing step, where a loop counting down from n stops
+        filtered = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(NumericalFailure) as exc_info:
+            backward_smooth(FilterState(filtered, np.eye(2)))
+        assert exc_info.value.index == 3
 
 
 class TestSmoothRegimes:
