@@ -35,7 +35,6 @@ from .likelihood import (
     Theta,
     H_n,
     grad_H,
-    grad_H_q,
     hessian_H,
 )
 from .nig import (
@@ -89,7 +88,6 @@ __all__ = [
     "first_order_step",
     "forward_filter",
     "grad_H",
-    "grad_H_q",
     "hessian_H",
     "newton_step",
     "nig_density",

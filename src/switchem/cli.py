@@ -9,11 +9,14 @@ Three subcommands share one JSON config document with sections
 
 File schemas (all CSV floats printed with 9 significant digits):
 
-    path.csv     t,x[,alpha_true]
-    trace.csv    iter,b1..bN,lambda,delta,H,stat,elapsed_ms
-    summary.csv  rep,seed,b1..bN,lambda,delta,qe_b1..qe_delta,iters,status
-    result.json  estimate, quadratic_error, status, iterations, elapsed_ms,
-                 config, seed
+    path.csv            t,x,alpha_true (fit reads t and x only)
+    chain_fine.csv      t,alpha on the Euler grid (simulation.emit_chain_fine)
+    trace.csv           iter,b1..bN,lambda,delta,H,stat,elapsed_ms
+    probs.csv           t,p1..pN smoothed probabilities (fit, experiment.emit_probs)
+    rep_NNNN_trace.csv  trace.csv of replication NNNN (experiment.emit_trace)
+    summary.csv         rep,seed,b1..bN,lambda,delta,qe_b1..qe_delta,iters,status
+    result.json         estimate, quadratic_error, status, iterations,
+                        elapsed_ms, config, seed
 
 Exit codes: 0 success, 2 configuration or input-schema error, 3 numerical
 failure (for experiments: more than half of the replications failed).
@@ -111,8 +114,31 @@ def _simulation_section(cfg: dict) -> dict:
     return sim
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _flag(section: dict, key: str, where: str) -> bool:
+    value = section.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
+    return value
+
+
+def _experiment_section(cfg: dict) -> dict:
+    exp = cfg.get("experiment", {})
+    if not isinstance(exp, dict):
+        raise ConfigError("'experiment' section must be a JSON object")
+    return exp
+
+
 def _parse_truth(sim: dict) -> Theta:
     b, lam, delta = (_require(sim, k, "simulation") for k in ("b", "lambda", "delta"))
+    if not isinstance(b, list) or not all(map(_is_number, b)):
+        raise ConfigError(f"simulation.b must be a list of numbers, got {b!r}")
+    for key, value in (("lambda", lam), ("delta", delta)):
+        if not _is_number(value):
+            raise ConfigError(f"simulation.{key} must be a number, got {value!r}")
     try:
         return Theta(np.asarray(b, dtype=float), float(lam), float(delta))
     except (TypeError, ValueError) as exc:
@@ -180,35 +206,30 @@ def _parse_em(cfg: dict) -> EmConfig:
         raise ConfigError(f"bad em section: {exc}") from exc
 
 
-def _write_path_csv(
-    path: Path, obs: ObservationSeries, alpha: np.ndarray | None
-) -> None:
-    lines = ["t,x,alpha_true" if alpha is not None else "t,x"]
-    t = obs.t0 + obs.h * np.arange(obs.x.size)
-    for j in range(obs.x.size):
-        row = f"{_fmt(t[j])},{_fmt(obs.x[j])}"
-        if alpha is not None:
-            row += f",{int(alpha[j])}"
-        lines.append(row)
-    _write_atomic(path, "\n".join(lines) + "\n")
+def _csv_text(header: list[str], columns) -> str:
+    """CSV text with one row per entry of the equal-length ``columns``;
+    integer columns print as integers, all others with 9 significant digits."""
+    cols = [np.asarray(c) for c in columns]
+    fmt = ",".join("{:d}" if c.dtype.kind in "iu" else "{:.9g}" for c in cols)
+    rows = map(fmt.format, *(c.tolist() for c in cols))
+    return "\n".join([",".join(header), *rows]) + "\n"
 
 
-def _trace_csv_text(result: EmResult, n_states: int, stable: bool) -> str:
-    cols = (
+def _trace_csv_text(result: EmResult, stable: bool) -> str:
+    recs, n_states = result.trace, result.theta.n_states
+    theta = np.reshape([rec.theta for rec in recs], (len(recs), n_states + 2))
+    header = (
         ["iter"]
         + [f"b{i + 1}" for i in range(n_states)]
         + ["lambda", "delta", "H", "stat", "elapsed_ms"]
     )
-    lines = [",".join(cols)]
-    for rec in result.trace:
-        vals = (
-            [str(rec.iteration)]
-            + [_fmt(v) for v in rec.theta]
-            + [_fmt(rec.h_before), _fmt(rec.stat)]
-            + [_fmt(0.0 if stable else rec.elapsed_ms)]
-        )
-        lines.append(",".join(vals))
-    return "\n".join(lines) + "\n"
+    return _csv_text(header, [
+        [rec.iteration for rec in recs],
+        *theta.T,
+        [rec.h_before for rec in recs],
+        [rec.stat for rec in recs],
+        [0.0 if stable else rec.elapsed_ms for rec in recs],
+    ])
 
 
 def _read_path_csv(path: str) -> ObservationSeries:
@@ -246,53 +267,22 @@ def _read_path_csv(path: str) -> ObservationSeries:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     sc, sim_section = _parse_simulation(cfg)
+    emit_chain_fine = _flag(sim_section, "emit_chain_fine", "simulation")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     obs, chain_obs, chain_fine = simulate_path(sc)
-    _write_path_csv(out / "path.csv", obs, chain_obs.states)
-    if sim_section.get("emit_chain_fine", False):
-        lines = ["t,alpha"]
-        for k, s in enumerate(chain_fine.states):
-            lines.append(f"{_fmt(k * chain_fine.step)},{int(s)}")
-        _write_atomic(out / "chain_fine.csv", "\n".join(lines) + "\n")
+    t = obs.t0 + obs.h * np.arange(obs.x.size)
+    path_text = _csv_text(["t", "x", "alpha_true"], [t, obs.x, chain_obs.states])
+    _write_atomic(out / "path.csv", path_text)
+    if emit_chain_fine:
+        t_fine = np.arange(chain_fine.states.size) * chain_fine.step
+        fine_text = _csv_text(["t", "alpha"], [t_fine, chain_fine.states])
+        _write_atomic(out / "chain_fine.csv", fine_text)
     print(
         f"simulated n={sc.n_obs} observations over T={_fmt(sc.horizon_t)} "
         f"at h={_fmt(sc.obs_step_h)} -> {out / 'path.csv'}"
     )
     return EXIT_OK
-
-
-def _fit_once(
-    obs: ObservationSeries,
-    g: GeneratorMatrix,
-    em_cfg: EmConfig,
-    theta_true: Theta | None,
-    stable: bool,
-    theta0: Theta | None = None,
-) -> tuple[EmResult, dict]:
-    t_start = time.perf_counter()
-    result = em_fit(obs, g, em_cfg, theta0)
-    elapsed_ms = 0.0 if stable else (time.perf_counter() - t_start) * 1e3
-    est, _ = sort_regimes(result.theta)
-    payload = {
-        "estimate": {
-            "b": [float(v) for v in est.b],
-            "lambda": float(est.lam),
-            "delta": float(est.delta),
-        },
-        "status": result.status,
-        "iterations": result.iterations,
-        "elapsed_ms": elapsed_ms,
-    }
-    if theta_true is not None:
-        truth, _ = sort_regimes(theta_true)
-        qe = quadratic_error(est, truth)
-        payload["quadratic_error"] = {
-            **{f"b{i + 1}": float(qe[i]) for i in range(truth.n_states)},
-            "lambda": float(qe[-2]),
-            "delta": float(qe[-1]),
-        }
-    return result, payload
 
 
 def _random_start(n_states: int, seed: int, em_cfg: EmConfig) -> Theta:
@@ -330,6 +320,7 @@ def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
     g, truth, seed = _parse_fit_inputs(cfg)
     em_cfg = _parse_em(cfg)
+    emit_probs = _flag(_experiment_section(cfg), "emit_probs", "experiment")
     obs = _read_path_csv(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -341,31 +332,38 @@ def cmd_fit(args) -> int:
                 "to choose a reproducible starting point"
             )
         theta0 = _random_start(g.n_states, seed, em_cfg)
-    result, payload = _fit_once(
-        obs, g, em_cfg, truth, args.stable_output, theta0=theta0
-    )
+    t_start = time.perf_counter()
+    result = em_fit(obs, g, em_cfg, theta0)
+    elapsed_ms = 0.0 if args.stable_output else (time.perf_counter() - t_start) * 1e3
+    est, _ = sort_regimes(result.theta)
+    payload = {
+        "estimate": {
+            "b": [float(v) for v in est.b],
+            "lambda": float(est.lam),
+            "delta": float(est.delta),
+        },
+        "status": result.status,
+        "iterations": result.iterations,
+        "elapsed_ms": elapsed_ms,
+    }
+    if truth is not None:
+        qe = quadratic_error(est, sort_regimes(truth)[0])
+        payload["quadratic_error"] = {
+            **{f"b{i + 1}": float(qe[i]) for i in range(g.n_states)},
+            "lambda": float(qe[-2]),
+            "delta": float(qe[-1]),
+        }
     payload["config"] = cfg
     payload["seed"] = seed
     _write_atomic(out / "result.json", json.dumps(payload, indent=2) + "\n")
-    _write_atomic(
-        out / "trace.csv",
-        _trace_csv_text(result, g.n_states, args.stable_output),
-    )
-    if cfg.get("experiment", {}).get("emit_probs", False):
-        _write_probs_csv(out / "probs.csv", result, obs)
+    _write_atomic(out / "trace.csv", _trace_csv_text(result, args.stable_output))
+    if emit_probs:
+        _, smoothed, _ = smooth_regimes(result.theta, result.generator, obs)
+        t = obs.t0 + np.arange(smoothed.shape[0]) * obs.h
+        header = ["t"] + [f"p{i + 1}" for i in range(smoothed.shape[1])]
+        _write_atomic(out / "probs.csv", _csv_text(header, [t, *smoothed.T]))
     print(f"fit status={result.status} iterations={result.iterations}")
     return EXIT_NUMERICAL if result.status == "numerical_failure" else EXIT_OK
-
-
-def _write_probs_csv(path: Path, result: EmResult, obs: ObservationSeries) -> None:
-    _, smoothed, _ = smooth_regimes(result.theta, result.generator, obs)
-    m = smoothed.shape[1]
-    lines = ["t," + ",".join(f"p{i + 1}" for i in range(m))]
-    for j in range(smoothed.shape[0]):
-        lines.append(
-            _fmt(obs.t0 + j * obs.h) + "," + ",".join(_fmt(v) for v in smoothed[j])
-        )
-    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _run_replication(packed) -> dict:
@@ -390,7 +388,7 @@ def _run_replication(packed) -> dict:
             qe=quadratic_error(est, truth).tolist(),
             iters=result.iterations,
             status=result.status,
-            trace=_trace_csv_text(result, sc.generator.n_states, stable),
+            trace=_trace_csv_text(result, stable),
         )
     except (NumericalFailure, EvaluationError) as exc:
         row["message"] = str(exc)
@@ -401,17 +399,13 @@ def cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
     sc, sim_section = _parse_simulation(cfg)
     em_cfg = _parse_em(cfg)
-    exp = cfg.get("experiment", {})
-    if not isinstance(exp, dict):
-        raise ConfigError("'experiment' section must be a JSON object")
+    exp = _experiment_section(cfg)
     reps = exp.get("replications", 1)
     if isinstance(reps, bool) or not isinstance(reps, int):
         raise ConfigError(f"experiment.replications must be an integer, got {reps!r}")
     if reps < 1:
         raise ConfigError(f"experiment.replications must be >= 1, got {reps}")
-    emit_trace = exp.get("emit_trace", False)
-    if not isinstance(emit_trace, bool):
-        raise ConfigError(f"experiment.emit_trace must be true or false, got {emit_trace!r}")
+    emit_trace = _flag(exp, "emit_trace", "experiment")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed_base = _seed_base(sim_section)

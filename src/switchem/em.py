@@ -256,15 +256,12 @@ def update_generator(
     weight keep their previous rates.
     """
     tot = w.w[1:].sum(axis=0)
+    row_tot = tot.sum(axis=1, keepdims=True)
+    live = row_tot[:, 0] > 0.0
     q = np.array(g.q, dtype=float)
-    for l in range(g.n_states):
-        row_tot = tot[l].sum()
-        if row_tot <= 0.0:
-            continue
-        a_row = tot[l] / row_tot
-        q[l] = a_row / h
-        off = q[l].sum() - q[l, l]
-        q[l, l] = -off
+    q[live] = tot[live] / row_tot[live] / h
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return validate_generator(q, allow_single_state=g.n_states == 1)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import GeneratorMatrix
 from .errors import EvaluationError
 
 PAIR_SLICE_TOL = 1e-9
@@ -226,46 +225,8 @@ def hessian_H(theta: Theta, obs: ObservationSeries, w: SmoothedPairProbs) -> np.
     bd = np.sum((k2 * k2 * k1 * k4 + k2 * k8) * wi, axis=0)
     bl = np.sum((k2 * k2 * k3 * k4 + k2 * k9) * wi, axis=0)
     bb = np.sum((k2 * k2 * k4 * k4 + k2 * (-2.0 * np.pi * h * lam * lam / delta)) * wi, axis=0)
-    for l in range(theta.n_states):
-        hess[l, id_] = hess[id_, l] = bd[l]
-        hess[l, il] = hess[il, l] = bl[l]
-        hess[l, l] = bb[l]
+    ib = np.arange(theta.n_states)
+    hess[ib, id_] = hess[id_, ib] = bd
+    hess[ib, il] = hess[il, ib] = bl
+    hess[ib, ib] = bb
     return hess
-
-
-def grad_H_q(
-    g: GeneratorMatrix, obs: ObservationSeries, w: SmoothedPairProbs
-) -> tuple[np.ndarray, np.ndarray]:
-    """First and second derivatives of H in the generator entries q_lm.
-
-    Returns (grad, hess_diag) as N x N matrices; ``hess_diag[l, m]`` is the
-    pure second derivative in q_lm.  All mixed theta-q and q_lm-q_l'm'
-    second derivatives vanish.  Entries whose total weight is zero are zero
-    by the 0*log 0 convention; a zero off-diagonal rate with positive
-    weight raises.
-    """
-    _check_dims(obs, w, g.n_states)
-    h = obs.h
-    pair_tot = w.w[1:].sum(axis=0)
-    n = g.n_states
-    grad = np.zeros((n, n))
-    hess = np.zeros((n, n))
-    for l in range(n):
-        for m in range(n):
-            tot = pair_tot[l, m]
-            if tot == 0.0:
-                continue
-            if l == m:
-                denom = 1.0 + g.q[l, l] * h
-                if denom <= 0.0:
-                    raise EvaluationError(f"1 + q_{l + 1}{l + 1}*h = {denom!r} <= 0")
-                grad[l, l] = h / denom * tot
-                hess[l, l] = -(h * h) / (denom * denom) * tot
-            else:
-                if g.q[l, m] <= 0.0:
-                    raise EvaluationError(
-                        f"q[{l + 1},{m + 1}] = {g.q[l, m]!r} with positive weight {tot!r}"
-                    )
-                grad[l, m] = tot / g.q[l, m]
-                hess[l, m] = -tot / (g.q[l, m] ** 2)
-    return grad, hess

@@ -165,6 +165,22 @@ def loop_filter_smoother(a_kernel, dens, p0):
     return filtered, w
 
 
+def loop_update_rates(q, w, h):
+    """Generator M-step as a loop over rows: each row with positive total
+    pair weight becomes its row-normalized pair totals divided by ``h``,
+    with the diagonal set to minus the off-diagonal sum; rows without
+    weight keep their rates.  ``w`` is the (n+1, N, N) weight array."""
+    tot = w[1:].sum(axis=0)
+    q = np.array(q, dtype=float)
+    for l in range(q.shape[0]):
+        row_tot = tot[l].sum()
+        if row_tot <= 0.0:
+            continue
+        q[l] = tot[l] / row_tot / h
+        q[l, l] = -(q[l].sum() - q[l, l])
+    return q
+
+
 def h_bruteforce(x, h, b, lam, delta, a_kernel, w):
     """Direct triple-loop evaluation of the weighted quasi-log-likelihood."""
     n = len(x) - 1

@@ -12,6 +12,7 @@ from switchem import (
     em_fit,
     random_theta0,
     simulate_path,
+    smooth_regimes,
     sort_regimes,
     validate_generator,
 )
@@ -235,7 +236,7 @@ class TestExperiment:
 
 
 class TestBadEmSection:
-    """Malformed em and experiment values exit 2 from fit and experiment."""
+    """Malformed config values exit 2 from every command that reads them."""
 
     @staticmethod
     def run(cfg_file, tmp_path, command, section, key, value):
@@ -248,7 +249,7 @@ class TestBadEmSection:
             sim = tmp_path / "sim"
             assert main(["simulate", "--config", cfg_file, "--out", str(sim)]) == 0
             args += ["--data", str(sim / "path.csv")]
-        else:
+        elif command == "experiment":
             args += ["--jobs", "1"]
         return main(args)
 
@@ -281,6 +282,91 @@ class TestBadEmSection:
     def test_mistyped_experiment_value_exits_2(self, cfg_file, tmp_path, capsys, key, value):
         assert self.run(cfg_file, tmp_path, "experiment", "experiment", key, value) == 2
         assert f"experiment.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "experiment"])
+    @pytest.mark.parametrize(
+        "key,value",
+        [("b", "63"), ("b", [6.0, "3"]), ("b", [6.0, True]), ("lambda", "2"), ("delta", True)],
+    )
+    def test_mistyped_true_theta_exits_2(self, cfg_file, tmp_path, capsys, command, key, value):
+        assert self.run(cfg_file, tmp_path, command, "simulation", key, value) == 2
+        assert f"simulation.{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,section,key",
+        [("simulate", "simulation", "emit_chain_fine"), ("fit", "experiment", "emit_probs")],
+    )
+    def test_mistyped_emit_flag_exits_2(self, cfg_file, tmp_path, capsys, command, section, key):
+        assert self.run(cfg_file, tmp_path, command, section, key, "false") == 2
+        assert f"{section}.{key} must be true or false" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "experiment"])
+    def test_experiment_section_not_an_object_exits_2(self, tmp_path, capsys, command):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["experiment"] = [1]
+        p = tmp_path / "list.json"
+        p.write_text(json.dumps(cfg))
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(p), "--out", str(sim)]) == 0
+        args = [command, "--config", str(p), "--out", str(tmp_path / "out")]
+        args += ["--data", str(sim / "path.csv")] if command == "fit" else ["--jobs", "1"]
+        assert main(args) == 2
+        assert "'experiment' section must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestOptionalOutputs:
+    """chain_fine.csv and probs.csv hold the in-process values, each field
+    printed as format(float(v), ".9g") or as an integer label."""
+
+    @staticmethod
+    def fmt(v):
+        return format(float(v), ".9g")
+
+    def test_chain_fine_csv(self, tmp_path):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["simulation"]["emit_chain_fine"] = True
+        cfg["simulation"]["q"] = [[-0.5, 0.5], [0.5, -0.5]]
+        p = tmp_path / "fine.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+        s = cfg["simulation"]
+        truth = Theta(np.array(s["b"]), s["lambda"], s["delta"])
+        sc = SimulationConfig(
+            truth, s["a"], validate_generator(s["q"]), s["horizon_t"], s["obs_step_h"],
+            seed=s["seed"],
+        )
+        _, _, fine = simulate_path(sc)
+        lines = read(out / "chain_fine.csv").splitlines()
+        assert lines[0] == "t,alpha"
+        assert lines[1:] == [
+            f"{self.fmt(k * fine.step)},{int(a)}" for k, a in enumerate(fine.states)
+        ]
+        assert len(set(fine.states.tolist())) == 2  # both labels appear
+
+    def test_probs_csv(self, cfg_file, tmp_path):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg_file, "--out", str(sim)]) == 0
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["em"] = {"max_iters": 20, "update_q": True, "theta0": [6.0, 3.0, 2.0, 1.0]}
+        cfg["experiment"] = {"emit_probs": True}
+        p = tmp_path / "probs.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "fit"
+        assert main(["fit", "--config", str(p), "--data", str(sim / "path.csv"),
+                     "--out", str(out), "--stable-output"]) == 0
+        obs = TestStartingPoint.read_path(sim / "path.csv")
+        em = EmConfig(max_iters=20, update_q=True, theta0=(6.0, 3.0, 2.0, 1.0))
+        result = em_fit(obs, validate_generator(BASE_CONFIG["simulation"]["q"]), em)
+        _, smoothed, _ = smooth_regimes(result.theta, result.generator, obs)
+        lines = read(out / "probs.csv").splitlines()
+        assert lines[0] == "t,p1,p2"
+        assert lines[1:] == [
+            ",".join(self.fmt(v) for v in [obs.t0 + j * obs.h, *row])
+            for j, row in enumerate(smoothed)
+        ]
 
 
 class TestStartingPoint:

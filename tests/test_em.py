@@ -8,6 +8,7 @@ from switchem import (
     EmConfig,
     H_n,
     SimulationConfig,
+    SmoothedPairProbs,
     Theta,
     em_fit,
     first_order_step,
@@ -23,6 +24,8 @@ from switchem import (
     update_generator,
     validate_generator,
 )
+
+from oracles import loop_update_rates
 
 BENCH_Q = [[-0.009, 0.009], [0.005, -0.005]]
 
@@ -183,6 +186,34 @@ class TestUpdateGenerator:
         tot = w.w[1:].sum(axis=0)
         a_row = tot[0] / tot[0].sum()
         assert g2.q[0, 1] == pytest.approx(a_row[1] / obs.h)
+
+    def test_zero_weight_row_keeps_its_rates(self):
+        g = validate_generator(
+            [[-0.02, 0.01, 0.01], [0.03, -0.05, 0.02], [0.004, 0.006, -0.01]]
+        )
+        w = np.zeros((4, 3, 3))
+        w[1:, 0, 0], w[1:, 0, 2], w[1:, 2, 1] = 0.5, 0.3, 0.2
+        g2 = update_generator(g, SmoothedPairProbs(w), 0.1)
+        np.testing.assert_array_equal(g2.q[1], g.q[1])
+        np.testing.assert_array_equal(g2.q[2], [0.0, 10.0, -10.0])
+
+    def test_matches_row_loop_reference(self):
+        rng = np.random.default_rng(11)
+        for n_states in (2, 3, 5) * 4:
+            q = rng.uniform(0.0, 0.05, (n_states, n_states))
+            np.fill_diagonal(q, 0.0)
+            np.fill_diagonal(q, -q.sum(axis=1))
+            g = validate_generator(q)
+            w = rng.uniform(size=(30, n_states, n_states))
+            w[:, rng.integers(n_states)] = 0.0  # one row without weight
+            w /= w.sum(axis=(1, 2), keepdims=True)
+            w[0] = 0.0
+            h = float(rng.uniform(0.05, 0.5))
+            got = update_generator(g, SmoothedPairProbs(w), h)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = validate_generator(loop_update_rates(g.q, w, h))
+            np.testing.assert_array_equal(got.q, want.q)
 
 
 class TestHelpers:

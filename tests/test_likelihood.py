@@ -10,7 +10,6 @@ from switchem import (
     SmoothedPairProbs,
     Theta,
     grad_H,
-    grad_H_q,
     hessian_H,
     transition_matrix_approx,
     validate_generator,
@@ -172,42 +171,3 @@ class TestHessian:
         theta, g, obs, w = random_instance(rng)
         hess = hessian_H(theta, obs, w)
         np.testing.assert_array_equal(hess, hess.T)
-
-
-class TestGeneratorDerivatives:
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(77)
-        for _ in range(10):
-            theta, g, obs, w = random_instance(rng, m=2)
-            grad, hess2 = grad_H_q(g, obs, w)
-            h = obs.h
-            for l in range(2):
-                for m_ in range(2):
-                    # second differences need a wider step than first ones
-                    # to stay above cancellation noise
-                    eps1, eps2 = 1e-6, 1e-3
-
-                    def f(dq):
-                        a = transition_matrix_approx(g, h).copy()
-                        if l == m_:
-                            a[l, l] += dq * h
-                        else:
-                            a[l, m_] += dq * h
-                        return h_bruteforce(
-                            obs.x, obs.h, theta.b, theta.lam, theta.delta, a, w.w
-                        )
-
-                    fd1 = (f(eps1) - f(-eps1)) / (2 * eps1)
-                    fd2 = (f(eps2) - 2 * f(0.0) + f(-eps2)) / eps2**2
-                    assert grad[l, m_] == pytest.approx(fd1, rel=1e-5)
-                    assert hess2[l, m_] == pytest.approx(fd2, rel=1e-3)
-
-    def test_zero_rate_with_weight_raises(self):
-        theta = Theta(np.array([6.0, 3.0]), 2.0, 1.0)
-        with pytest.warns(RuntimeWarning, match="absorbing"):
-            g = validate_generator([[0.0, 0.0], [0.005, -0.005]])
-        obs = ObservationSeries(np.array([0.0, 0.5, 0.9]), 0.1)
-        w = np.zeros((3, 2, 2))
-        w[1:, 0, 1] = 1.0
-        with pytest.raises(EvaluationError):
-            grad_H_q(g, obs, SmoothedPairProbs(w))
