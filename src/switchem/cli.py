@@ -18,6 +18,10 @@ File schemas (all CSV floats printed with 9 significant digits):
     result.json         estimate, quadratic_error, status, iterations,
                         elapsed_ms, config, seed
 
+Each config key has one JSON type: a number, an integer, a boolean, a
+string, a list of numbers, or (``simulation.q``) a list of such lists.
+``null`` means the key is absent; any other value exits 2, naming the key.
+
 Exit codes: 0 success, 2 configuration or input-schema error, 3 numerical
 failure (for experiments: more than half of the replications failed).
 
@@ -37,6 +41,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -52,7 +57,6 @@ from .em import (
     EmResult,
     em_fit,
     quadratic_error,
-    random_theta0,
     sort_regimes,
 )
 from .errors import ConfigError, EvaluationError, NumericalFailure
@@ -88,122 +92,114 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _seed_base(sim_section: dict) -> int | None:
+_REQUIRED = object()
+
+# kind: (what a value must be, its test on a json-loaded value, its conversion);
+# ``type(v)`` rather than ``isinstance`` keeps bools out of the numbers
+_KINDS = {
+    "number": ("a number", lambda v: type(v) in (int, float), float),
+    "int": ("an integer", lambda v: type(v) is int, int),
+    "bool": ("true or false", lambda v: type(v) is bool, bool),
+    "str": ("a string", lambda v: type(v) is str, str),
+    "numbers": (
+        "a list of numbers",
+        lambda v: type(v) is list and all(type(x) in (int, float) for x in v),
+        lambda v: tuple(map(float, v)),
+    ),
+    "matrix": (
+        "a list of lists of numbers",
+        lambda v: type(v) is list and all(_KINDS["numbers"][1](row) for row in v),
+        lambda v: v,
+    ),
+}
+
+_EM_KINDS = {
+    "epsilon": "number",
+    "rho": "number",
+    "max_iters": "int",
+    "termination": "str",
+    "m_step": "str",
+    "update_q": "bool",
+    "init_seed": "int",
+    **dict.fromkeys(
+        ("b_box", "lambda_box", "delta_box", "init_b_range", "init_lambda_range",
+         "init_delta_range", "theta0", "initial_filter_probs"),
+        "numbers",
+    ),
+}
+
+
+def _get(section: dict, where: str, key: str, kind: str, default=_REQUIRED):
+    """``section[key]`` checked against ``kind`` and converted; a missing or
+    null key gives ``default``, and is an error when there is none."""
+    value = section.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {where}.{key}")
+        return default
+    noun, test, convert = _KINDS[kind]
+    if not test(value):
+        raise ConfigError(f"{where}.{key} must be {noun}, got {value!r}")
+    return convert(value)
+
+
+def _section(cfg: dict, name: str, required: bool = False) -> dict:
+    section = cfg.get(name)
+    if section is None and not required:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' section must be a JSON object")
+    return section
+
+
+def _seed_base(sim: dict) -> int | None:
     env = os.environ.get("SWITCHEM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"SWITCHEM_SEED={env!r} is not an integer") from exc
-    seed = sim_section.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise ConfigError(f"simulation.seed must be an integer, got {seed!r}")
-    return seed
-
-
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing required key {where}.{key}")
-    return section[key]
-
-
-def _simulation_section(cfg: dict) -> dict:
-    sim = cfg.get("simulation")
-    if not isinstance(sim, dict):
-        raise ConfigError("config needs a 'simulation' object section")
-    return sim
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _flag(section: dict, key: str, where: str) -> bool:
-    value = section.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
-    return value
-
-
-def _experiment_section(cfg: dict) -> dict:
-    exp = cfg.get("experiment", {})
-    if not isinstance(exp, dict):
-        raise ConfigError("'experiment' section must be a JSON object")
-    return exp
+    if env is None:
+        return _get(sim, "simulation", "seed", "int", None)
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise ConfigError(f"SWITCHEM_SEED={env!r} is not an integer") from exc
 
 
 def _parse_truth(sim: dict) -> Theta:
-    b, lam, delta = (_require(sim, k, "simulation") for k in ("b", "lambda", "delta"))
-    if not isinstance(b, list) or not all(map(_is_number, b)):
-        raise ConfigError(f"simulation.b must be a list of numbers, got {b!r}")
-    for key, value in (("lambda", lam), ("delta", delta)):
-        if not _is_number(value):
-            raise ConfigError(f"simulation.{key} must be a number, got {value!r}")
+    get = functools.partial(_get, sim, "simulation")
+    b, lam, delta = get("b", "numbers"), get("lambda", "number"), get("delta", "number")
     try:
-        return Theta(np.asarray(b, dtype=float), float(lam), float(delta))
-    except (TypeError, ValueError) as exc:
+        return Theta(b, lam, delta)
+    except ValueError as exc:
         raise ConfigError(f"bad true theta in simulation section: {exc}") from exc
 
 
 def _parse_simulation(cfg: dict) -> tuple[SimulationConfig, dict]:
-    sim = _simulation_section(cfg)
+    sim = _section(cfg, "simulation", required=True)
     theta = _parse_truth(sim)
+    get = functools.partial(_get, sim, "simulation")
+    q = get("q", "matrix")
+    fields = dict(
+        a_nuisance=get("a", "number"),
+        horizon_t=get("horizon_t", "number"),
+        obs_step_h=get("obs_step_h", "number"),
+        fine_factor=get("fine_factor", "int", 10),
+        x0=get("x0", "number", 0.0),
+        alpha0=get("alpha0", "int", None),
+        seed=_seed_base(sim),
+    )
     try:
-        g = validate_generator(
-            _require(sim, "q", "simulation"), allow_single_state=theta.n_states == 1
-        )
-        sc = SimulationConfig(
-            theta_true=theta,
-            a_nuisance=float(_require(sim, "a", "simulation")),
-            generator=g,
-            horizon_t=float(_require(sim, "horizon_t", "simulation")),
-            obs_step_h=float(_require(sim, "obs_step_h", "simulation")),
-            fine_factor=int(sim.get("fine_factor", 10)),
-            x0=float(sim.get("x0", 0.0)),
-            alpha0=sim.get("alpha0"),
-            seed=_seed_base(sim),
-        )
-    except (ValueError, TypeError) as exc:
+        g = validate_generator(q, allow_single_state=theta.n_states == 1)
+        sc = SimulationConfig(theta_true=theta, generator=g, **fields)
+    except ValueError as exc:
         raise ConfigError(f"bad simulation section: {exc}") from exc
     return sc, sim
 
 
 def _parse_em(cfg: dict) -> EmConfig:
-    em = cfg.get("em", {})
-    if not isinstance(em, dict):
-        raise ConfigError("'em' section must be a JSON object")
-    kwargs = {}
-    for key in (
-        "epsilon",
-        "rho",
-        "max_iters",
-        "termination",
-        "m_step",
-        "update_q",
-        "init_seed",
-    ):
-        if key in em:
-            kwargs[key] = em[key]
-    try:
-        for key in (
-            "b_box",
-            "lambda_box",
-            "delta_box",
-            "init_b_range",
-            "init_lambda_range",
-            "init_delta_range",
-            "theta0",
-            "initial_filter_probs",
-        ):
-            value = em.get(key)
-            if value is None:
-                continue
-            if not isinstance(value, list):
-                raise ConfigError(f"em.{key} must be a list of numbers, got {value!r}")
-            kwargs[key] = tuple(float(v) for v in value)
-        return EmConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad em section: {exc}") from exc
+    em = _section(cfg, "em")
+    return EmConfig(**{
+        key: _get(em, "em", key, kind)
+        for key, kind in _EM_KINDS.items()
+        if em.get(key) is not None
+    })
 
 
 def _csv_text(header: list[str], columns) -> str:
@@ -266,8 +262,8 @@ def _read_path_csv(path: str) -> ObservationSeries:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    sc, sim_section = _parse_simulation(cfg)
-    emit_chain_fine = _flag(sim_section, "emit_chain_fine", "simulation")
+    sc, sim = _parse_simulation(cfg)
+    emit_chain_fine = _get(sim, "simulation", "emit_chain_fine", "bool", False)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     obs, chain_obs, chain_fine = simulate_path(sc)
@@ -285,28 +281,17 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _random_start(n_states: int, seed: int, em_cfg: EmConfig) -> Theta:
-    """Uniform start in ``em_cfg``'s init ranges; the second seed word
-    decouples this stream from the path simulation stream."""
-    return random_theta0(
-        n_states,
-        np.random.default_rng([seed, 1]),
-        em_cfg.init_b_range,
-        em_cfg.init_lambda_range,
-        em_cfg.init_delta_range,
-    )
-
-
 def _parse_fit_inputs(cfg: dict) -> tuple[GeneratorMatrix, Theta | None, int | None]:
     """Fitting needs only the generator; the true theta is optional and,
     when present, enables quadratic-error reporting."""
-    sim = _simulation_section(cfg)
+    sim = _section(cfg, "simulation", required=True)
+    q = _get(sim, "simulation", "q", "matrix")
     try:
-        g = validate_generator(_require(sim, "q", "simulation"))
+        g = validate_generator(q)
     except ValueError as exc:
         raise ConfigError(f"bad simulation.q: {exc}") from exc
     truth = None
-    if all(k in sim for k in ("b", "lambda", "delta")):
+    if all(sim.get(k) is not None for k in ("b", "lambda", "delta")):
         truth = _parse_truth(sim)
         if truth.n_states != g.n_states:
             raise ConfigError(
@@ -320,20 +305,20 @@ def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
     g, truth, seed = _parse_fit_inputs(cfg)
     em_cfg = _parse_em(cfg)
-    emit_probs = _flag(_experiment_section(cfg), "emit_probs", "experiment")
-    obs = _read_path_csv(args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    theta0 = None
+    emit_probs = _get(_section(cfg, "experiment"), "experiment", "emit_probs", "bool", False)
     if em_cfg.theta0 is None and em_cfg.init_seed is None:
         if seed is None:
             raise ConfigError(
                 "fit needs em.theta0, em.init_seed, or simulation.seed "
                 "to choose a reproducible starting point"
             )
-        theta0 = _random_start(g.n_states, seed, em_cfg)
+        # the second seed word decouples the start from the path simulation
+        em_cfg = dataclasses.replace(em_cfg, init_seed=(seed, 1))
+    obs = _read_path_csv(args.data)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
-    result = em_fit(obs, g, em_cfg, theta0)
+    result = em_fit(obs, g, em_cfg)
     elapsed_ms = 0.0 if args.stable_output else (time.perf_counter() - t_start) * 1e3
     est, _ = sort_regimes(result.theta)
     payload = {
@@ -374,11 +359,8 @@ def _run_replication(packed) -> dict:
     row = {"rep": rep, "seed": seed, "estimate": None, "qe": None, "iters": 0,
            "status": "numerical_failure", "trace": ""}
     try:
-        # independent starting point per replication
-        theta0 = None
-        if em_cfg.theta0 is None:
-            theta0 = _random_start(sc.theta_true.n_states, seed, em_cfg)
-        result = em_fit(obs, sc.generator, em_cfg, theta0)
+        # independent starting point per replication; em.init_seed is ignored
+        result = em_fit(obs, sc.generator, dataclasses.replace(em_cfg, init_seed=(seed, 1)))
         if result.status == "numerical_failure":
             raise NumericalFailure(result.message)
         est, _ = sort_regimes(result.theta)
@@ -397,30 +379,28 @@ def _run_replication(packed) -> dict:
 
 def cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
-    sc, sim_section = _parse_simulation(cfg)
+    sc, _ = _parse_simulation(cfg)
     em_cfg = _parse_em(cfg)
-    exp = _experiment_section(cfg)
-    reps = exp.get("replications", 1)
-    if isinstance(reps, bool) or not isinstance(reps, int):
-        raise ConfigError(f"experiment.replications must be an integer, got {reps!r}")
+    exp = _section(cfg, "experiment")
+    reps = _get(exp, "experiment", "replications", "int", 1)
     if reps < 1:
         raise ConfigError(f"experiment.replications must be >= 1, got {reps}")
-    emit_trace = _flag(exp, "emit_trace", "experiment")
+    emit_trace = _get(exp, "experiment", "emit_trace", "bool", False)
+    if sc.seed is None:
+        raise ConfigError("experiments need simulation.seed (or SWITCHEM_SEED)")
+    if args.jobs < 0:
+        raise ConfigError(f"--jobs must be >= 0, got {args.jobs}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed_base = _seed_base(sim_section)
-    if seed_base is None:
-        raise ConfigError("experiments need simulation.seed (or SWITCHEM_SEED)")
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    jobs = args.jobs or os.cpu_count() or 1
     tasks = [
-        (sc, em_cfg, r, seed_base + r, args.stable_output) for r in range(1, reps + 1)
+        (sc, em_cfg, r, sc.seed + r, args.stable_output) for r in range(1, reps + 1)
     ]
     if jobs > 1 and reps > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_replication, tasks))
     else:
         rows = [_run_replication(t) for t in tasks]
-    rows.sort(key=lambda r: r["rep"])
 
     n = sc.theta_true.n_states
     est_names = [f"b{i + 1}" for i in range(n)] + ["lambda", "delta"]
@@ -433,19 +413,11 @@ def cmd_experiment(args) -> int:
     lines = [",".join(header)]
     ok_rows = []
     for row in rows:
-        if row["estimate"] is None:
-            vals = [str(row["rep"]), str(row["seed"])] + [""] * (2 * (n + 2)) + [
-                str(row["iters"]),
-                row["status"],
-            ]
-        else:
+        fields = [""] * (2 * (n + 2))
+        if row["estimate"] is not None:
             ok_rows.append(row)
-            vals = (
-                [str(row["rep"]), str(row["seed"])]
-                + [_fmt(v) for v in row["estimate"]]
-                + [_fmt(v) for v in row["qe"]]
-                + [str(row["iters"]), row["status"]]
-            )
+            fields = [_fmt(v) for v in row["estimate"] + row["qe"]]
+        vals = [str(row["rep"]), str(row["seed"]), *fields, str(row["iters"]), row["status"]]
         lines.append(",".join(vals))
         if emit_trace and row["trace"]:
             _write_atomic(out / f"rep_{row['rep']:04d}_trace.csv", row["trace"])
@@ -485,23 +457,19 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--config", required=True)
     fit.add_argument("--data", required=True)
     fit.add_argument("--out", required=True)
-    fit.add_argument(
-        "--stable-output",
-        action="store_true",
-        help="zero elapsed-time fields for bit-reproducible outputs",
-    )
     fit.set_defaults(func=cmd_fit)
 
     exp = sub.add_parser("experiment", help="seeded replication study")
     exp.add_argument("--config", required=True)
     exp.add_argument("--out", required=True)
     exp.add_argument("--jobs", type=int, default=0, help="worker count (0 = all cores)")
-    exp.add_argument(
-        "--stable-output",
-        action="store_true",
-        help="zero elapsed-time fields for bit-reproducible outputs",
-    )
     exp.set_defaults(func=cmd_experiment)
+    for parser in (fit, exp):
+        parser.add_argument(
+            "--stable-output",
+            action="store_true",
+            help="zero elapsed-time fields for bit-reproducible outputs",
+        )
     return p
 
 

@@ -59,8 +59,9 @@ def validate_generator(q_raw, *, allow_single_state: bool = False) -> GeneratorM
     degenerate single-regime test configurations), negative off-diagonal
     entries, and rows whose sum exceeds 1e-9 in magnitude.  The diagonal is
     recomputed as minus the off-diagonal row sum so the row-sum-zero
-    invariant holds to machine precision.  Rows with all off-diagonal rates
-    zero are accepted but flagged with a warning (absorbing state).
+    invariant holds to machine precision.  With N > 1, rows with all
+    off-diagonal rates zero are accepted but flagged with a warning
+    (absorbing state); a one-state chain has nowhere to go and is not.
     """
     q = np.array(q_raw, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -81,7 +82,7 @@ def validate_generator(q_raw, *, allow_single_state: bool = False) -> GeneratorM
         i = int(np.argmax(np.abs(row_sums)))
         raise ConfigError(f"row {i + 1} sums to {row_sums[i]:.3e}, beyond {ROW_SUM_TOL}")
     np.fill_diagonal(off, -off.sum(axis=1))
-    if np.any(np.diag(off) == 0.0):
+    if n > 1 and np.any(np.diag(off) == 0.0):
         absorbing = [str(i + 1) for i in range(n) if off[i, i] == 0.0]
         warnings.warn(
             "generator has absorbing state(s) " + ", ".join(absorbing), RuntimeWarning

@@ -50,8 +50,9 @@ class EmConfig:
     threshold on the chosen statistic.  The per-coordinate boxes bound the
     iterates; lam and delta lows must be positive.  Initialization policy:
     an explicit ``theta0``, or uniform draws inside ``init_*_range`` seeded
-    by ``init_seed`` when ``theta0`` is None.  ``update_q`` additionally
-    re-estimates the chain generator each iteration.
+    by ``init_seed`` (an int or a seed sequence such as ``(seed, 1)``) when
+    ``theta0`` is None.  ``update_q`` additionally re-estimates the chain
+    generator each iteration.
     """
 
     epsilon: float = 1e-3
@@ -64,7 +65,7 @@ class EmConfig:
     lambda_box: tuple[float, float] = (1e-6, 20.0)
     delta_box: tuple[float, float] = (1e-6, 10.0)
     theta0: tuple[float, ...] | None = None
-    init_seed: int | None = None
+    init_seed: int | tuple[int, ...] | None = None
     init_b_range: tuple[float, float] = (0.0, 10.0)
     init_lambda_range: tuple[float, float] = (0.0, 10.0)
     init_delta_range: tuple[float, float] = (0.0, 5.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -16,7 +17,7 @@ from switchem import (
     sort_regimes,
     validate_generator,
 )
-from switchem.cli import main
+from switchem.cli import _EM_KINDS, main
 
 BASE_CONFIG = {
     "simulation": {
@@ -235,6 +236,18 @@ class TestExperiment:
                      "--jobs", "1", "--stable-output"]) == 0
 
 
+    def test_init_seed_is_ignored(self, cfg_file, tmp_path):
+        # replication r always starts from the stream [seed_base + r, 1]
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["em"]["init_seed"] = 7
+        p = tmp_path / "init_seed.json"
+        p.write_text(json.dumps(cfg))
+        a, b = tmp_path / "without", tmp_path / "with"
+        for config, out in ((cfg_file, a), (str(p), b)):
+            assert main(["experiment", "--config", config, "--out", str(out),
+                         "--jobs", "1", "--stable-output"]) == 0
+        assert read(a / "summary.csv") == read(b / "summary.csv")
+
 class TestBadEmSection:
     """Malformed config values exit 2 from every command that reads them."""
 
@@ -314,6 +327,150 @@ class TestBadEmSection:
         assert main(args) == 2
         assert "'experiment' section must be a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+ALL_COMMANDS = ("simulate", "fit", "experiment")
+SIMULATE_EXPERIMENT = ("simulate", "experiment")
+FIT_EXPERIMENT = ("fit", "experiment")
+
+# every config key: (the kind of JSON value it takes, the commands that read it)
+CONFIG_KEYS = {
+    "simulation": {
+        "b": ("numbers", ALL_COMMANDS),
+        "lambda": ("number", ALL_COMMANDS),
+        "delta": ("number", ALL_COMMANDS),
+        "q": ("matrix", ALL_COMMANDS),
+        "seed": ("int", ALL_COMMANDS),
+        "a": ("number", SIMULATE_EXPERIMENT),
+        "horizon_t": ("number", SIMULATE_EXPERIMENT),
+        "obs_step_h": ("number", SIMULATE_EXPERIMENT),
+        "x0": ("number", SIMULATE_EXPERIMENT),
+        "fine_factor": ("int", SIMULATE_EXPERIMENT),
+        "alpha0": ("int", SIMULATE_EXPERIMENT),
+        "emit_chain_fine": ("bool", ("simulate",)),
+    },
+    "em": {
+        "epsilon": ("number", FIT_EXPERIMENT),
+        "rho": ("number", FIT_EXPERIMENT),
+        "max_iters": ("int", FIT_EXPERIMENT),
+        "termination": ("str", FIT_EXPERIMENT),
+        "m_step": ("str", FIT_EXPERIMENT),
+        "update_q": ("bool", FIT_EXPERIMENT),
+        "init_seed": ("int", FIT_EXPERIMENT),
+        **{
+            key: ("numbers", FIT_EXPERIMENT)
+            for key in (
+                "b_box", "lambda_box", "delta_box", "init_b_range", "init_lambda_range",
+                "init_delta_range", "theta0", "initial_filter_probs",
+            )
+        },
+    },
+    "experiment": {
+        "replications": ("int", ("experiment",)),
+        "emit_trace": ("bool", ("experiment",)),
+        "emit_probs": ("bool", ("fit",)),
+    },
+}
+
+# one value of each JSON kind; a key's own kind is left out of its cases
+WRONG_VALUES = {"string": "1", "bool": True, "float": 2.5, "list": ["x"], "object": {"x": 1}}
+OWN_KIND = {"number": "float", "bool": "bool", "str": "string"}
+
+WRONG_TYPE_CASES = [
+    pytest.param(command, section, key, value, id=f"{command}-{section}.{key}-{json_kind}")
+    for section, keys in CONFIG_KEYS.items()
+    for key, (kind, commands) in keys.items()
+    for command in commands
+    for json_kind, value in WRONG_VALUES.items()
+    if OWN_KIND.get(kind) != json_kind
+]
+
+
+@pytest.fixture(scope="module")
+def path_csv(tmp_path_factory):
+    cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    cfg.write_text(json.dumps(BASE_CONFIG))
+    out = tmp_path_factory.mktemp("sim")
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    return str(out / "path.csv")
+
+
+class TestConfigTypes:
+    """Each config key takes one JSON kind; null means absent, and any other
+    value exits 2 before anything is written, with one message naming it."""
+
+    @staticmethod
+    def run(tmp_path, path_csv, command, cfg, out_name="out"):
+        p = tmp_path / f"{out_name}.json"
+        p.write_text(json.dumps(cfg))
+        args = [command, "--config", str(p), "--out", str(tmp_path / out_name)]
+        if command == "fit":
+            args += ["--data", path_csv, "--stable-output"]
+        elif command == "experiment":
+            args += ["--jobs", "1", "--stable-output"]
+        return main(args)
+
+    def test_table_covers_every_em_key(self):
+        assert {k: kind for k, (kind, _) in CONFIG_KEYS["em"].items()} == _EM_KINDS
+        fields = {f.name for f in dataclasses.fields(EmConfig)}
+        assert set(CONFIG_KEYS["em"]) == fields
+
+    @pytest.mark.parametrize("command,section,key,value", WRONG_TYPE_CASES)
+    def test_wrong_kind_exits_2(self, tmp_path, path_csv, capsys, monkeypatch,
+                                command, section, key, value):
+        monkeypatch.delenv("SWITCHEM_SEED", raising=False)
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg[section][key] = value
+        assert self.run(tmp_path, path_csv, command, cfg) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {section}.{key} must be ")
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command,section,key,value",
+        [
+            ("simulate", "simulation", "fine_factor", 2.7),
+            ("simulate", "simulation", "a", "0.3"),
+            ("simulate", "simulation", "horizon_t", "30"),
+            ("simulate", "simulation", "alpha0", True),
+            ("fit", "simulation", "q", [[-0.009, "0.009"], [0.005, -0.005]]),
+            ("fit", "em", "update_q", "false"),
+            ("fit", "em", "max_iters", 2.5),
+        ],
+    )
+    def test_coerced_value_exits_2(self, tmp_path, path_csv, capsys,
+                                   command, section, key, value):
+        # each of these used to be coerced (int(2.7) == 2, "false" is truthy)
+        # or to fail later with a TypeError
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg[section][key] = value
+        assert self.run(tmp_path, path_csv, command, cfg) == 2
+        assert capsys.readouterr().err.startswith(f"error: {section}.{key} must be ")
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_null_means_absent(self, tmp_path, path_csv, command):
+        absent = json.loads(json.dumps(BASE_CONFIG))
+        absent["em"]["max_iters"] = 5
+        nulls = json.loads(json.dumps(absent))
+        for section, keys in CONFIG_KEYS.items():
+            nulls[section].update({k: None for k in keys if k not in absent[section]})
+        for name, cfg in (("absent", absent), ("nulls", nulls)):
+            assert self.run(tmp_path, path_csv, command, cfg, name) == 0
+        files = sorted(f.name for f in (tmp_path / "absent").iterdir())
+        assert files == sorted(f.name for f in (tmp_path / "nulls").iterdir())
+        for name in files:
+            a, b = (read(tmp_path / d / name) for d in ("absent", "nulls"))
+            if name == "result.json":  # it echoes the config, nulls included
+                a, b = (json.loads(t)["estimate"] for t in (a, b))
+            assert a == b
+
+    def test_negative_jobs_exits_2(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", cfg_file, "--out", str(out),
+                     "--jobs", "-2"]) == 2
+        assert "--jobs must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOptionalOutputs:

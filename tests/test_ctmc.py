@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,13 @@ class TestValidateGenerator:
     def test_warns_on_absorbing_state(self):
         with pytest.warns(RuntimeWarning, match="absorbing"):
             validate_generator([[0.0, 0.0], [1.0, -1.0]])
+
+    def test_single_state_is_not_flagged_absorbing(self):
+        # a one-state chain has nowhere to go, so it raises no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = validate_generator([[0.0]], allow_single_state=True)
+        assert g.q.tolist() == [[0.0]]
 
     def test_result_is_readonly(self):
         g = validate_generator(BENCH_Q)
