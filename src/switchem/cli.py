@@ -20,7 +20,10 @@ File schemas (all CSV floats printed with 9 significant digits):
 
 Each config key has one JSON type: a number, an integer, a boolean, a
 string, a list of numbers, or (``simulation.q``) a list of such lists.
-``null`` means the key is absent; any other value exits 2, naming the key.
+Seeds (``simulation.seed``, ``em.init_seed``, ``SWITCHEM_SEED``) are
+non-negative integers.  ``null`` means the key is absent; any other value,
+or an integer too large for a float where a number is expected, exits 2,
+naming the key.
 
 Exit codes: 0 success, 2 configuration or input-schema error, 3 numerical
 failure (for experiments: more than half of the replications failed).
@@ -85,7 +88,7 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer over 4300 digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -99,6 +102,7 @@ _REQUIRED = object()
 _KINDS = {
     "number": ("a number", lambda v: type(v) in (int, float), float),
     "int": ("an integer", lambda v: type(v) is int, int),
+    "seed": ("a non-negative integer", lambda v: type(v) is int and v >= 0, int),
     "bool": ("true or false", lambda v: type(v) is bool, bool),
     "str": ("a string", lambda v: type(v) is str, str),
     "numbers": (
@@ -109,7 +113,7 @@ _KINDS = {
     "matrix": (
         "a list of lists of numbers",
         lambda v: type(v) is list and all(_KINDS["numbers"][1](row) for row in v),
-        lambda v: v,
+        lambda v: [list(map(float, row)) for row in v],
     ),
 }
 
@@ -120,7 +124,7 @@ _EM_KINDS = {
     "termination": "str",
     "m_step": "str",
     "update_q": "bool",
-    "init_seed": "int",
+    "init_seed": "seed",
     **dict.fromkeys(
         ("b_box", "lambda_box", "delta_box", "init_b_range", "init_lambda_range",
          "init_delta_range", "theta0", "initial_filter_probs"),
@@ -140,7 +144,11 @@ def _get(section: dict, where: str, key: str, kind: str, default=_REQUIRED):
     noun, test, convert = _KINDS[kind]
     if not test(value):
         raise ConfigError(f"{where}.{key} must be {noun}, got {value!r}")
-    return convert(value)
+    try:
+        return convert(value)
+    except OverflowError:
+        raise ConfigError(f"{where}.{key} must be {noun}, got an integer too large "
+                          "for a float") from None
 
 
 def _section(cfg: dict, name: str, required: bool = False) -> dict:
@@ -155,11 +163,14 @@ def _section(cfg: dict, name: str, required: bool = False) -> dict:
 def _seed_base(sim: dict) -> int | None:
     env = os.environ.get("SWITCHEM_SEED")
     if env is None:
-        return _get(sim, "simulation", "seed", "int", None)
+        return _get(sim, "simulation", "seed", "seed", None)
     try:
-        return int(env)
+        seed = int(env)
     except ValueError as exc:
         raise ConfigError(f"SWITCHEM_SEED={env!r} is not an integer") from exc
+    if seed < 0:
+        raise ConfigError(f"SWITCHEM_SEED={env!r} must be >= 0")
+    return seed
 
 
 def _parse_truth(sim: dict) -> Theta:
@@ -188,18 +199,20 @@ def _parse_simulation(cfg: dict) -> tuple[SimulationConfig, dict]:
     try:
         g = validate_generator(q, allow_single_state=theta.n_states == 1)
         sc = SimulationConfig(theta_true=theta, generator=g, **fields)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad simulation section: {exc}") from exc
     return sc, sim
 
 
-def _parse_em(cfg: dict) -> EmConfig:
+def _parse_em(cfg: dict, n_states: int) -> EmConfig:
     em = _section(cfg, "em")
-    return EmConfig(**{
+    em_cfg = EmConfig(**{
         key: _get(em, "em", key, kind)
         for key, kind in _EM_KINDS.items()
         if em.get(key) is not None
     })
+    em_cfg.check_sizes(n_states)
+    return em_cfg
 
 
 def _csv_text(header: list[str], columns) -> str:
@@ -304,7 +317,7 @@ def _parse_fit_inputs(cfg: dict) -> tuple[GeneratorMatrix, Theta | None, int | N
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
     g, truth, seed = _parse_fit_inputs(cfg)
-    em_cfg = _parse_em(cfg)
+    em_cfg = _parse_em(cfg, g.n_states)
     emit_probs = _get(_section(cfg, "experiment"), "experiment", "emit_probs", "bool", False)
     if em_cfg.theta0 is None and em_cfg.init_seed is None:
         if seed is None:
@@ -380,7 +393,7 @@ def _run_replication(packed) -> dict:
 def cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
     sc, _ = _parse_simulation(cfg)
-    em_cfg = _parse_em(cfg)
+    em_cfg = _parse_em(cfg, sc.generator.n_states)
     exp = _section(cfg, "experiment")
     reps = _get(exp, "experiment", "replications", "int", 1)
     if reps < 1:
@@ -480,7 +493,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalFailure as exc:
+    except (NumericalFailure, EvaluationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

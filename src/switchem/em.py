@@ -36,7 +36,7 @@ from .likelihood import (
     grad_H,
     hessian_H,
 )
-from .smoother import backward_smooth, forward_filter
+from .smoother import _initial_probs, backward_smooth, forward_filter
 
 TERMINATION_CHOICES = ("D1", "D2", "D3")
 M_STEP_CHOICES = ("first_order", "newton")
@@ -114,17 +114,22 @@ class EmConfig:
         )
         return lo, hi
 
+    def check_sizes(self, n_states: int) -> None:
+        """Check ``theta0`` and ``initial_filter_probs`` against N regimes."""
+        if self.theta0 is not None and np.shape(self.theta0) != (n_states + 2,):
+            raise ConfigError(
+                f"theta0 must have {n_states + 2} coordinates, got {np.shape(self.theta0)}"
+            )
+        if self.initial_filter_probs is not None:
+            _initial_probs(n_states, self.initial_filter_probs)
+
     def initial_theta(self, n_states: int) -> Theta:
         """Resolve the initialization policy to a concrete starting point."""
+        self.check_sizes(n_states)
         if self.theta0 is not None:
-            v = np.asarray(self.theta0, dtype=float)
-            if v.shape != (n_states + 2,):
-                raise ConfigError(
-                    f"theta0 must have {n_states + 2} coordinates, got {v.shape}"
-                )
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                return Theta.from_vector(v)
+                return Theta.from_vector(np.asarray(self.theta0, dtype=float))
         rng = np.random.default_rng(self.init_seed)
         return random_theta0(
             n_states,

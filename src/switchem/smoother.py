@@ -82,7 +82,7 @@ def _initial_probs(n_states: int, initial) -> np.ndarray:
     if initial is None:
         return np.full(n_states, 1.0 / n_states)
     p = np.asarray(initial, dtype=float)
-    if p.shape != (n_states,) or np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
+    if p.shape != (n_states,) or not np.all(p >= 0.0) or not abs(p.sum() - 1.0) <= 1e-9:
         raise ConfigError(f"initial filter probabilities invalid: {p!r}")
     return p / p.sum()
 

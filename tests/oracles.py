@@ -181,6 +181,21 @@ def loop_update_rates(q, w, h):
     return q
 
 
+def euler_loop(x0, theta, states, increments, step):
+    """Euler recursion X_{k+1} = X_k + lam*(b(alpha_k) - X_k)*step + dZ_k,
+    one Python step per grid point (the reference for ``sde.euler_path``)."""
+    n = increments.shape[0]
+    lam = theta.lam
+    b_of = theta.b[np.asarray(states[:-1], dtype=np.int64) - 1]
+    x = np.empty(n + 1)
+    x[0] = x0
+    xk = float(x0)
+    for k in range(n):
+        xk = xk + lam * (b_of[k] - xk) * step + increments[k]
+        x[k + 1] = xk
+    return x
+
+
 def h_bruteforce(x, h, b, lam, delta, a_kernel, w):
     """Direct triple-loop evaluation of the weighted quasi-log-likelihood."""
     n = len(x) - 1

@@ -7,6 +7,7 @@ import pytest
 
 from switchem import (
     EmConfig,
+    EvaluationError,
     ObservationSeries,
     SimulationConfig,
     Theta,
@@ -340,7 +341,7 @@ CONFIG_KEYS = {
         "lambda": ("number", ALL_COMMANDS),
         "delta": ("number", ALL_COMMANDS),
         "q": ("matrix", ALL_COMMANDS),
-        "seed": ("int", ALL_COMMANDS),
+        "seed": ("seed", ALL_COMMANDS),
         "a": ("number", SIMULATE_EXPERIMENT),
         "horizon_t": ("number", SIMULATE_EXPERIMENT),
         "obs_step_h": ("number", SIMULATE_EXPERIMENT),
@@ -356,7 +357,7 @@ CONFIG_KEYS = {
         "termination": ("str", FIT_EXPERIMENT),
         "m_step": ("str", FIT_EXPERIMENT),
         "update_q": ("bool", FIT_EXPERIMENT),
-        "init_seed": ("int", FIT_EXPERIMENT),
+        "init_seed": ("seed", FIT_EXPERIMENT),
         **{
             key: ("numbers", FIT_EXPERIMENT)
             for key in (
@@ -471,6 +472,102 @@ class TestConfigTypes:
                      "--jobs", "-2"]) == 2
         assert "--jobs must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestInputRanges:
+    """Values of the right JSON kind but outside their range exit 2 before
+    anything is written; an evaluation error exits 3.  None prints a
+    traceback."""
+
+    run = staticmethod(TestConfigTypes.run)
+
+    @staticmethod
+    def assert_refused(captured, tmp_path, message):
+        assert captured.err.startswith("error: " + message), captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command,section,key",
+        [(c, "simulation", "seed") for c in ALL_COMMANDS]
+        + [(c, "em", "init_seed") for c in FIT_EXPERIMENT],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, path_csv, capsys, monkeypatch,
+                                   command, section, key):
+        monkeypatch.delenv("SWITCHEM_SEED", raising=False)
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg[section][key] = -1
+        assert self.run(tmp_path, path_csv, command, cfg) == 2
+        self.assert_refused(capsys.readouterr(), tmp_path,
+                            f"{section}.{key} must be a non-negative integer, got -1")
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_negative_env_seed_exits_2(self, tmp_path, path_csv, capsys, monkeypatch,
+                                       command):
+        monkeypatch.setenv("SWITCHEM_SEED", "-1")
+        assert self.run(tmp_path, path_csv, command, BASE_CONFIG) == 2
+        self.assert_refused(capsys.readouterr(), tmp_path, "SWITCHEM_SEED='-1' must be >= 0")
+
+    @pytest.mark.parametrize(
+        "command,section,key,value",
+        [
+            pytest.param(command, section, key, value, id=f"{command}-{section}.{key}")
+            for command, section, key, value in (
+                ("simulate", "simulation", "lambda", 10**400),
+                ("simulate", "simulation", "b", [6.0, 10**400]),
+                ("fit", "simulation", "q", [[-0.009, 10**400], [0.005, -0.005]]),
+                ("fit", "em", "epsilon", 10**400),
+                ("experiment", "em", "theta0", [6.0, 3.0, 10**400, 1.0]),
+            )
+        ],
+    )
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, path_csv, capsys,
+                                                     command, section, key, value):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg[section][key] = value
+        assert self.run(tmp_path, path_csv, command, cfg) == 2
+        self.assert_refused(capsys.readouterr(), tmp_path, f"{section}.{key} must be ")
+
+    def test_fine_factor_too_large_for_a_float_exits_2(self, tmp_path, path_csv, capsys):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["simulation"]["fine_factor"] = 10**400
+        assert self.run(tmp_path, path_csv, "simulate", cfg) == 2
+        self.assert_refused(capsys.readouterr(), tmp_path, "bad simulation section: ")
+
+    def test_integer_over_the_digit_limit_exits_2(self, tmp_path, path_csv, capsys):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(BASE_CONFIG).replace('"lambda": 2.0', '"lambda": 1' + "0" * 5000))
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        self.assert_refused(capsys.readouterr(), tmp_path, f"config {p} is not valid JSON")
+
+    @pytest.mark.parametrize("command", FIT_EXPERIMENT)
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("initial_filter_probs", [1.0], "initial filter probabilities invalid"),
+            ("initial_filter_probs", [2.0, -1.0], "initial filter probabilities invalid"),
+            ("initial_filter_probs", [0.3, 0.3], "initial filter probabilities invalid"),
+            ("initial_filter_probs", [float("nan"), 1.0], "initial filter probabilities invalid"),
+            ("theta0", [6.0, 3.0, 1.0], "theta0 must have 4 coordinates"),
+        ],
+    )
+    def test_regime_sized_em_input_checked_before_output(
+        self, tmp_path, path_csv, capsys, command, key, value, message
+    ):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["em"][key] = value
+        assert self.run(tmp_path, path_csv, command, cfg) == 2
+        self.assert_refused(capsys.readouterr(), tmp_path, message)
+
+    def test_evaluation_error_exits_3(self, tmp_path, path_csv, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise EvaluationError("impossible transition has positive weight")
+
+        monkeypatch.setattr("switchem.cli.em_fit", refuse)
+        assert self.run(tmp_path, path_csv, "fit", BASE_CONFIG) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "numerical failure: impossible transition has positive weight\n"
+        assert "Traceback" not in captured.out
 
 
 class TestOptionalOutputs:

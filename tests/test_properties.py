@@ -1,5 +1,5 @@
 """Property tests: kernel and forward-backward invariants on random generators,
-and the scans against the step-by-step loop."""
+and the scans (smoother and Euler path) against the step-by-step loops."""
 
 import warnings
 
@@ -11,13 +11,14 @@ from switchem import (
     ObservationSeries,
     Theta,
     backward_smooth,
+    euler_path,
     forward_filter,
     transition_matrix_approx,
     validate_generator,
 )
 from switchem.likelihood import cauchy_density_matrix
 
-from oracles import loop_filter_smoother
+from oracles import euler_loop, loop_filter_smoother
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -82,3 +83,53 @@ def test_scans_match_the_loop(inst):
     )
     np.testing.assert_allclose(fs.filtered, ref_filt, rtol=0, atol=1e-12)
     np.testing.assert_allclose(backward_smooth(fs).w, ref_w, rtol=0, atol=1e-12)
+
+
+@st.composite
+def euler_instance(draw):
+    """An Euler path input: n in 0..3000 (perfect squares and their
+    neighbours drawn often), N in 1..3 and lam*step from 1e-4 to 2.2, so
+    c = 1 - lam*step ranges over [0, 1), [-1, 0) and [-1.2, -1)."""
+    root = draw(st.integers(0, 54))
+    n = draw(st.one_of(
+        st.sampled_from([0, 1, 2]),
+        st.builds(lambda d: max(root * root + d, 0), st.integers(-1, 1)),
+        st.integers(0, 3000),
+    ))
+    m = draw(st.integers(1, 3))
+    step = draw(st.floats(1e-3, 0.1))
+    lam_step = draw(st.one_of(st.floats(1e-4, 1.0), st.floats(1.0, 2.2)))
+    b = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # coinciding levels
+        theta = Theta(b, lam_step / step, 1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = rng.integers(1, m + 1, n + 1)
+    increments = rng.standard_cauchy(n) * draw(st.floats(1e-4, 1.0))
+    x0 = draw(st.floats(-10.0, 10.0))
+    return x0, theta, states, increments, step
+
+
+def magnitude_scale(x0, theta, states, increments, step):
+    """max_k y_k for y_0 = |x0|, y_{k+1} = |c| y_k + |lam*step*b(alpha_k)| + |dZ_k|.
+
+    y bounds |X_k| and sets the scale of the rounding error of either
+    recursion.  It equals max |X| up to a modest factor unless c < -1 and
+    the growing mode cancels, when X can be far smaller than the rounding
+    committed while it grew."""
+    c = abs(1.0 - theta.lam * step)
+    u = np.abs(theta.lam * step * theta.b[states[:-1] - 1]) + np.abs(increments)
+    y = top = abs(x0)
+    for uk in u:
+        y = c * y + uk
+        top = max(top, y)
+    return top
+
+
+@PROPERTY_SETTINGS
+@given(euler_instance())
+def test_euler_scan_matches_the_loop(inst):
+    ref = euler_loop(*inst)
+    x = euler_path(*inst)
+    assert x.shape == ref.shape and x[0] == ref[0]
+    np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * magnitude_scale(*inst))

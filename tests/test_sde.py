@@ -76,6 +76,13 @@ class TestSimulatePath:
         )
         np.testing.assert_array_equal(obs.x, x[::10])
 
+    @pytest.mark.parametrize("label", [0, 3])
+    def test_euler_path_rejects_labels_outside_the_regimes(self, bench_cfg, label):
+        states = np.ones(11, dtype=np.int64)
+        states[4] = label
+        with pytest.raises(ConfigError, match="labels must lie in 1..2"):
+            euler_path(0.0, bench_cfg.theta_true, states, np.zeros(10), 0.01)
+
     def test_increments_length_checked(self, bench_cfg):
         with pytest.raises(ConfigError):
             simulate_path(bench_cfg, increments=np.zeros(7))
