@@ -23,7 +23,6 @@ from .em import (
     first_order_step,
     newton_step,
     quadratic_error,
-    random_theta0,
     sort_regimes,
     termination_stat,
     update_generator,
@@ -39,8 +38,6 @@ from .likelihood import (
 )
 from .nig import (
     NigParams,
-    UnderflowWarning,
-    bessel_k1,
     nig_density,
     sample_nig,
     std_cauchy_density,
@@ -80,9 +77,7 @@ __all__ = [
     "SimulationConfig",
     "SmoothedPairProbs",
     "Theta",
-    "UnderflowWarning",
     "backward_smooth",
-    "bessel_k1",
     "em_fit",
     "euler_path",
     "first_order_step",
@@ -92,7 +87,6 @@ __all__ = [
     "newton_step",
     "nig_density",
     "quadratic_error",
-    "random_theta0",
     "sample_nig",
     "self_convergence_test",
     "simulate_chain",

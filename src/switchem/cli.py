@@ -19,7 +19,8 @@ File schemas (all CSV floats printed with 9 significant digits):
                         elapsed_ms, config, seed
 
 Each config key has one JSON type: a number, an integer, a boolean, a
-string, a list of numbers, or (``simulation.q``) a list of such lists.
+string, a list of numbers, or (``simulation.q``) a list of such lists;
+``NaN``, ``Infinity`` and ``-Infinity`` are not JSON numbers.
 Seeds (``simulation.seed``, ``em.init_seed``, ``SWITCHEM_SEED``) are
 non-negative integers.  ``null`` means the key is absent; any other value,
 or an integer too large for a float where a number is expected, exits 2,
@@ -29,9 +30,10 @@ Exit codes: 0 success, 2 configuration or input-schema error, 3 numerical
 failure (for experiments: more than half of the replications failed).
 
 The environment variable ``SWITCHEM_SEED`` overrides the configured seed
-base.  Replication r runs with seed ``seed_base + r``, so partial
-experiments can be resumed or re-run selectively.  The EM starting point
-is ``em.theta0`` when given.  Otherwise ``fit`` draws it from
+base.  Replication r runs with seed ``seed_base + r``, so one replication
+can be re-run alone as replication 1 of seed base ``seed_base + r - 1``;
+no output file is written until every replication has ended.  The EM
+starting point is ``em.theta0`` when given.  Otherwise ``fit`` draws it from
 ``em.init_seed`` if set, else from the stream ``[seed, 1]``; replication
 r of ``experiment`` draws it from ``[seed_base + r, 1]``, as
 ``em.init_seed`` applies to ``fit`` only.  ``--stable-output`` zeroes the
@@ -82,13 +84,17 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_no_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer over 4300 digits
+    except ValueError as exc:  # a JSONDecodeError, NaN/Infinity, or over 4300 digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -265,7 +271,7 @@ def _read_path_csv(path: str) -> ObservationSeries:
     t = np.asarray(t_vals)
     dt = np.diff(t)
     h = float(dt[0])
-    if h <= 0.0 or np.any(np.abs(dt - h) > GRID_TOL * max(1.0, abs(h))):
+    if not (h > 0.0 and np.all(np.abs(dt - h) <= GRID_TOL * max(1.0, abs(h)))):
         raise ConfigError(f"{path}: time column is not an equally spaced grid")
     try:
         return ObservationSeries(np.asarray(x_vals), h, t0=float(t[0]))

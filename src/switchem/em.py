@@ -84,18 +84,16 @@ class EmConfig:
             raise ConfigError("epsilon and rho must be > 0")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        for name, box in (
-            ("b_box", self.b_box),
-            ("lambda_box", self.lambda_box),
-            ("delta_box", self.delta_box),
-        ):
-            if len(box) != 2 or not (box[0] <= box[1]):
-                raise ConfigError(f"{name} must be (low, high) with low <= high: {box}")
+        for name in ("b_box", "lambda_box", "delta_box",
+                     "init_b_range", "init_lambda_range", "init_delta_range"):
+            pair = getattr(self, name)
+            if len(pair) != 2 or not (pair[0] <= pair[1]):
+                raise ConfigError(f"{name} must be (low, high) with low <= high: {pair}")
         if self.lambda_box[0] <= 0.0 or self.delta_box[0] <= 0.0:
             raise ConfigError("lambda_box and delta_box lows must be > 0")
-        for name in ("init_b_range", "init_lambda_range", "init_delta_range"):
-            if len(getattr(self, name)) != 2:
-                raise ConfigError(f"{name} must be (low, high): {getattr(self, name)}")
+        # lam and delta are redrawn until positive, which needs a positive high
+        if self.init_lambda_range[1] <= 0.0 or self.init_delta_range[1] <= 0.0:
+            raise ConfigError("init_lambda_range and init_delta_range highs must be > 0")
         if self.theta0 is not None:
             v = np.asarray(self.theta0, dtype=float)
             if v.ndim != 1 or v.size < 3 or not np.all(np.isfinite(v)) or min(v[-2:]) <= 0.0:
@@ -124,20 +122,27 @@ class EmConfig:
             _initial_probs(n_states, self.initial_filter_probs)
 
     def initial_theta(self, n_states: int) -> Theta:
-        """Resolve the initialization policy to a concrete starting point."""
+        """Resolve the initialization policy to a concrete starting point; a
+        random start redraws lam and delta until they are positive."""
         self.check_sizes(n_states)
         if self.theta0 is not None:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                return Theta.from_vector(np.asarray(self.theta0, dtype=float))
+            return _iterate(self.theta0)
         rng = np.random.default_rng(self.init_seed)
-        return random_theta0(
-            n_states,
-            rng,
-            self.init_b_range,
-            self.init_lambda_range,
-            self.init_delta_range,
-        )
+        b = rng.uniform(*self.init_b_range, size=n_states)
+        lam = delta = 0.0
+        while lam <= 0.0:
+            lam = float(rng.uniform(*self.init_lambda_range))
+        while delta <= 0.0:
+            delta = float(rng.uniform(*self.init_delta_range))
+        return _iterate(np.append(b, [lam, delta]))
+
+
+def _iterate(v) -> Theta:
+    """Theta from (b(1..N), lam, delta), without the coinciding-levels
+    warning that transient iterates may trigger."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return Theta.from_vector(v)
 
 
 @dataclass(frozen=True)
@@ -162,7 +167,7 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class EmResult:
-    """Outcome of :func:`em_fit`; unpacks as (theta, trace, status).
+    """Outcome of :func:`em_fit`.
 
     ``status`` is 'converged', 'max_iters_reached' or 'numerical_failure';
     ``trace`` holds one record per completed iteration.
@@ -174,9 +179,6 @@ class EmResult:
     status: str
     iterations: int
     message: str = ""
-
-    def __iter__(self):
-        return iter((self.theta, self.trace, self.status))
 
     @property
     def ascent_violations(self) -> int:
@@ -193,10 +195,7 @@ def first_order_step(
     if not np.all(np.isfinite(grad)):
         raise NumericalFailure("non-finite gradient in M-step")
     lo, hi = boxes
-    v = np.clip(theta.to_vector() + rho * grad, lo, hi)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return Theta.from_vector(v)
+    return _iterate(np.clip(theta.to_vector() + rho * grad, lo, hi))
 
 
 def newton_step(
@@ -220,9 +219,7 @@ def newton_step(
     v = np.clip(theta.to_vector() + step, lo, hi)
     if not np.all(np.isfinite(v)):
         return theta, True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return Theta.from_vector(v), False
+    return _iterate(v), False
 
 
 def termination_stat(
@@ -279,8 +276,7 @@ def em_fit(
     cfg: EmConfig | None = None,
     theta0: Theta | None = None,
 ) -> EmResult:
-    """Run the EM loop; returns an :class:`EmResult` (unpacks to
-    (theta, trace, status)).
+    """Run the EM loop; returns an :class:`EmResult`.
 
     ``theta0`` overrides the config initialization policy.  Numerical
     breakdown does not raise: the result carries status
@@ -289,10 +285,6 @@ def em_fit(
     if cfg is None:
         cfg = EmConfig()
     theta = theta0 if theta0 is not None else cfg.initial_theta(g.n_states)
-    if theta.n_states != g.n_states:
-        raise ConfigError(
-            f"theta has {theta.n_states} regimes, generator {g.n_states} states"
-        )
     boxes = cfg.theta_boxes(g.n_states)
     gen = g
     trace: list[IterationRecord] = []
@@ -349,9 +341,7 @@ def sort_regimes(theta: Theta) -> tuple[Theta, np.ndarray]:
     reporting and error computation.
     """
     perm = np.argsort(-theta.b, kind="stable")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return Theta(theta.b[perm], theta.lam, theta.delta), perm
+    return _iterate(np.append(theta.b[perm], [theta.lam, theta.delta])), perm
 
 
 def quadratic_error(theta_hat: Theta, theta_true: Theta) -> np.ndarray:
@@ -361,24 +351,3 @@ def quadratic_error(theta_hat: Theta, theta_true: Theta) -> np.ndarray:
     d = theta_hat.to_vector() - theta_true.to_vector()
     return d * d
 
-
-def random_theta0(
-    n_states: int,
-    rng: np.random.Generator,
-    b_range: tuple[float, float] = (0.0, 10.0),
-    lambda_range: tuple[float, float] = (0.0, 10.0),
-    delta_range: tuple[float, float] = (0.0, 5.0),
-) -> Theta:
-    """Uniform random starting point; lam and delta are resampled away from
-    zero so the iterate is strictly inside the admissible region.
-    """
-    b = rng.uniform(b_range[0], b_range[1], size=n_states)
-    lam = 0.0
-    while lam <= 0.0:
-        lam = float(rng.uniform(lambda_range[0], lambda_range[1]))
-    delta = 0.0
-    while delta <= 0.0:
-        delta = float(rng.uniform(delta_range[0], delta_range[1]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return Theta(b, lam, delta)

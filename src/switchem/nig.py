@@ -17,15 +17,10 @@ Cauchy as a*s -> 0; this is the basis of the Cauchy quasi-likelihood.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-
-
-class UnderflowWarning(RuntimeWarning):
-    """K1 underflowed to zero for a very large argument."""
 
 
 @dataclass(frozen=True)
@@ -53,24 +48,6 @@ class NigParams:
     def scale(self) -> float:
         """Effective NIG scale delta * t of the increment."""
         return self.delta * self.t
-
-
-def bessel_k1(x):
-    """Modified Bessel function of the second kind, index 1.
-
-    Accepts a positive scalar or array.  Relative accuracy is better than
-    1e-12 on [1e-8, 700].  For arguments so large that the result
-    underflows to zero, returns 0.0 and emits :class:`UnderflowWarning`.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or np.any(~np.isfinite(x)):
-        raise ValueError("bessel_k1 requires x > 0 and finite")
-    out = special.k1(x)
-    if np.any((out == 0.0) & np.isfinite(x)):
-        warnings.warn("bessel_k1 underflowed to 0", UnderflowWarning)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def nig_density(z, p: NigParams):

@@ -22,7 +22,6 @@ from switchem import (
     forward_filter,
     grad_H,
     hessian_H,
-    random_theta0,
     self_convergence_test,
     simulate_path,
     smoothed_marginals,
@@ -187,8 +186,7 @@ def test_criterion_4_long_horizon_recovery():
         seed = 4000 + r
         cfg = SimulationConfig(theta, 0.3, g, 1000.0, 0.1, seed=seed)
         obs, _, _ = simulate_path(cfg)
-        theta0 = random_theta0(2, np.random.default_rng([seed, 1]))
-        res = em_fit(obs, g, EmConfig(epsilon=0.05, rho=1e-4), theta0)
+        res = em_fit(obs, g, EmConfig(epsilon=0.05, rho=1e-4, init_seed=(seed, 1)))
         est, _ = sort_regimes(res.theta)
         estimates.append(est.to_vector())
         FITTED_PATHS.append((res.theta, g, obs))

@@ -12,7 +12,6 @@ from switchem import (
     SimulationConfig,
     Theta,
     em_fit,
-    random_theta0,
     simulate_path,
     smooth_regimes,
     sort_regimes,
@@ -163,6 +162,18 @@ class TestFit:
         assert main(["fit", "--config", cfg_file, "--data", str(bad),
                      "--out", str(tmp_path / "fit")]) == 2
         assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [0, 2, 3])
+    def test_non_finite_time_exits_2(self, cfg_file, tmp_path, capsys, row):
+        times = ["0", "0.1", "0.2", "0.3"]
+        times[row] = "nan"
+        bad = tmp_path / "nantime.csv"
+        bad.write_text("t,x\n" + "".join(f"{t},1\n" for t in times))
+        assert main(["fit", "--config", cfg_file, "--data", str(bad),
+                     "--out", str(tmp_path / "fit")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: time column is not an equally spaced grid\n"
+        assert not (tmp_path / "fit").exists()
 
 
 class TestExperiment:
@@ -547,7 +558,7 @@ class TestInputRanges:
             ("initial_filter_probs", [1.0], "initial filter probabilities invalid"),
             ("initial_filter_probs", [2.0, -1.0], "initial filter probabilities invalid"),
             ("initial_filter_probs", [0.3, 0.3], "initial filter probabilities invalid"),
-            ("initial_filter_probs", [float("nan"), 1.0], "initial filter probabilities invalid"),
+            ("initial_filter_probs", [1.0, 1e-8], "initial filter probabilities invalid"),
             ("theta0", [6.0, 3.0, 1.0], "theta0 must have 4 coordinates"),
         ],
     )
@@ -558,6 +569,44 @@ class TestInputRanges:
         cfg["em"][key] = value
         assert self.run(tmp_path, path_csv, command, cfg) == 2
         self.assert_refused(capsys.readouterr(), tmp_path, message)
+
+    @pytest.mark.parametrize("command", FIT_EXPERIMENT)
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("init_b_range", [5.0, 1.0], "init_b_range must be (low, high) with low <= high"),
+            ("init_lambda_range", [-2.0, -1.0], "init_lambda_range and init_delta_range"),
+            ("init_delta_range", [-1.0, 0.0], "init_lambda_range and init_delta_range"),
+        ],
+    )
+    def test_init_range_without_a_start_exits_2(
+        self, tmp_path, path_csv, capsys, command, key, value, message
+    ):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["em"][key] = value
+        assert self.run(tmp_path, path_csv, command, cfg) == 2
+        self.assert_refused(capsys.readouterr(), tmp_path, message)
+
+    @pytest.mark.parametrize(
+        "command,section,key,value",
+        [
+            ("simulate", "simulation", "x0", float("nan")),
+            ("simulate", "simulation", "a", float("inf")),
+            ("simulate", "simulation", "b", [6.0, float("nan")]),
+            ("fit", "em", "rho", float("inf")),
+            ("experiment", "em", "epsilon", float("-inf")),
+            ("fit", "em", "initial_filter_probs", [float("nan"), 1.0]),
+            ("experiment", "em", "initial_filter_probs", [float("nan"), 1.0]),
+        ],
+    )
+    def test_non_json_constant_exits_2(self, tmp_path, path_csv, capsys,
+                                       command, section, key, value):
+        # json.dumps writes these floats as NaN, Infinity and -Infinity
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg[section][key] = value
+        assert self.run(tmp_path, path_csv, command, cfg) == 2
+        self.assert_refused(capsys.readouterr(), tmp_path,
+                            f"config {tmp_path / 'out.json'} is not valid JSON")
 
     def test_evaluation_error_exits_3(self, tmp_path, path_csv, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -640,11 +689,7 @@ class TestStartingPoint:
         return ObservationSeries(data[:, 1], float(data[1, 0] - data[0, 0]))
 
     def random_start(self, seed):
-        em = self.EM
-        return random_theta0(
-            2, np.random.default_rng([seed, 1]),
-            em.init_b_range, em.init_lambda_range, em.init_delta_range,
-        )
+        return dataclasses.replace(self.EM, init_seed=(seed, 1)).initial_theta(2)
 
     @staticmethod
     def estimate(result):

@@ -16,7 +16,6 @@ from switchem import (
     hessian_H,
     newton_step,
     quadratic_error,
-    random_theta0,
     simulate_path,
     smooth_regimes,
     sort_regimes,
@@ -54,6 +53,25 @@ class TestEmConfig:
         np.testing.assert_array_equal(t.to_vector(), [6.0, 3.0, 2.0, 1.0])
         with pytest.raises(ConfigError):
             cfg.initial_theta(3)
+
+    @pytest.mark.parametrize(
+        "key,pair",
+        [
+            ("init_b_range", (1.0, 0.0)),
+            ("init_lambda_range", (float("nan"), 1.0)),
+            ("init_delta_range", (0.5, float("nan"))),
+            ("init_lambda_range", (-2.0, -1.0)),
+            ("init_delta_range", (-1.0, 0.0)),
+        ],
+    )
+    def test_rejects_init_ranges_it_cannot_draw_from(self, key, pair):
+        # a lam or delta range without positive values would redraw forever
+        with pytest.raises(ConfigError, match=key):
+            EmConfig(init_seed=1, **{key: pair})
+
+    def test_check_sizes_rejects_nan_filter_probs(self):
+        with pytest.raises(ConfigError, match="initial filter probabilities invalid"):
+            EmConfig(initial_filter_probs=(float("nan"), 1.0)).check_sizes(2)
 
     def test_initial_theta_random_in_ranges(self):
         cfg = EmConfig(init_seed=2)
@@ -136,15 +154,6 @@ class TestEmFit:
         est, _ = sort_regimes(res.theta)
         assert abs(est.b[0] - 6.0) < 1.0
         assert abs(est.b[1] - 3.0) < 1.0
-
-    def test_unpacks_as_triple(self, short_path):
-        _, g, obs = short_path
-        theta, trace, status = em_fit(
-            obs, g, EmConfig(max_iters=3, theta0=(5.0, 2.0, 1.0, 2.0))
-        )
-        assert isinstance(theta, Theta)
-        assert len(trace) == 3
-        assert status == "max_iters_reached"
 
     def test_trace_contents(self, short_path):
         _, g, obs = short_path
@@ -229,7 +238,6 @@ class TestHelpers:
         np.testing.assert_allclose(quadratic_error(a, b), [1.0, 0.25, 1.0, 0.25])
 
     def test_random_theta0_positive(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            t = random_theta0(2, rng)
+        for seed in range(20):
+            t = EmConfig(init_seed=seed).initial_theta(2)
             assert t.lam > 0.0 and t.delta > 0.0

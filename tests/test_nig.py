@@ -4,53 +4,13 @@ from scipy import integrate
 
 from switchem import (
     NigParams,
-    UnderflowWarning,
-    bessel_k1,
     nig_density,
     sample_nig,
     std_cauchy_density,
     std_cauchy_limit_check,
 )
 
-from oracles import k1_quadrature, nig_density_direct
-
-
-class TestBesselK1:
-    # frozen reference values, computed once from the integral
-    # representation int_0^inf exp(-x cosh t) cosh t dt
-    FROZEN = {
-        1.0: 0.6019072301972346,
-        0.1: 9.853844780870606,
-        10.0: 1.8648773453825582e-05,
-    }
-
-    def test_frozen_values(self):
-        for x, ref in self.FROZEN.items():
-            assert bessel_k1(x) == pytest.approx(ref, rel=1e-12)
-
-    def test_against_quadrature(self):
-        for x in np.geomspace(1e-6, 300.0, 40):
-            assert bessel_k1(float(x)) == pytest.approx(k1_quadrature(float(x)), rel=1e-10)
-
-    def test_array_input(self):
-        x = np.array([0.5, 1.0, 2.0])
-        out = bessel_k1(x)
-        assert out.shape == (3,)
-        assert out[1] == pytest.approx(self.FROZEN[1.0])
-
-    def test_monotone_decreasing(self):
-        x = np.linspace(0.01, 50.0, 500)
-        assert np.all(np.diff(bessel_k1(x)) < 0.0)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
-    def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValueError):
-            bessel_k1(bad)
-
-    def test_underflow_warns(self):
-        with pytest.warns(UnderflowWarning):
-            out = bessel_k1(1e6)
-        assert out == 0.0
+from oracles import nig_density_direct
 
 
 class TestNigParams:
