@@ -38,9 +38,9 @@ from .likelihood import (
 )
 from .nig import (
     NigParams,
+    cauchy_density,
     nig_density,
     sample_nig,
-    std_cauchy_density,
     std_cauchy_limit_check,
 )
 from .sde import (
@@ -78,6 +78,7 @@ __all__ = [
     "SmoothedPairProbs",
     "Theta",
     "backward_smooth",
+    "cauchy_density",
     "em_fit",
     "euler_path",
     "first_order_step",
@@ -94,7 +95,6 @@ __all__ = [
     "smooth_regimes",
     "smoothed_marginals",
     "sort_regimes",
-    "std_cauchy_density",
     "std_cauchy_limit_check",
     "termination_stat",
     "transition_matrix_approx",

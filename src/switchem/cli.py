@@ -12,7 +12,8 @@ File schemas (all CSV floats printed with 9 significant digits):
     path.csv            t,x,alpha_true (fit reads t and x only)
     chain_fine.csv      t,alpha on the Euler grid (simulation.emit_chain_fine)
     trace.csv           iter,b1..bN,lambda,delta,H,stat,elapsed_ms
-    probs.csv           t,p1..pN smoothed probabilities (fit, experiment.emit_probs)
+    probs.csv           t,p1..pN smoothed probabilities at the estimate, filtered
+                        from em.initial_filter_probs (fit, experiment.emit_probs)
     rep_NNNN_trace.csv  trace.csv of replication NNNN (experiment.emit_trace)
     summary.csv         rep,seed,b1..bN,lambda,delta,qe_b1..qe_delta,iters,status
     result.json         estimate, quadratic_error, status, iterations,
@@ -22,12 +23,14 @@ Each config key has one JSON type: a number, an integer, a boolean, a
 string, a list of numbers, or (``simulation.q``) a list of such lists;
 ``NaN``, ``Infinity`` and ``-Infinity`` are not JSON numbers.
 Seeds (``simulation.seed``, ``em.init_seed``, ``SWITCHEM_SEED``) are
-non-negative integers.  ``null`` means the key is absent; any other value,
-or an integer too large for a float where a number is expected, exits 2,
-naming the key.
+non-negative integers, and ``em.init_lambda_range`` and
+``em.init_delta_range`` have lows >= 0.  ``null`` means the key is absent;
+a value of another kind, or an integer too large for a float where a number
+is expected, exits 2, naming the key.
 
 Exit codes: 0 success, 2 configuration or input-schema error, 3 numerical
-failure (for experiments: more than half of the replications failed).
+failure (for experiments: more than half of the replications failed; each
+failed replication prints its reason to stderr).
 
 The environment variable ``SWITCHEM_SEED`` overrides the configured seed
 base.  Replication r runs with seed ``seed_base + r``, so one replication
@@ -36,7 +39,8 @@ no output file is written until every replication has ended.  The EM
 starting point is ``em.theta0`` when given.  Otherwise ``fit`` draws it from
 ``em.init_seed`` if set, else from the stream ``[seed, 1]``; replication
 r of ``experiment`` draws it from ``[seed_base + r, 1]``, as
-``em.init_seed`` applies to ``fit`` only.  ``--stable-output`` zeroes the
+``em.init_seed`` applies to ``fit`` only.  ``--jobs`` (0 = all cores) is
+capped at the replication count.  ``--stable-output`` zeroes the
 elapsed-time fields, making outputs bit-identical across runs and across
 ``--jobs`` values.
 """
@@ -203,7 +207,7 @@ def _parse_simulation(cfg: dict) -> tuple[SimulationConfig, dict]:
         seed=_seed_base(sim),
     )
     try:
-        g = validate_generator(q, allow_single_state=theta.n_states == 1)
+        g = validate_generator(q)
         sc = SimulationConfig(theta_true=theta, generator=g, **fields)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad simulation section: {exc}") from exc
@@ -362,7 +366,9 @@ def cmd_fit(args) -> int:
     _write_atomic(out / "result.json", json.dumps(payload, indent=2) + "\n")
     _write_atomic(out / "trace.csv", _trace_csv_text(result, args.stable_output))
     if emit_probs:
-        _, smoothed, _ = smooth_regimes(result.theta, result.generator, obs)
+        _, smoothed, _ = smooth_regimes(
+            result.theta, result.generator, obs, em_cfg.initial_filter_probs
+        )
         t = obs.t0 + np.arange(smoothed.shape[0]) * obs.h
         header = ["t"] + [f"p{i + 1}" for i in range(smoothed.shape[1])]
         _write_atomic(out / "probs.csv", _csv_text(header, [t, *smoothed.T]))
@@ -411,11 +417,12 @@ def cmd_experiment(args) -> int:
         raise ConfigError(f"--jobs must be >= 0, got {args.jobs}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = args.jobs or os.cpu_count() or 1
+    # a fork pool starts all its workers at once, so never more than reps
+    jobs = min(args.jobs or os.cpu_count() or 1, reps)
     tasks = [
         (sc, em_cfg, r, sc.seed + r, args.stable_output) for r in range(1, reps + 1)
     ]
-    if jobs > 1 and reps > 1:
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_replication, tasks))
     else:
@@ -436,6 +443,9 @@ def cmd_experiment(args) -> int:
         if row["estimate"] is not None:
             ok_rows.append(row)
             fields = [_fmt(v) for v in row["estimate"] + row["qe"]]
+        else:
+            print(f"replication {row['rep']} (seed {row['seed']}) failed: "
+                  f"{row['message']}", file=sys.stderr)
         vals = [str(row["rep"]), str(row["seed"]), *fields, str(row["iters"]), row["status"]]
         lines.append(",".join(vals))
         if emit_trace and row["trace"]:

@@ -5,7 +5,7 @@ regime indices); internal arrays are 0-based.
 
 The discrete one-step kernel on a grid of spacing h drops the o(h) terms of
 the generator expansion: stay with probability 1 + q_ii*h, jump i -> k with
-probability q_ik*h.  This requires the step guard h < 1 / max_i |q_ii|.
+probability q_ik*h.  This requires the step guard h <= 1 / max_i |q_ii|.
 """
 
 from __future__ import annotations
@@ -27,12 +27,9 @@ class GeneratorMatrix:
     q: np.ndarray
     n_states: int
 
-    def max_exit_rate(self) -> float:
-        return float(np.max(-np.diag(self.q))) if self.n_states else 0.0
-
     def max_step(self) -> float:
         """Largest grid step keeping 1 + q_ii*h >= 0 for all states."""
-        rate = self.max_exit_rate()
+        rate = float(np.max(-np.diag(self.q)))
         return np.inf if rate == 0.0 else 1.0 / rate
 
 
@@ -47,29 +44,21 @@ class ChainPath:
         if self.states.ndim != 1 or self.states.size < 1:
             raise ValueError("states must be a non-empty 1-d array")
 
-    @property
-    def t0_state(self) -> int:
-        return int(self.states[0])
 
-
-def validate_generator(q_raw, *, allow_single_state: bool = False) -> GeneratorMatrix:
+def validate_generator(q_raw) -> GeneratorMatrix:
     """Validate a raw rate matrix and return a :class:`GeneratorMatrix`.
 
-    Rejects non-square input, N < 2 (unless ``allow_single_state``, used for
-    degenerate single-regime test configurations), negative off-diagonal
-    entries, and rows whose sum exceeds 1e-9 in magnitude.  The diagonal is
-    recomputed as minus the off-diagonal row sum so the row-sum-zero
-    invariant holds to machine precision.  With N > 1, rows with all
+    Accepts any N >= 1 states.  Rejects non-square or empty input, negative
+    off-diagonal entries, and rows whose sum exceeds 1e-9 in magnitude.  The
+    diagonal is recomputed as minus the off-diagonal row sum so the
+    row-sum-zero invariant holds to machine precision.  With N > 1, rows with all
     off-diagonal rates zero are accepted but flagged with a warning
     (absorbing state); a one-state chain has nowhere to go and is not.
     """
     q = np.array(q_raw, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ConfigError(f"generator must be square, got shape {q.shape}")
+    if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
+        raise ConfigError(f"generator must be square and non-empty, got shape {q.shape}")
     n = q.shape[0]
-    min_states = 1 if allow_single_state else 2
-    if n < min_states:
-        raise ConfigError(f"generator needs at least {min_states} states, got {n}")
     if not np.all(np.isfinite(q)):
         raise ConfigError("generator contains non-finite entries")
     off = q.copy()
@@ -92,14 +81,14 @@ def validate_generator(q_raw, *, allow_single_state: bool = False) -> GeneratorM
 
 
 def _check_step(g: GeneratorMatrix, h: float) -> None:
-    if h < 0.0:
-        raise ConfigError(f"step must be >= 0, got {h}")
+    if not (0.0 <= h < np.inf):
+        raise ConfigError(f"step must be finite and >= 0, got {h}")
     bad = 1.0 + np.diag(g.q) * h < 0.0
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ConfigError(
             f"step {h} too large for state {i + 1}: 1 + q_ii*h = "
-            f"{1.0 + g.q[i, i] * h:.3e} < 0 (need h < {g.max_step():.6g})"
+            f"{1.0 + g.q[i, i] * h:.3e} < 0 (need h <= {g.max_step():.6g})"
         )
 
 

@@ -91,9 +91,11 @@ class EmConfig:
                 raise ConfigError(f"{name} must be (low, high) with low <= high: {pair}")
         if self.lambda_box[0] <= 0.0 or self.delta_box[0] <= 0.0:
             raise ConfigError("lambda_box and delta_box lows must be > 0")
-        # lam and delta are redrawn until positive, which needs a positive high
-        if self.init_lambda_range[1] <= 0.0 or self.init_delta_range[1] <= 0.0:
-            raise ConfigError("init_lambda_range and init_delta_range highs must be > 0")
+        # lam and delta are redrawn until positive, which needs a positive high;
+        # a negative low could make a positive draw arbitrarily rare
+        lows, highs = zip(self.init_lambda_range, self.init_delta_range)
+        if min(lows) < 0.0 or min(highs) <= 0.0:
+            raise ConfigError("init_lambda_range and init_delta_range need 0 <= low, 0 < high")
         if self.theta0 is not None:
             v = np.asarray(self.theta0, dtype=float)
             if v.ndim != 1 or v.size < 3 or not np.all(np.isfinite(v)) or min(v[-2:]) <= 0.0:
@@ -258,7 +260,7 @@ def update_generator(
     back through A = I + Q h gives the rate update.  Rows with zero total
     weight keep their previous rates.
     """
-    tot = w.w[1:].sum(axis=0)
+    tot = w.w.sum(axis=0)
     row_tot = tot.sum(axis=1, keepdims=True)
     live = row_tot[:, 0] > 0.0
     q = np.array(g.q, dtype=float)
@@ -267,7 +269,7 @@ def update_generator(
     np.fill_diagonal(q, -q.sum(axis=1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return validate_generator(q, allow_single_state=g.n_states == 1)
+        return validate_generator(q)
 
 
 def em_fit(

@@ -3,7 +3,7 @@
 The latent-regime objective evaluated at parameters theta given pairwise
 smoothed regime weights w computed at the previous iterate is
 
-    H(theta; w) = sum_{j=1..n} sum_{i,k} w[j,i,k] *
+    H(theta; w) = sum_{j=1..n} sum_{i,k} w[j-1,i,k] *
                   log( f(X_j | X_{j-1}, regime i; theta) * A[i,k] ),
 
 where f is the Cauchy density with location X_{j-1} + lam*(b_i - X_{j-1})*h
@@ -13,8 +13,8 @@ which factor every derivative into (weight-independent) per-observation
 terms; each formula is cross-checked against finite differences in the
 test suite.
 
-Index convention: weight arrays have shape (n+1, N, N); index j in 1..n
-holds the pair (t_{j-1}, t_j) and index 0 is unused (zero).
+Index convention: weight arrays have shape (n, N, N); slice j-1 holds the
+pair (t_{j-1}, t_j), j = 1..n.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
+from .nig import cauchy_density
 
 PAIR_SLICE_TOL = 1e-9
 
@@ -91,9 +92,9 @@ class ObservationSeries:
 
 @dataclass(frozen=True)
 class SmoothedPairProbs:
-    """Pairwise smoothed regime weights w[j, i, k] ~ P(a_{t_{j-1}}=i, a_{t_j}=k | data).
+    """Pairwise smoothed regime weights w[j-1, i, k] ~ P(a_{t_{j-1}}=i, a_{t_j}=k | data).
 
-    Shape (n+1, N, N); slice j in 1..n sums to 1 (index 0 unused).
+    Shape (n, N, N); slice j-1 holds the pair (t_{j-1}, t_j) and sums to 1.
     """
 
     w: np.ndarray
@@ -101,19 +102,18 @@ class SmoothedPairProbs:
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
         object.__setattr__(self, "w", w)
-        if w.ndim != 3 or w.shape[1] != w.shape[2] or w.shape[0] < 2:
+        if w.ndim != 3 or w.shape[1] != w.shape[2] or w.shape[0] < 1:
             raise ValueError(f"bad weight array shape {w.shape}")
-        body = w[1:]
-        if np.any(body < 0.0) or np.any(body > 1.0):
+        if np.any(w < 0.0) or np.any(w > 1.0):
             raise ValueError("weights must lie in [0, 1]")
-        sums = body.sum(axis=(1, 2))
+        sums = w.sum(axis=(1, 2))
         if np.any(np.abs(sums - 1.0) > PAIR_SLICE_TOL):
             j = int(np.argmax(np.abs(sums - 1.0)))
-            raise ValueError(f"pair slice {j + 1} sums to {sums[j]!r}, not 1")
+            raise ValueError(f"pair slice {j} sums to {sums[j]!r}, not 1")
 
     @property
     def n(self) -> int:
-        return self.w.shape[0] - 1
+        return self.w.shape[0]
 
     @property
     def n_states(self) -> int:
@@ -121,18 +121,9 @@ class SmoothedPairProbs:
 
 
 def cauchy_density_matrix(theta: Theta, obs: ObservationSeries) -> np.ndarray:
-    """Matrix D[j, i] = f(X_j | X_{j-1}, regime i; theta) for j = 1..n.
-
-    Shape (n+1, N) with D[0] = 0, matching the 1-based pair index convention.
-    """
-    out = np.zeros((obs.n + 1, theta.n_states))
-    out[1:] = _density(_residuals(theta, obs), theta.delta * obs.h)
-    return out
-
-
-def _density(u: np.ndarray, scale: float) -> np.ndarray:
-    """Cauchy density with scale ``scale`` at residuals ``u``."""
-    return scale / (np.pi * (scale * scale + u * u))
+    """Matrix D[j-1, i] = f(X_j | X_{j-1}, regime i; theta) for j = 1..n,
+    shape (n, N), indexed like the pair weights."""
+    return cauchy_density(_residuals(theta, obs), theta.delta * obs.h)
 
 
 def _residuals(theta: Theta, obs: ObservationSeries) -> np.ndarray:
@@ -163,8 +154,8 @@ def H_n(theta: Theta, a: np.ndarray, obs: ObservationSeries, w: SmoothedPairProb
     u = _residuals(theta, obs)
     scale = theta.delta * obs.h
     logf = -np.log(np.pi * (scale * scale + u * u) / scale)
-    wi = w.w[1:].sum(axis=2)
-    pair_tot = w.w[1:].sum(axis=0)
+    wi = w.w.sum(axis=2)
+    pair_tot = w.w.sum(axis=0)
     _check_pair_support(a, pair_tot)
     log_a = np.where(pair_tot > 0.0, np.log(np.where(a > 0.0, a, 1.0)), 0.0)
     return float(np.sum(wi * logf) + np.sum(pair_tot * log_a))
@@ -176,7 +167,7 @@ def _kernels(theta: Theta, obs: ObservationSeries):
     v = theta.b[None, :] - obs.x[:-1, None]
     h = obs.h
     delta = theta.delta
-    k2 = _density(u, delta * h)
+    k2 = cauchy_density(u, delta * h)
     k1 = np.pi * u * u / (delta * delta * h) - h * np.pi
     k3 = 2.0 * np.pi * u * v / delta
     k4 = 2.0 * np.pi * u * theta.lam / delta
@@ -196,7 +187,7 @@ def grad_H(theta: Theta, obs: ObservationSeries, w: SmoothedPairProbs) -> np.nda
     """Analytic gradient of H in the coordinates (b(1..N), lam, delta)."""
     _check_dims(obs, w, theta.n_states)
     _, _, k1, k2, k3, k4 = _kernels(theta, obs)
-    wi = w.w[1:].sum(axis=2)
+    wi = w.w.sum(axis=2)
     d_b = np.sum(k2 * k4 * wi, axis=0)
     d_lam = float(np.sum(k2 * k3 * wi))
     d_delta = float(np.sum(k1 * k2 * wi))
@@ -215,7 +206,7 @@ def hessian_H(theta: Theta, obs: ObservationSeries, w: SmoothedPairProbs) -> np.
     k7 = -2.0 * np.pi * u * v / (delta * delta)
     k8 = -2.0 * np.pi * u * lam / (delta * delta)
     k9 = 2.0 * np.pi * (u - lam * v * h) / delta
-    wi = w.w[1:].sum(axis=2)
+    wi = w.w.sum(axis=2)
     n_par = theta.n_states + 2
     il, id_ = n_par - 2, n_par - 1
     hess = np.zeros((n_par, n_par))

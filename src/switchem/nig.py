@@ -81,13 +81,9 @@ def sample_nig(p: NigParams, count: int, rng: np.random.Generator) -> np.ndarray
     return np.sqrt(v) * rng.standard_normal(count)
 
 
-def std_cauchy_density(z):
-    """Standard Cauchy density 1 / (pi (1 + z^2))."""
-    z = np.asarray(z, dtype=float)
-    out = 1.0 / (np.pi * (1.0 + z * z))
-    if out.ndim == 0:
-        return float(out)
-    return out
+def cauchy_density(z, scale: float = 1.0):
+    """Centered Cauchy density scale / (pi (scale^2 + z^2)) at a float or array ``z``."""
+    return scale / (np.pi * (scale * scale + z * z))
 
 
 def std_cauchy_limit_check(a: float, delta: float, h_values, n_grid: int = 2001) -> np.ndarray:
@@ -106,7 +102,7 @@ def std_cauchy_limit_check(a: float, delta: float, h_values, n_grid: int = 2001)
     if h_values.size > 1 and np.any(np.diff(h_values) >= 0.0):
         raise ValueError("h_values must be strictly decreasing")
     grid = np.linspace(-10.0, 10.0, n_grid)
-    cauchy = std_cauchy_density(grid)
+    cauchy = cauchy_density(grid)
     gaps = np.empty_like(h_values)
     for idx, h in enumerate(h_values):
         p = NigParams(a * h * abs(delta), 1.0, 1.0)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import ChainPath, GeneratorMatrix, simulate_chain
+from .ctmc import ChainPath, GeneratorMatrix, _check_step, simulate_chain
 from .errors import ConfigError
 from .likelihood import ObservationSeries, Theta
 from .nig import NigParams, sample_nig
@@ -73,11 +73,7 @@ class SimulationConfig:
             raise ConfigError(
                 f"horizon_t / obs_step_h = {n!r} is not an integer number of steps"
             )
-        if self.fine_step >= self.generator.max_step():
-            raise ConfigError(
-                f"fine step {self.fine_step:.6g} exceeds the chain step bound "
-                f"{self.generator.max_step():.6g}"
-            )
+        _check_step(self.generator, self.fine_step)
         if self.alpha0 is not None and not (1 <= self.alpha0 <= self.generator.n_states):
             raise ConfigError(f"alpha0 must lie in 1..{self.generator.n_states}")
 
@@ -237,8 +233,6 @@ def self_convergence_test(
     n0 = cfg.n_obs
     n_finest = n0 * f**levels
     finest_step = cfg.obs_step_h / f**levels
-    if finest_step >= cfg.generator.max_step():
-        raise ConfigError("finest refinement step exceeds the chain step bound")
 
     theta = cfg.theta_true
     p_noise = NigParams(cfg.a_nuisance, theta.delta, finest_step)

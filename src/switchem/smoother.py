@@ -17,7 +17,7 @@ pm[j, k] = sum_i pair[j, i, k], let B_j[i, k] = pair[j, i, k] / pm[j, k]
 (0 where pm[j, k] = 0).  The smoothed marginals satisfy
 smoothed[j-1] = B_j smoothed[j] from smoothed[n] = filtered[n], so
 smoothed[j-1] is proportional to B_j ... B_n filtered[n], and the pair
-weights are w[j] = B_j * smoothed[j][None, :], each slice renormalized to
+weights are w[j-1] = B_j * smoothed[j][None, :], each slice renormalized to
 sum to one.
 
 Both products are computed by one blocked two-level scan (:func:`_scan`)
@@ -72,10 +72,6 @@ class FilterState:
     @property
     def n(self) -> int:
         return self.filtered.shape[0] - 1
-
-    @property
-    def n_states(self) -> int:
-        return self.filtered.shape[1]
 
 
 def _initial_probs(n_states: int, initial) -> np.ndarray:
@@ -141,7 +137,7 @@ def forward_filter(
             f"theta has {theta.n_states} regimes, generator {g.n_states} states"
         )
     a = transition_matrix_approx(g, obs.h)
-    d = cauchy_density_matrix(theta, obs)[1:]
+    d = cauchy_density_matrix(theta, obs)
     with np.errstate(divide="ignore", invalid="ignore"):
         dm = d.max(axis=1, keepdims=True)
         d = np.where((dm > 0.0) & np.isfinite(dm), d / dm, d)
@@ -158,13 +154,13 @@ def forward_filter(
 
 
 def backward_smooth(fs: FilterState) -> SmoothedPairProbs:
-    """Backward pass producing the pairwise weights w[j, i, k].
+    """Backward pass producing the pairwise weights w[j-1, i, k] of the
+    pair (t_{j-1}, t_j), shape (n, N, N).
 
     The pass needs only the filter state: each predicted pair is rebuilt
     from the kernel and the filtered row as the forward pass built it.
     Smoothed marginals are recoverable via :func:`smoothed_marginals`.
     """
-    n, m = fs.n, fs.n_states
     pair = fs.kernel * fs.filtered[:-1, :, None]
     pm = pair.sum(axis=1)[:, None, :]
     back = np.divide(pair, pm, out=np.zeros_like(pair), where=pm > 0.0)
@@ -174,20 +170,20 @@ def backward_smooth(fs: FilterState) -> SmoothedPairProbs:
         z = w.sum(axis=(1, 2))
     bad = ~(np.isfinite(z) & (z > 0.0))
     if bad.any():
-        j = n - int(np.argmax(bad[::-1]))
+        j = fs.n - int(np.argmax(bad[::-1]))
         raise NumericalFailure(
             f"backward smoother slice sum {z[j - 1]!r} at observation {j}", index=j
         )
-    return SmoothedPairProbs(np.concatenate([np.zeros((1, m, m)), w / z[:, None, None]]))
+    return SmoothedPairProbs(w / z[:, None, None])
 
 
 def smoothed_marginals(fs: FilterState, w: SmoothedPairProbs) -> np.ndarray:
     """Smoothed one-point probabilities P(a_{t_j} = k | X_{0..n}).
 
-    Slices 0..n-1 marginalize the pairwise weights w[j+1] over the later
+    Slices 0..n-1 marginalize the pairwise weights w[j] over the later
     state; the terminal slice is the filtered distribution.
     """
-    return np.vstack([w.w[1:].sum(axis=2), fs.filtered[-1:]])
+    return np.vstack([w.w.sum(axis=2), fs.filtered[-1:]])
 
 
 def smooth_regimes(

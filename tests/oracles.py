@@ -85,8 +85,7 @@ def enumerate_filter_smoother(x, h, b, lam, delta, a_kernel, p0):
     Sums the joint density over all (N)^(n+1) regime sequences.  Returns
     (filtered, smoothed_pair, smoothed_marginal) with the same index
     conventions as the package: filtered has shape (n+1, N); pair arrays
-    have shape (n+1, N, N) with slice j covering (t_{j-1}, t_j) and slice 0
-    zero.
+    have shape (n, N, N) with slice j-1 covering (t_{j-1}, t_j).
     """
     x = np.asarray(x, dtype=float)
     n = x.size - 1
@@ -107,15 +106,15 @@ def enumerate_filter_smoother(x, h, b, lam, delta, a_kernel, p0):
             tot[seq[j]] += seq_weight(seq, j)
         filtered[j] = tot / tot.sum()
 
-    pair = np.zeros((n + 1, m, m))
+    pair = np.zeros((n, m, m))
     marg = np.zeros((n + 1, m))
     for seq in itertools.product(states, repeat=n + 1):
         w = seq_weight(seq, n)
         for j in range(1, n + 1):
-            pair[j, seq[j - 1], seq[j]] += w
+            pair[j - 1, seq[j - 1], seq[j]] += w
         for j in range(n + 1):
             marg[j, seq[j]] += w
-    for j in range(1, n + 1):
+    for j in range(n):
         pair[j] /= pair[j].sum()
     marg /= marg.sum(axis=1, keepdims=True)
     return filtered, pair, marg
@@ -125,7 +124,7 @@ def loop_filter_smoother(a_kernel, dens, p0):
     """Forward filter and Kim backward pass as one Python loop over observations.
 
     The step-by-step form of ``forward_filter``/``backward_smooth``: ``dens``
-    is the (n+1, N) emission matrix (row 0 unused), ``a_kernel`` the one-step
+    is the (n, N) emission matrix (row j-1 for observation j), ``a_kernel`` the one-step
     kernel and ``p0`` the initial filter row.  A step whose emission mass
     underflows is retried with the densities scaled by their maximum.
     Returns (filtered, w) in the package's index conventions; a breakdown
@@ -133,24 +132,24 @@ def loop_filter_smoother(a_kernel, dens, p0):
     or the highest failing backward step.
     """
     a_kernel = np.asarray(a_kernel, dtype=float)
-    n, m = dens.shape[0] - 1, a_kernel.shape[0]
+    n, m = dens.shape[0], a_kernel.shape[0]
     filtered = np.zeros((n + 1, m))
     filtered[0] = p0
     for j in range(1, n + 1):
         pj = a_kernel * filtered[j - 1][:, None]
-        col = (dens[j][:, None] * pj).sum(axis=0)
+        col = (dens[j - 1][:, None] * pj).sum(axis=0)
         z = col.sum()
         if not np.isfinite(z) or z <= 0.0:
-            dm = dens[j].max()
+            dm = dens[j - 1].max()
             if dm > 0.0 and np.isfinite(dm):
-                col = ((dens[j] / dm)[:, None] * pj).sum(axis=0)
+                col = ((dens[j - 1] / dm)[:, None] * pj).sum(axis=0)
                 z = col.sum()
             if not np.isfinite(z) or z <= 0.0:
                 raise ArithmeticError(f"forward normalizer {z!r} at observation {j}", j)
         filtered[j] = col / z
 
     smoothed = np.zeros((n + 1, m))
-    w = np.zeros((n + 1, m, m))
+    w = np.zeros((n, m, m))
     smoothed[n] = filtered[n]
     for j in range(n, 0, -1):
         pj = a_kernel * filtered[j - 1][:, None]
@@ -160,8 +159,8 @@ def loop_filter_smoother(a_kernel, dens, p0):
         z = wj.sum()
         if not np.isfinite(z) or z <= 0.0:
             raise ArithmeticError(f"backward slice sum {z!r} at observation {j}", j)
-        w[j] = wj / z
-        smoothed[j - 1] = w[j].sum(axis=1)
+        w[j - 1] = wj / z
+        smoothed[j - 1] = w[j - 1].sum(axis=1)
     return filtered, w
 
 
@@ -169,8 +168,8 @@ def loop_update_rates(q, w, h):
     """Generator M-step as a loop over rows: each row with positive total
     pair weight becomes its row-normalized pair totals divided by ``h``,
     with the diagonal set to minus the off-diagonal sum; rows without
-    weight keep their rates.  ``w`` is the (n+1, N, N) weight array."""
-    tot = w[1:].sum(axis=0)
+    weight keep their rates.  ``w`` is the (n, N, N) weight array."""
+    tot = w.sum(axis=0)
     q = np.array(q, dtype=float)
     for l in range(q.shape[0]):
         row_tot = tot[l].sum()
@@ -204,7 +203,7 @@ def h_bruteforce(x, h, b, lam, delta, a_kernel, w):
     for j in range(1, n + 1):
         for i in range(m):
             for k in range(m):
-                wk = w[j, i, k]
+                wk = w[j - 1, i, k]
                 if wk == 0.0:
                     continue
                 f = cauchy_density(x[j], x[j - 1], b[i], lam, delta, h)

@@ -91,8 +91,8 @@ def test_criterion_1_smoother_matches_enumeration():
                 obs.x, h, theta.b, theta.lam, theta.delta, a, np.full(m, 1.0 / m)
             )
             max_filt = max(max_filt, float(np.max(np.abs(fs.filtered - ref_filt))))
-            max_pair = max(max_pair, float(np.max(np.abs(w.w[1:] - ref_pair[1:]))))
-            for j in range(1, n + 1):
+            max_pair = max(max_pair, float(np.max(np.abs(w.w - ref_pair))))
+            for j in range(n):
                 if np.argmax(w.w[j]) != np.argmax(ref_pair[j]):
                     argmax_mismatches += 1
     elapsed = time.time() - t0
@@ -299,12 +299,12 @@ def test_criterion_8_probability_invariants_on_fitted_paths():
             worst = max(
                 worst,
                 float(np.max(np.abs(fs.filtered.sum(axis=1) - 1.0))),
-                float(np.max(np.abs(w.w[1:].sum(axis=(1, 2)) - 1.0))),
+                float(np.max(np.abs(w.w.sum(axis=(1, 2)) - 1.0))),
                 float(np.max(np.abs(sm.sum(axis=1) - 1.0))),
                 float(np.max(np.abs(pair.sum(axis=(1, 2)) - 1.0))),
                 # marginalizing pairs over the earlier state reproduces the
                 # smoothed marginal at the later time point
-                float(np.max(np.abs(w.w[1:].sum(axis=1) - sm[1:]))),
+                float(np.max(np.abs(w.w.sum(axis=1) - sm[1:]))),
                 float(np.max(np.abs(pair.sum(axis=1) - marginal))),
             )
     ok = worst < 1e-9 and in_range

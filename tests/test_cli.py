@@ -85,6 +85,19 @@ class TestFit:
         main(["simulate", "--config", cfg_file, "--out", str(out)])
         return out
 
+    def test_one_regime_round_trip(self, tmp_path):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["simulation"].update(b=[4.0], q=[[0.0]])
+        p = tmp_path / "one.json"
+        p.write_text(json.dumps(cfg))
+        sim, out = tmp_path / "sim", tmp_path / "fit"
+        assert main(["simulate", "--config", str(p), "--out", str(sim)]) == 0
+        assert main(["fit", "--config", str(p), "--data", str(sim / "path.csv"),
+                     "--out", str(out)]) == 0
+        result = json.loads(read(out / "result.json"))
+        assert len(result["estimate"]["b"]) == 1
+        assert read(out / "trace.csv").startswith("iter,b1,lambda,delta,")
+
     def test_writes_result_and_trace(self, cfg_file, tmp_path, sim_out):
         out = tmp_path / "fit"
         rc = main([
@@ -208,7 +221,8 @@ class TestExperiment:
         assert read(a / "summary.csv") == read(b / "summary.csv")
         assert read(a / "rep_0002_trace.csv") == read(b / "rep_0002_trace.csv")
 
-    def test_all_failures_exit_3(self, tmp_path):
+    def test_all_failures_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("SWITCHEM_SEED", raising=False)
         # starting the path at 1e200 overflows every squared residual in
         # the filter, so each replication fails numerically
         cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -224,6 +238,40 @@ class TestExperiment:
         lines = read(out / "summary.csv").splitlines()
         statuses = [ln.split(",")[-1] for ln in lines[1:]]
         assert statuses == ["numerical_failure", "numerical_failure"]
+        # each failed replication prints its reason, in replication order
+        err = capsys.readouterr().err.splitlines()
+        assert [ln.split(": ", 1)[0] for ln in err] == [
+            "replication 1 (seed 43) failed", "replication 2 (seed 44) failed"
+        ]
+        assert all("forward filter normalizer" in ln for ln in err), err
+
+    @pytest.mark.parametrize("jobs,reps,workers", [(64, 2, [2]), (64, 1, []), (1, 2, [])])
+    def test_pool_never_exceeds_replications(self, tmp_path, monkeypatch, jobs, reps,
+                                             workers):
+        # a fork pool starts all of its workers at the first submit
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("switchem.cli.ProcessPoolExecutor", SerialPool)
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["experiment"] = {"replications": reps}
+        p = tmp_path / "pool.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(p), "--out", str(tmp_path / "o"),
+                     "--jobs", str(jobs)]) == 0
+        assert seen == workers
 
     def test_kernel_diagonal_at_zero_does_not_abort(self, tmp_path):
         # from its random start, seed 1046 drives a generator row to
@@ -545,6 +593,16 @@ class TestInputRanges:
         assert self.run(tmp_path, path_csv, "simulate", cfg) == 2
         self.assert_refused(capsys.readouterr(), tmp_path, "bad simulation section: ")
 
+    def test_infinite_step_exits_2(self, tmp_path, capsys):
+        # the JSON number 1e400 loads as inf; a one-state chain with q = 0
+        # bounds no step, so the step itself must be finite
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["simulation"].update(b=[4.0], q=[[0.0]], horizon_t=10.0, obs_step_h=0.1)
+        p = tmp_path / "inf.json"
+        p.write_text(json.dumps(cfg).replace('"obs_step_h": 0.1', '"obs_step_h": 1e400'))
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        self.assert_refused(capsys.readouterr(), tmp_path, "bad simulation section: ")
+
     def test_integer_over_the_digit_limit_exits_2(self, tmp_path, path_csv, capsys):
         p = tmp_path / "huge.json"
         p.write_text(json.dumps(BASE_CONFIG).replace('"lambda": 2.0', '"lambda": 1' + "0" * 5000))
@@ -577,6 +635,8 @@ class TestInputRanges:
             ("init_b_range", [5.0, 1.0], "init_b_range must be (low, high) with low <= high"),
             ("init_lambda_range", [-2.0, -1.0], "init_lambda_range and init_delta_range"),
             ("init_delta_range", [-1.0, 0.0], "init_lambda_range and init_delta_range"),
+            ("init_lambda_range", [-1.0, 1.0], "init_lambda_range and init_delta_range"),
+            ("init_delta_range", [-0.5, 2.0], "init_lambda_range and init_delta_range"),
         ],
     )
     def test_init_range_without_a_start_exits_2(
@@ -648,6 +708,21 @@ class TestOptionalOutputs:
             f"{self.fmt(k * fine.step)},{int(a)}" for k, a in enumerate(fine.states)
         ]
         assert len(set(fine.states.tolist())) == 2  # both labels appear
+
+    def test_probs_csv_starts_from_initial_filter_probs(self, cfg_file, tmp_path):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg_file, "--out", str(sim)]) == 0
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["em"] = {"max_iters": 20, "theta0": [6.0, 3.0, 2.0, 1.0],
+                     "initial_filter_probs": [0.0, 1.0]}
+        cfg["experiment"] = {"emit_probs": True}
+        p = tmp_path / "start.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "fit"
+        assert main(["fit", "--config", str(p), "--data", str(sim / "path.csv"),
+                     "--out", str(out), "--stable-output"]) == 0
+        # the fit filtered from regime 2, and so must the reported probabilities
+        assert read(out / "probs.csv").splitlines()[1].split(",")[:2] == ["0", "0"]
 
     def test_probs_csv(self, cfg_file, tmp_path):
         sim = tmp_path / "sim"

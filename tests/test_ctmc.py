@@ -23,11 +23,14 @@ class TestValidateGenerator:
         with pytest.raises(ConfigError):
             validate_generator([[-1.0, 1.0]])
 
-    def test_rejects_single_state_by_default(self):
-        with pytest.raises(ConfigError):
-            validate_generator([[0.0]])
-        g = validate_generator([[0.0]], allow_single_state=True)
+    def test_accepts_single_state(self):
+        g = validate_generator([[0.0]])
         assert g.n_states == 1
+
+    @pytest.mark.parametrize("q", [[], [[]], np.zeros((0, 0))])
+    def test_rejects_empty(self, q):
+        with pytest.raises(ConfigError):
+            validate_generator(q)
 
     def test_rejects_negative_offdiagonal(self):
         with pytest.raises(ConfigError, match=r"q\[1,2\]"):
@@ -45,7 +48,7 @@ class TestValidateGenerator:
         # a one-state chain has nowhere to go, so it raises no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            g = validate_generator([[0.0]], allow_single_state=True)
+            g = validate_generator([[0.0]])
         assert g.q.tolist() == [[0.0]]
 
     def test_result_is_readonly(self):
@@ -111,7 +114,7 @@ class TestSimulateChain:
         g = validate_generator(BENCH_Q)
         p = simulate_chain(g, 0.01, 1000, 2, np.random.default_rng(0))
         assert p.states.shape == (1001,)
-        assert p.t0_state == 2
+        assert p.states[0] == 2
         assert set(np.unique(p.states)) <= {1, 2}
 
     def test_stationary_occupancy(self):

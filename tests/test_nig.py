@@ -4,9 +4,9 @@ from scipy import integrate
 
 from switchem import (
     NigParams,
+    cauchy_density,
     nig_density,
     sample_nig,
-    std_cauchy_density,
     std_cauchy_limit_check,
 )
 
@@ -81,4 +81,4 @@ class TestCauchyLimit:
             std_cauchy_limit_check(0.3, 1.0, [0.1, 0.2])
 
     def test_cauchy_density_value(self):
-        assert std_cauchy_density(0.0) == pytest.approx(1.0 / np.pi)
+        assert cauchy_density(0.0) == pytest.approx(1.0 / np.pi)

@@ -40,6 +40,16 @@ class TestSimulationConfig:
         with pytest.raises(ConfigError, match="step"):
             SimulationConfig(theta, 0.3, g, 10.0, 0.5, fine_factor=10)
 
+    def test_accepts_fine_step_at_the_chain_bound(self):
+        # fine step 1/10 = 1/max exit rate gives 1 + q_11*h = 0, the bound
+        # the chain kernel admits: the chain leaves state 1 at every step
+        theta = Theta(np.array([6.0, 3.0]), 2.0, 1.0)
+        g = validate_generator([[-10.0, 10.0], [1.0, -1.0]])
+        cfg = SimulationConfig(theta, 0.3, g, 10.0, 1.0, fine_factor=10, seed=5)
+        obs, _, fine = simulate_path(cfg)
+        assert obs.n == 10
+        assert not np.any((fine.states[:-1] == 1) & (fine.states[1:] == 1))
+
     def test_dimension_mismatch(self):
         theta = Theta(np.array([6.0, 3.0, 1.0]), 2.0, 1.0)
         with pytest.raises(ConfigError):
@@ -91,7 +101,7 @@ class TestSimulatePath:
         # with zero noise and a single regime the path tracks the ODE
         # solution toward b, so X_t = b (1 - (1 - lam*step)^k)
         theta = Theta(np.array([5.0]), 1.0, 1.0)
-        g = validate_generator([[0.0]], allow_single_state=True)
+        g = validate_generator([[0.0]])
         cfg = SimulationConfig(theta, 0.3, g, 10.0, 0.1, fine_factor=10, seed=0)
         obs, _, chain = simulate_path(cfg, increments=np.zeros(1000))
         k = np.arange(0, 1001, 10)

@@ -101,7 +101,7 @@ class TestBackwardSmooth:
         theta, g, obs = small_instance(rng, n=150)
         fs = forward_filter(theta, g, obs)
         w = backward_smooth(fs)
-        np.testing.assert_allclose(w.w[1:].sum(axis=(1, 2)), 1.0, atol=1e-12)
+        np.testing.assert_allclose(w.w.sum(axis=(1, 2)), 1.0, atol=1e-12)
         assert np.all(w.w >= 0.0) and np.all(w.w <= 1.0)
 
     def test_terminal_marginal_is_filtered(self):
@@ -113,7 +113,7 @@ class TestBackwardSmooth:
         np.testing.assert_allclose(sm[-1], fs.filtered[-1], atol=1e-12)
         # marginalizing the pair weights over i reproduces the smoothed
         # marginal at the later time point
-        np.testing.assert_allclose(w.w[1:].sum(axis=1), sm[1:], atol=1e-10)
+        np.testing.assert_allclose(w.w.sum(axis=1), sm[1:], atol=1e-10)
 
     def test_close_to_enumeration_when_weakly_informative(self):
         # the backward pass drops the next emission's information about
@@ -135,7 +135,7 @@ class TestBackwardSmooth:
         _, ref_pair, _ = enumerate_filter_smoother(
             obs.x, obs.h, theta.b, theta.lam, theta.delta, a, np.full(2, 0.5)
         )
-        assert np.max(np.abs(w.w[1:] - ref_pair[1:])) < 1e-2
+        assert np.max(np.abs(w.w - ref_pair)) < 1e-2
 
     def test_approximation_error_can_be_large(self):
         # with strongly discriminating observations the dropped emission
@@ -148,7 +148,7 @@ class TestBackwardSmooth:
         _, ref_pair, _ = enumerate_filter_smoother(
             obs.x, obs.h, theta.b, theta.lam, theta.delta, a, np.full(2, 0.5)
         )
-        gap = np.max(np.abs(w.w[1:] - ref_pair[1:]))
+        gap = np.max(np.abs(w.w - ref_pair))
         assert gap > 1e-2  # the approximation is not exact in general
 
 
@@ -192,8 +192,8 @@ class TestScanMatchesLoop:
         obs = ObservationSeries(np.array(x), 0.1)
         fs = assert_scan_matches_loop(theta, g, obs)
         dens = cauchy_density_matrix(theta, obs)
-        unscaled = (dens[2][:, None] * fs.kernel * fs.filtered[1][:, None]).sum()
-        assert unscaled == 0.0 and dens[2].max() > 0.0
+        unscaled = (dens[1][:, None] * fs.kernel * fs.filtered[1][:, None]).sum()
+        assert unscaled == 0.0 and dens[1].max() > 0.0
         np.testing.assert_allclose(fs.filtered[2], [1e-13, 1.0], rtol=1e-12)
 
     @pytest.mark.parametrize("start", [[1.0, 0.0], [0.0, 1.0], None])
