@@ -25,8 +25,9 @@ string, a list of numbers, or (``simulation.q``) a list of such lists;
 Seeds (``simulation.seed``, ``em.init_seed``, ``SWITCHEM_SEED``) are
 non-negative integers, and ``em.init_lambda_range`` and
 ``em.init_delta_range`` have lows >= 0.  ``null`` means the key is absent;
-a value of another kind, or an integer too large for a float where a number
-is expected, exits 2, naming the key.
+a value of another kind, or a number too large for a float (a literal such
+as ``1e400``, or an integer of over 308 digits) where a number is expected,
+exits 2, naming the key.
 
 Exit codes: 0 success, 2 configuration or input-schema error, 3 numerical
 failure (for experiments: more than half of the replications failed; each
@@ -52,6 +53,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -107,21 +109,27 @@ def _load_config(path: str) -> dict:
 
 _REQUIRED = object()
 
-# kind: (what a value must be, its test on a json-loaded value, its conversion);
-# ``type(v)`` rather than ``isinstance`` keeps bools out of the numbers
+
+def _is_number(v) -> bool:
+    """An int, or a finite float: ``json`` loads a literal such as 1e400 as
+    inf.  ``type(v)`` rather than ``isinstance`` keeps bools out."""
+    return type(v) is int or (type(v) is float and math.isfinite(v))
+
+
+# kind: (what a value must be, its test on a json-loaded value, its conversion)
 _KINDS = {
-    "number": ("a number", lambda v: type(v) in (int, float), float),
+    "number": ("a finite number", _is_number, float),
     "int": ("an integer", lambda v: type(v) is int, int),
     "seed": ("a non-negative integer", lambda v: type(v) is int and v >= 0, int),
     "bool": ("true or false", lambda v: type(v) is bool, bool),
     "str": ("a string", lambda v: type(v) is str, str),
     "numbers": (
-        "a list of numbers",
-        lambda v: type(v) is list and all(type(x) in (int, float) for x in v),
+        "a list of finite numbers",
+        lambda v: type(v) is list and all(map(_is_number, v)),
         lambda v: tuple(map(float, v)),
     ),
     "matrix": (
-        "a list of lists of numbers",
+        "a list of lists of finite numbers",
         lambda v: type(v) is list and all(_KINDS["numbers"][1](row) for row in v),
         lambda v: [list(map(float, row)) for row in v],
     ),
@@ -234,14 +242,15 @@ def _csv_text(header: list[str], columns) -> str:
     return "\n".join([",".join(header), *rows]) + "\n"
 
 
+def _coords(n_states: int) -> list[str]:
+    """Names of the theta coordinates: b1..bN, lambda, delta."""
+    return [f"b{i + 1}" for i in range(n_states)] + ["lambda", "delta"]
+
+
 def _trace_csv_text(result: EmResult, stable: bool) -> str:
     recs, n_states = result.trace, result.theta.n_states
     theta = np.reshape([rec.theta for rec in recs], (len(recs), n_states + 2))
-    header = (
-        ["iter"]
-        + [f"b{i + 1}" for i in range(n_states)]
-        + ["lambda", "delta", "H", "stat", "elapsed_ms"]
-    )
+    header = ["iter", *_coords(n_states), "H", "stat", "elapsed_ms"]
     return _csv_text(header, [
         [rec.iteration for rec in recs],
         *theta.T,
@@ -343,7 +352,7 @@ def cmd_fit(args) -> int:
     t_start = time.perf_counter()
     result = em_fit(obs, g, em_cfg)
     elapsed_ms = 0.0 if args.stable_output else (time.perf_counter() - t_start) * 1e3
-    est, _ = sort_regimes(result.theta)
+    est = sort_regimes(result.theta)
     payload = {
         "estimate": {
             "b": [float(v) for v in est.b],
@@ -355,12 +364,8 @@ def cmd_fit(args) -> int:
         "elapsed_ms": elapsed_ms,
     }
     if truth is not None:
-        qe = quadratic_error(est, sort_regimes(truth)[0])
-        payload["quadratic_error"] = {
-            **{f"b{i + 1}": float(qe[i]) for i in range(g.n_states)},
-            "lambda": float(qe[-2]),
-            "delta": float(qe[-1]),
-        }
+        qe = quadratic_error(est, sort_regimes(truth))
+        payload["quadratic_error"] = dict(zip(_coords(g.n_states), map(float, qe)))
     payload["config"] = cfg
     payload["seed"] = seed
     _write_atomic(out / "result.json", json.dumps(payload, indent=2) + "\n")
@@ -388,11 +393,10 @@ def _run_replication(packed) -> dict:
         result = em_fit(obs, sc.generator, dataclasses.replace(em_cfg, init_seed=(seed, 1)))
         if result.status == "numerical_failure":
             raise NumericalFailure(result.message)
-        est, _ = sort_regimes(result.theta)
-        truth, _ = sort_regimes(sc.theta_true)
+        est = sort_regimes(result.theta)
         row.update(
             estimate=est.to_vector().tolist(),
-            qe=quadratic_error(est, truth).tolist(),
+            qe=quadratic_error(est, sort_regimes(sc.theta_true)).tolist(),
             iters=result.iterations,
             status=result.status,
             trace=_trace_csv_text(result, stable),
@@ -429,13 +433,9 @@ def cmd_experiment(args) -> int:
         rows = [_run_replication(t) for t in tasks]
 
     n = sc.theta_true.n_states
-    est_names = [f"b{i + 1}" for i in range(n)] + ["lambda", "delta"]
-    header = (
-        ["rep", "seed"]
-        + est_names
-        + [f"qe_{c}" for c in est_names]
-        + ["iters", "status"]
-    )
+    header = [
+        "rep", "seed", *_coords(n), *[f"qe_{c}" for c in _coords(n)], "iters", "status"
+    ]
     lines = [",".join(header)]
     ok_rows = []
     for row in rows:

@@ -121,26 +121,23 @@ def _force_row_sum_one(row: np.ndarray, i: int) -> None:
     """
     for _ in range(8):
         err = row.sum() - 1.0
-        if err == 0.0:
-            return
-        if abs(err) > np.finfo(float).eps * 4:
-            row[int(np.argmax(row))] -= err
-            continue
-        # err is down to a few ulps of 1; scan sub-ulp-of-1 perturbations of
-        # each entry (intermediate pairwise roundings make an analytic hit
-        # impossible, but some nearby perturbation always rounds to 1)
-        for k in range(row.size):
-            old = row[k]
-            step = np.spacing(old)
-            if step == 0.0:
-                continue
-            for m in range(-64, 65):
-                row[k] = old + m * step
-                if row[k] >= 0.0 and row.sum() - 1.0 == 0.0:
-                    return
-            row[k] = old
-    if row.sum() != 1.0:
-        raise NumericalFailure(f"cannot normalize kernel row {i + 1} exactly")
+        if abs(err) <= np.finfo(float).eps * 4:
+            break
+        row[int(np.argmax(row))] -= err
+    if row.sum() == 1.0:
+        return
+    # err is down to a few ulps of 1; scan sub-ulp-of-1 perturbations of
+    # each entry (intermediate pairwise roundings make an analytic hit
+    # impossible, but some nearby perturbation always rounds to 1)
+    for k in range(row.size):
+        old = row[k]
+        step = np.spacing(old)
+        for m in range(-64, 65):
+            row[k] = old + m * step
+            if row[k] >= 0.0 and row.sum() - 1.0 == 0.0:
+                return
+        row[k] = old
+    raise NumericalFailure(f"cannot normalize kernel row {i + 1} exactly")
 
 
 def simulate_chain(

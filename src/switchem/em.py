@@ -273,20 +273,18 @@ def update_generator(
 
 
 def em_fit(
-    obs: ObservationSeries,
-    g: GeneratorMatrix,
-    cfg: EmConfig | None = None,
-    theta0: Theta | None = None,
+    obs: ObservationSeries, g: GeneratorMatrix, cfg: EmConfig | None = None
 ) -> EmResult:
-    """Run the EM loop; returns an :class:`EmResult`.
+    """Run the EM loop from ``cfg.initial_theta``; returns an :class:`EmResult`.
 
-    ``theta0`` overrides the config initialization policy.  Numerical
-    breakdown does not raise: the result carries status
-    'numerical_failure', the last good iterate, and a message.
+    The start is ``cfg.theta0`` when set, else a draw seeded by
+    ``cfg.init_seed``; either way its size is checked against the N states
+    of ``g``.  Numerical breakdown does not raise: the result carries
+    status 'numerical_failure', the last good iterate, and a message.
     """
     if cfg is None:
         cfg = EmConfig()
-    theta = theta0 if theta0 is not None else cfg.initial_theta(g.n_states)
+    theta = cfg.initial_theta(g.n_states)
     boxes = cfg.theta_boxes(g.n_states)
     gen = g
     trace: list[IterationRecord] = []
@@ -335,15 +333,15 @@ def em_fit(
     return EmResult(theta, gen, trace, "max_iters_reached", cfg.max_iters)
 
 
-def sort_regimes(theta: Theta) -> tuple[Theta, np.ndarray]:
-    """Order regimes by decreasing level b; returns (theta, permutation).
+def sort_regimes(theta: Theta) -> Theta:
+    """The same theta with its regimes ordered by decreasing level b.
 
     Regime labels are exchangeable in the likelihood, so estimates are only
     identified up to relabelling; sorting fixes a canonical order for
     reporting and error computation.
     """
     perm = np.argsort(-theta.b, kind="stable")
-    return _iterate(np.append(theta.b[perm], [theta.lam, theta.delta])), perm
+    return _iterate(np.append(theta.b[perm], [theta.lam, theta.delta]))
 
 
 def quadratic_error(theta_hat: Theta, theta_true: Theta) -> np.ndarray:

@@ -86,13 +86,14 @@ def cauchy_density(z, scale: float = 1.0):
     return scale / (np.pi * (scale * scale + z * z))
 
 
-def std_cauchy_limit_check(a: float, delta: float, h_values, n_grid: int = 2001) -> np.ndarray:
+def std_cauchy_limit_check(a: float, delta: float, h_values) -> np.ndarray:
     """Sup-norm gaps between NIG(a*h*|delta|, 0, 1, 0) and the standard Cauchy.
 
     For each step size h in the strictly decreasing sequence ``h_values``,
-    evaluates both densities on a fixed grid z in [-10, 10] and returns the
-    maximal absolute difference.  The gaps shrink as h decreases, which is
-    the small-time Cauchy limit of the rescaled NIG increment.
+    evaluates both densities on 2001 equally spaced points z in [-10, 10]
+    and returns the maximal absolute difference.  The gaps shrink as h
+    decreases, which is the small-time Cauchy limit of the rescaled NIG
+    increment.
     """
     h_values = np.asarray(h_values, dtype=float)
     if h_values.ndim != 1 or h_values.size == 0:
@@ -101,7 +102,7 @@ def std_cauchy_limit_check(a: float, delta: float, h_values, n_grid: int = 2001)
         raise ValueError("h_values must be positive")
     if h_values.size > 1 and np.any(np.diff(h_values) >= 0.0):
         raise ValueError("h_values must be strictly decreasing")
-    grid = np.linspace(-10.0, 10.0, n_grid)
+    grid = np.linspace(-10.0, 10.0, 2001)
     cauchy = cauchy_density(grid)
     gaps = np.empty_like(h_values)
     for idx, h in enumerate(h_values):

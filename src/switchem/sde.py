@@ -59,8 +59,8 @@ class SimulationConfig:
     def __post_init__(self):
         if not (self.a_nuisance > 0.0):
             raise ConfigError(f"a must be > 0, got {self.a_nuisance}")
-        if not (self.horizon_t > 0.0) or not (self.obs_step_h > 0.0):
-            raise ConfigError("horizon_t and obs_step_h must be > 0")
+        if not (0.0 < self.horizon_t < np.inf) or not (0.0 < self.obs_step_h < np.inf):
+            raise ConfigError("horizon_t and obs_step_h must be finite and > 0")
         if self.fine_factor < 1:
             raise ConfigError(f"fine_factor must be >= 1, got {self.fine_factor}")
         if self.theta_true.n_states != self.generator.n_states:
@@ -92,38 +92,21 @@ class SimulationConfig:
         return 1 + int(np.argmax(self.theta_true.b))
 
 
-def simulate_path(
-    cfg: SimulationConfig,
-    rng: np.random.Generator | None = None,
-    *,
-    increments: np.ndarray | None = None,
-) -> tuple[ObservationSeries, ChainPath, ChainPath]:
+def simulate_path(cfg: SimulationConfig) -> tuple[ObservationSeries, ChainPath, ChainPath]:
     """Simulate one path; returns (observations, chain at obs grid, fine chain).
 
-    The RNG is consumed in a fixed order (chain first, then noise) so runs
-    are reproducible given ``cfg.seed`` or an explicit ``rng``.
-    ``increments`` overrides the noise draw with a caller-supplied array of
-    fine-grid increments (used by coupling tests); its length must be the
-    number of fine steps.
+    All randomness comes from ``default_rng(cfg.seed)``, drawn in a fixed
+    order: the fine-grid chain first, then the fine-grid noise increments.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     n_fine = cfg.n_obs * cfg.fine_factor
     step = cfg.fine_step
     chain = simulate_chain(cfg.generator, step, n_fine, cfg.initial_state, rng)
-    if increments is None:
-        increments = sample_nig(
-            NigParams(cfg.a_nuisance, cfg.theta_true.delta, step), max(n_fine, 1), rng
-        )[:n_fine]
-    else:
-        increments = np.asarray(increments, dtype=float)
-        if increments.shape != (n_fine,):
-            raise ConfigError(
-                f"increments must have shape ({n_fine},), got {increments.shape}"
-            )
-    x_fine = euler_path(
-        cfg.x0, cfg.theta_true, chain.states, increments, step
-    )
+    # a grid can round to zero steps, and the sampler needs a positive count
+    increments = sample_nig(
+        NigParams(cfg.a_nuisance, cfg.theta_true.delta, step), max(n_fine, 1), rng
+    )[:n_fine]
+    x_fine = euler_path(cfg.x0, cfg.theta_true, chain.states, increments, step)
     x_obs = x_fine[:: cfg.fine_factor]
     obs_chain = ChainPath(chain.states[:: cfg.fine_factor], cfg.obs_step_h)
     return ObservationSeries(x_obs, cfg.obs_step_h), obs_chain, chain
@@ -198,35 +181,28 @@ class ConvergenceReport:
 
     gaps: np.ndarray
     ratios: np.ndarray
-    steps: np.ndarray
     n_reps: int
 
 
 def self_convergence_test(
-    cfg: SimulationConfig,
-    levels: int = 3,
-    n_reps: int = 200,
-    *,
-    zero_noise: bool = False,
-    rng: np.random.Generator | None = None,
+    cfg: SimulationConfig, levels: int = 3, n_reps: int = 200
 ) -> ConvergenceReport:
     """Estimate coupled strong self-convergence rates of the Euler scheme.
 
     Builds ``levels + 1`` refinement levels with steps h / f^l (f =
-    ``cfg.fine_factor``).  Per replication, one chain path and one pool of
-    NIG increments are drawn on the finest grid; coarser levels reuse the
-    same chain (subsampled) and the same noise (aggregated by summation),
-    so level differences isolate the drift discretization error.  With
-    ``zero_noise`` the increments are zeroed, giving the deterministic
-    drift-only benchmark.  The noise is additive, so Euler has strong
-    order 1 and the returned ratios are expected near ``cfg.fine_factor**2``.
+    ``cfg.fine_factor``).  Per replication, one chain path and then one
+    pool of NIG increments are drawn on the finest grid from
+    ``default_rng(cfg.seed)``; coarser levels reuse the same chain
+    (subsampled) and the same noise (aggregated by summation), so level
+    differences isolate the drift discretization error.  The noise is
+    additive, so Euler has strong order 1 and the returned ratios are
+    expected near ``cfg.fine_factor**2``.
     """
     if levels < 1:
         raise ConfigError(f"levels must be >= 1, got {levels}")
     if n_reps < 1:
         raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     f = cfg.fine_factor
     if f < 2:
         raise ConfigError("fine_factor must be >= 2 for refinement levels")
@@ -242,13 +218,9 @@ def self_convergence_test(
         states[r] = simulate_chain(
             cfg.generator, finest_step, n_finest, cfg.initial_state, rng
         ).states
-        if zero_noise:
-            incr[r] = 0.0
-        else:
-            incr[r] = sample_nig(p_noise, n_finest, rng)
+        incr[r] = sample_nig(p_noise, n_finest, rng)
 
     paths = []
-    steps = []
     for lvl in range(levels + 1):
         sub = f ** (levels - lvl)
         step_l = finest_step * sub
@@ -258,11 +230,10 @@ def self_convergence_test(
             for r in range(n_reps)
         ])
         paths.append(full[:, :: f**lvl])  # thin to the coarse observation grid
-        steps.append(step_l)
 
     gaps = np.empty(levels)
     for lvl in range(levels):
         diff = paths[lvl] - paths[lvl + 1]
         gaps[lvl] = float(np.mean(np.max(diff * diff, axis=1)))
     ratios = gaps[:-1] / gaps[1:] if levels > 1 else np.empty(0)
-    return ConvergenceReport(gaps, ratios, np.asarray(steps[:-1]), n_reps)
+    return ConvergenceReport(gaps, ratios, n_reps)

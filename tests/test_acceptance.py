@@ -161,10 +161,10 @@ def test_criterion_3_ascent_violations_vanish_with_step_size():
     g = bench_generator()
     cfg = SimulationConfig(theta, 0.3, g, 100.0, 0.1, seed=303)
     obs, _, _ = simulate_path(cfg)
-    theta0 = Theta(np.array([5.0, 2.0]), 1.0, 2.0)
     counts = []
     for rho in (1e-4, 5e-5, 2.5e-5):
-        res = em_fit(obs, g, EmConfig(epsilon=1e-3, rho=rho, max_iters=300), theta0)
+        start = EmConfig(epsilon=1e-3, rho=rho, max_iters=300, theta0=(5.0, 2.0, 1.0, 2.0))
+        res = em_fit(obs, g, start)
         counts.append(res.ascent_violations)
         FITTED_PATHS.append((res.theta, g, obs))
     ok = all(c2 <= c1 for c1, c2 in zip(counts, counts[1:])) and counts[-1] == 0
@@ -187,7 +187,7 @@ def test_criterion_4_long_horizon_recovery():
         cfg = SimulationConfig(theta, 0.3, g, 1000.0, 0.1, seed=seed)
         obs, _, _ = simulate_path(cfg)
         res = em_fit(obs, g, EmConfig(epsilon=0.05, rho=1e-4, init_seed=(seed, 1)))
-        est, _ = sort_regimes(res.theta)
+        est = sort_regimes(res.theta)
         estimates.append(est.to_vector())
         FITTED_PATHS.append((res.theta, g, obs))
     med = np.median(np.asarray(estimates), axis=0)

@@ -461,8 +461,9 @@ class TestConfigTypes:
 
     @staticmethod
     def run(tmp_path, path_csv, command, cfg, out_name="out"):
+        """Run ``command`` on ``cfg``, a dict or already serialized JSON text."""
         p = tmp_path / f"{out_name}.json"
-        p.write_text(json.dumps(cfg))
+        p.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
         args = [command, "--config", str(p), "--out", str(tmp_path / out_name)]
         if command == "fit":
             args += ["--data", path_csv, "--stable-output"]
@@ -587,6 +588,32 @@ class TestInputRanges:
         assert self.run(tmp_path, path_csv, command, cfg) == 2
         self.assert_refused(capsys.readouterr(), tmp_path, f"{section}.{key} must be ")
 
+    @pytest.mark.parametrize(
+        "command,section,key,literal",
+        [
+            pytest.param(command, section, key, literal, id=f"{command}-{section}.{key}")
+            for command, section, key, literal in (
+                ("simulate", "simulation", "lambda", "1e400"),
+                ("simulate", "simulation", "delta", "1e400"),
+                ("simulate", "simulation", "a", "1e400"),
+                ("simulate", "simulation", "horizon_t", "1e400"),
+                ("fit", "simulation", "lambda", "1e400"),
+                ("fit", "em", "rho", "1e400"),
+                ("fit", "em", "epsilon", "1e400"),
+                ("experiment", "em", "b_box", "[-10.0, 1e400]"),
+            )
+        ],
+    )
+    def test_number_literal_overflowing_a_float_exits_2(
+        self, tmp_path, path_csv, capsys, command, section, key, literal
+    ):
+        # json loads the literal 1e400 as inf, which json.dumps cannot write
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg[section][key] = "@literal"
+        text = json.dumps(cfg).replace('"@literal"', literal)
+        assert self.run(tmp_path, path_csv, command, text) == 2
+        self.assert_refused(capsys.readouterr(), tmp_path, f"{section}.{key} must be ")
+
     def test_fine_factor_too_large_for_a_float_exits_2(self, tmp_path, path_csv, capsys):
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["simulation"]["fine_factor"] = 10**400
@@ -601,7 +628,7 @@ class TestInputRanges:
         p = tmp_path / "inf.json"
         p.write_text(json.dumps(cfg).replace('"obs_step_h": 0.1', '"obs_step_h": 1e400'))
         assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
-        self.assert_refused(capsys.readouterr(), tmp_path, "bad simulation section: ")
+        self.assert_refused(capsys.readouterr(), tmp_path, "simulation.obs_step_h must be ")
 
     def test_integer_over_the_digit_limit_exits_2(self, tmp_path, path_csv, capsys):
         p = tmp_path / "huge.json"
@@ -763,12 +790,12 @@ class TestStartingPoint:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         return ObservationSeries(data[:, 1], float(data[1, 0] - data[0, 0]))
 
-    def random_start(self, seed):
-        return dataclasses.replace(self.EM, init_seed=(seed, 1)).initial_theta(2)
+    def seeded(self, seed):
+        return dataclasses.replace(self.EM, init_seed=(seed, 1))
 
     @staticmethod
     def estimate(result):
-        return sort_regimes(result.theta)[0].to_vector().tolist()
+        return sort_regimes(result.theta).to_vector().tolist()
 
     def fit_cli(self, cfg_file, tmp_path, em_section):
         sim = tmp_path / "sim"
@@ -786,7 +813,7 @@ class TestStartingPoint:
     def test_fit_draws_start_from_simulation_seed(self, cfg_file, tmp_path):
         got, obs = self.fit_cli(cfg_file, tmp_path, BASE_CONFIG["em"])
         _, g = self.sim_truth()
-        want = em_fit(obs, g, self.EM, self.random_start(42))
+        want = em_fit(obs, g, self.seeded(42))
         assert got == self.estimate(want)
 
     def test_fit_honours_init_seed(self, cfg_file, tmp_path):
@@ -794,7 +821,7 @@ class TestStartingPoint:
         _, g = self.sim_truth()
         em = EmConfig(epsilon=0.05, rho=0.0001, max_iters=120, init_seed=7)
         assert got == self.estimate(em_fit(obs, g, em))
-        assert got != self.estimate(em_fit(obs, g, self.EM, self.random_start(42)))
+        assert got != self.estimate(em_fit(obs, g, self.seeded(42)))
 
     def test_experiment_draws_one_start_per_replication(self, cfg_file, tmp_path):
         out = tmp_path / "exp"
@@ -807,5 +834,5 @@ class TestStartingPoint:
             seed = s["seed"] + r
             sc = SimulationConfig(truth, s["a"], g, s["horizon_t"], s["obs_step_h"], seed=seed)
             obs, _, _ = simulate_path(sc)
-            want = self.estimate(em_fit(obs, g, self.EM, self.random_start(seed)))
+            want = self.estimate(em_fit(obs, g, self.seeded(seed)))
             assert row.split(",")[:6] == [str(r), str(seed)] + [format(v, ".9g") for v in want]

@@ -3,10 +3,13 @@ import pytest
 
 from switchem import (
     ConfigError,
+    NigParams,
     SimulationConfig,
     Theta,
     euler_path,
+    sample_nig,
     self_convergence_test,
+    simulate_chain,
     simulate_path,
     validate_generator,
 )
@@ -72,18 +75,16 @@ class TestSimulatePath:
         np.testing.assert_array_equal(x1, x2)
 
     def test_custom_increments_reproduce_euler(self, bench_cfg):
-        rng = np.random.default_rng(4)
-        inc = rng.normal(0.0, 0.05, bench_cfg.n_obs * bench_cfg.fine_factor)
-        obs, _, chain_fine = simulate_path(
-            bench_cfg, np.random.default_rng(bench_cfg.seed), increments=inc
-        )
-        x = euler_path(
-            bench_cfg.x0,
-            bench_cfg.theta_true,
-            chain_fine.states,
-            inc,
-            bench_cfg.fine_step,
-        )
+        # the documented draw order: the fine chain, then the fine noise,
+        # both from default_rng(cfg.seed)
+        obs, _, chain_fine = simulate_path(bench_cfg)
+        rng = np.random.default_rng(bench_cfg.seed)
+        n_fine, step = bench_cfg.n_obs * bench_cfg.fine_factor, bench_cfg.fine_step
+        chain = simulate_chain(bench_cfg.generator, step, n_fine, bench_cfg.initial_state, rng)
+        np.testing.assert_array_equal(chain.states, chain_fine.states)
+        theta = bench_cfg.theta_true
+        inc = sample_nig(NigParams(bench_cfg.a_nuisance, theta.delta, step), n_fine, rng)
+        x = euler_path(bench_cfg.x0, theta, chain.states, inc, step)
         np.testing.assert_array_equal(obs.x, x[::10])
 
     @pytest.mark.parametrize("label", [0, 3])
@@ -93,20 +94,16 @@ class TestSimulatePath:
         with pytest.raises(ConfigError, match="labels must lie in 1..2"):
             euler_path(0.0, bench_cfg.theta_true, states, np.zeros(10), 0.01)
 
-    def test_increments_length_checked(self, bench_cfg):
-        with pytest.raises(ConfigError):
-            simulate_path(bench_cfg, increments=np.zeros(7))
-
     def test_mean_reversion_without_noise(self):
         # with zero noise and a single regime the path tracks the ODE
         # solution toward b, so X_t = b (1 - (1 - lam*step)^k)
         theta = Theta(np.array([5.0]), 1.0, 1.0)
         g = validate_generator([[0.0]])
-        cfg = SimulationConfig(theta, 0.3, g, 10.0, 0.1, fine_factor=10, seed=0)
-        obs, _, chain = simulate_path(cfg, increments=np.zeros(1000))
+        chain = simulate_chain(g, 0.01, 1000, 1, np.random.default_rng(0))
+        x = euler_path(0.0, theta, chain.states, np.zeros(1000), 0.01)
         k = np.arange(0, 1001, 10)
         expected = 5.0 * (1.0 - (1.0 - 1.0 * 0.01) ** k)
-        np.testing.assert_allclose(obs.x, expected, rtol=1e-10)
+        np.testing.assert_allclose(x[::10], expected, rtol=1e-10)
 
     def test_stationary_mean_tracks_regime_mix(self):
         # over a long horizon the path mean approaches the pi-weighted
@@ -122,14 +119,25 @@ class TestSimulatePath:
 class TestSelfConvergence:
     def test_zero_noise_second_order(self):
         # without noise the drift discretization error is the whole story
-        # and the coupled gap shrinks like step^2 (ratio ~ 4 for halving)
+        # and the coupled gap shrinks like step^2 (ratio ~ 4 for halving);
+        # levels 0..3 halve the step 0.1 and share one finest-grid chain
         theta = Theta(np.array([6.0, 3.0]), 2.0, 1.0)
         g = validate_generator(BENCH_Q)
-        cfg = SimulationConfig(theta, 0.3, g, 50.0, 0.1, fine_factor=2, seed=5)
-        rep = self_convergence_test(cfg, levels=3, n_reps=50, zero_noise=True)
-        assert rep.gaps.shape == (3,)
-        assert np.all(np.diff(rep.gaps) < 0.0)
-        assert np.all(rep.ratios > 3.0)
+        rng = np.random.default_rng(5)
+        n_finest, finest_step = 500 * 2**3, 0.1 / 2**3
+        paths = np.empty((4, 50, 501))
+        for r in range(50):
+            states = simulate_chain(g, finest_step, n_finest, 1, rng).states
+            for lvl in range(4):
+                sub = 2 ** (3 - lvl)
+                x = euler_path(0.0, theta, states[::sub], np.zeros(n_finest // sub),
+                               finest_step * sub)
+                paths[lvl, r] = x[:: 2**lvl]  # thin to the observation grid
+        gaps = np.mean(np.max(np.diff(paths, axis=0) ** 2, axis=2), axis=1)
+        ratios = gaps[:-1] / gaps[1:]
+        assert gaps.shape == (3,)
+        assert np.all(np.diff(gaps) < 0.0)
+        assert np.all(ratios > 3.0)
 
     def test_gaps_decrease_with_noise(self):
         theta = Theta(np.array([6.0, 3.0]), 2.0, 1.0)
