@@ -26,8 +26,10 @@ Seeds (``simulation.seed``, ``em.init_seed``, ``SWITCHEM_SEED``) are
 non-negative integers, and ``em.init_lambda_range`` and
 ``em.init_delta_range`` have lows >= 0.  ``null`` means the key is absent;
 a value of another kind, or a number too large for a float (a literal such
-as ``1e400``, or an integer of over 308 digits) where a number is expected,
-exits 2, naming the key.
+as ``1e400``, or an integer of over 308 digits) where a number or an
+integer other than a seed is expected, exits 2, naming the key.  So does a
+``simulation.lambda`` with ``lambda * obs_step_h / fine_factor >= 2``, for
+which the Euler recursion diverges.
 
 Exit codes: 0 success, 2 configuration or input-schema error, 3 numerical
 failure (for experiments: more than half of the replications failed; each
@@ -57,7 +59,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -116,10 +117,17 @@ def _is_number(v) -> bool:
     return type(v) is int or (type(v) is float and math.isfinite(v))
 
 
+def _float_sized(v: int) -> int:
+    """``v``, or OverflowError past the float range: integers such as
+    ``fine_factor`` meet float arithmetic."""
+    float(v)
+    return v
+
+
 # kind: (what a value must be, its test on a json-loaded value, its conversion)
 _KINDS = {
     "number": ("a finite number", _is_number, float),
-    "int": ("an integer", lambda v: type(v) is int, int),
+    "int": ("an integer", lambda v: type(v) is int, _float_sized),
     "seed": ("a non-negative integer", lambda v: type(v) is int and v >= 0, int),
     "bool": ("true or false", lambda v: type(v) is bool, bool),
     "str": ("a string", lambda v: type(v) is str, str),
@@ -385,10 +393,10 @@ def _run_replication(packed) -> dict:
     """Worker entry point: simulate one path with its derived seed and fit it."""
     base, em_cfg, rep, seed, stable = packed
     sc = dataclasses.replace(base, seed=seed)
-    obs, _, _ = simulate_path(sc)
     row = {"rep": rep, "seed": seed, "estimate": None, "qe": None, "iters": 0,
            "status": "numerical_failure", "trace": ""}
     try:
+        obs, _, _ = simulate_path(sc)
         # independent starting point per replication; em.init_seed is ignored
         result = em_fit(obs, sc.generator, dataclasses.replace(em_cfg, init_seed=(seed, 1)))
         if result.status == "numerical_failure":
@@ -427,7 +435,14 @@ def cmd_experiment(args) -> int:
         (sc, em_cfg, r, sc.seed + r, args.stable_output) for r in range(1, reps + 1)
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # imported here: simulate and fit never start a pool.  numpy loads
+        # numpy.random on first use; loading it before the fork lets the
+        # workers inherit it instead of each importing it again per pool
+        import concurrent.futures
+
+        import numpy.random
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_replication, tasks))
     else:
         rows = [_run_replication(t) for t in tasks]

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,10 @@ def nig_density(z, p: NigParams):
     Uses the exponentially scaled K1 so the a*s prefactor never overflows:
     with u = a*sqrt(s^2 + z^2) >= a*s the exponent a*s - u is <= 0.
     """
+    # imported here: scipy.special is most of the package's import time,
+    # and no CLI command evaluates the density
+    from scipy import special
+
     z = np.asarray(z, dtype=float)
     s = p.scale
     root = np.sqrt(s * s + z * z)

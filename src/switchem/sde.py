@@ -74,6 +74,13 @@ class SimulationConfig:
                 f"horizon_t / obs_step_h = {n!r} is not an integer number of steps"
             )
         _check_step(self.generator, self.fine_step)
+        # |1 - lam*step| < 1 with lam > 0; compared as a product, because
+        # 1 - lam*step rounds to 1.0 for a tiny lam*step, which does not diverge
+        if not (self.theta_true.lam * self.fine_step < 2.0):
+            raise ConfigError(
+                f"simulation.lambda * fine step = {self.theta_true.lam!r} * "
+                f"{self.fine_step!r} must be < 2, or the Euler recursion diverges"
+            )
         if self.alpha0 is not None and not (1 <= self.alpha0 <= self.generator.n_states):
             raise ConfigError(f"alpha0 must lie in 1..{self.generator.n_states}")
 

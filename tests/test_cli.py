@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from switchem import (
     EmConfig,
     EvaluationError,
+    NumericalFailure,
     ObservationSeries,
     SimulationConfig,
     Theta,
@@ -18,6 +22,8 @@ from switchem import (
     validate_generator,
 )
 from switchem.cli import _EM_KINDS, main
+
+from oracles import nig_density_direct
 
 BASE_CONFIG = {
     "simulation": {
@@ -245,6 +251,28 @@ class TestExperiment:
         ]
         assert all("forward filter normalizer" in ln for ln in err), err
 
+    def test_failed_simulation_keeps_the_other_rows(self, cfg_file, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.delenv("SWITCHEM_SEED", raising=False)
+        real = simulate_path
+
+        def fail_seed_43(sc):
+            if sc.seed == 43:
+                raise NumericalFailure("chain kernel row does not sum to one")
+            return real(sc)
+
+        monkeypatch.setattr("switchem.cli.simulate_path", fail_seed_43)
+        out = tmp_path / "exp"
+        assert main(["experiment", "--config", cfg_file, "--out", str(out),
+                     "--jobs", "1"]) == 0
+        rows = [ln.split(",") for ln in read(out / "summary.csv").splitlines()[1:]]
+        assert [r[:2] for r in rows] == [["1", "43"], ["2", "44"], ["aggregate", ""]]
+        assert rows[0][-1] == "numerical_failure" and rows[0][2] == ""
+        assert rows[1][-1] != "numerical_failure" and rows[1][2] != ""
+        assert capsys.readouterr().err == (
+            "replication 1 (seed 43) failed: chain kernel row does not sum to one\n"
+        )
+
     @pytest.mark.parametrize("jobs,reps,workers", [(64, 2, [2]), (64, 1, []), (1, 2, [])])
     def test_pool_never_exceeds_replications(self, tmp_path, monkeypatch, jobs, reps,
                                              workers):
@@ -264,7 +292,7 @@ class TestExperiment:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr("switchem.cli.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["experiment"] = {"replications": reps}
         p = tmp_path / "pool.json"
@@ -618,7 +646,19 @@ class TestInputRanges:
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["simulation"]["fine_factor"] = 10**400
         assert self.run(tmp_path, path_csv, "simulate", cfg) == 2
-        self.assert_refused(capsys.readouterr(), tmp_path, "bad simulation section: ")
+        self.assert_refused(capsys.readouterr(), tmp_path, "simulation.fine_factor must be ")
+
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    @pytest.mark.parametrize("lam", [1000.0, 1e300])
+    def test_unstable_euler_step_exits_2(self, tmp_path, path_csv, capsys, command, lam):
+        # at the fine step 0.01, lambda 1000 made the path non-finite and
+        # lambda 1e300 overflowed c**bl in euler_path
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["simulation"]["lambda"] = lam
+        assert self.run(tmp_path, path_csv, command, cfg) == 2
+        self.assert_refused(capsys.readouterr(), tmp_path,
+                            f"bad simulation section: simulation.lambda * fine step = "
+                            f"{lam!r} * 0.01 must be < 2")
 
     def test_infinite_step_exits_2(self, tmp_path, capsys):
         # the JSON number 1e400 loads as inf; a one-state chain with q = 0
@@ -836,3 +876,23 @@ class TestStartingPoint:
             obs, _, _ = simulate_path(sc)
             want = self.estimate(em_fit(obs, g, self.seeded(seed)))
             assert row.split(",")[:6] == [str(r), str(seed)] + [format(v, ".9g") for v in want]
+
+
+def test_cli_import_leaves_out_scipy_and_the_pool():
+    # scipy.special and the process pool were about half of every command's
+    # start-up; only nig_density and experiment --jobs > 1 need them
+    code = """
+import sys
+import switchem.cli
+print(sorted(m for m in ("scipy", "multiprocessing", "concurrent.futures.process")
+             if m in sys.modules))
+import switchem
+print(repr(switchem.nig_density(0.7, switchem.NigParams(1.5, 0.8, 0.5))))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+                          check=True)
+    loaded, density = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert float(density) == pytest.approx(nig_density_direct(0.7, 1.5, 0.4), rel=1e-9)

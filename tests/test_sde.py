@@ -43,6 +43,18 @@ class TestSimulationConfig:
         with pytest.raises(ConfigError, match="step"):
             SimulationConfig(theta, 0.3, g, 10.0, 0.5, fine_factor=10)
 
+    @pytest.mark.parametrize("lam,stable", [(199.99, True), (200.0, False), (1e-300, True)])
+    def test_euler_stability_bound(self, lam, stable):
+        # fine step 0.01: |1 - lam*step| < 1 iff lam*step < 2; at 1e-300,
+        # 1 - lam*step rounds to 1.0, yet the recursion does not diverge
+        theta = Theta(np.array([6.0, 3.0]), lam, 1.0)
+        g = validate_generator(BENCH_Q)
+        if stable:
+            SimulationConfig(theta, 0.3, g, 10.0, 0.1, fine_factor=10)
+        else:
+            with pytest.raises(ConfigError, match=r"simulation\.lambda \* fine step"):
+                SimulationConfig(theta, 0.3, g, 10.0, 0.1, fine_factor=10)
+
     def test_accepts_fine_step_at_the_chain_bound(self):
         # fine step 1/10 = 1/max exit rate gives 1 + q_11*h = 0, the bound
         # the chain kernel admits: the chain leaves state 1 at every step
