@@ -54,7 +54,6 @@ from .smoother import (
     FilterState,
     backward_smooth,
     forward_filter,
-    smooth_regimes,
     smoothed_marginals,
 )
 
@@ -92,7 +91,6 @@ __all__ = [
     "self_convergence_test",
     "simulate_chain",
     "simulate_path",
-    "smooth_regimes",
     "smoothed_marginals",
     "sort_regimes",
     "std_cauchy_limit_check",

@@ -73,8 +73,8 @@ from .em import (
 )
 from .errors import ConfigError, EvaluationError, NumericalFailure
 from .likelihood import ObservationSeries, Theta
-from .sde import GRID_TOL, SimulationConfig, simulate_path
-from .smoother import smooth_regimes
+from .sde import SimulationConfig, simulate_path
+from .smoother import backward_smooth, forward_filter, smoothed_marginals
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -289,10 +289,11 @@ def _read_path_csv(path: str) -> ObservationSeries:
         raise ConfigError(f"cannot read data file {path}: {exc}") from exc
     if len(x_vals) < 2:
         raise ConfigError(f"{path}: need at least two rows")
+    # t is written to 9 significant digits, so h comes from the whole span
+    # and each spacing may be off by about 1e-9 max|t|
     t = np.asarray(t_vals)
-    dt = np.diff(t)
-    h = float(dt[0])
-    if not (h > 0.0 and np.all(np.abs(dt - h) <= GRID_TOL * max(1.0, abs(h)))):
+    h = float(t[-1] - t[0]) / (t.size - 1)
+    if not (h > 0.0 and np.all(np.abs(np.diff(t) - h) <= 1e-8 * np.max(np.abs(t)))):
         raise ConfigError(f"{path}: time column is not an equally spaced grid")
     try:
         return ObservationSeries(np.asarray(x_vals), h, t0=float(t[0]))
@@ -379,9 +380,8 @@ def cmd_fit(args) -> int:
     _write_atomic(out / "result.json", json.dumps(payload, indent=2) + "\n")
     _write_atomic(out / "trace.csv", _trace_csv_text(result, args.stable_output))
     if emit_probs:
-        _, smoothed, _ = smooth_regimes(
-            result.theta, result.generator, obs, em_cfg.initial_filter_probs
-        )
+        fs = forward_filter(result.theta, result.generator, obs, em_cfg.initial_filter_probs)
+        smoothed = smoothed_marginals(fs, backward_smooth(fs))
         t = obs.t0 + np.arange(smoothed.shape[0]) * obs.h
         header = ["t"] + [f"p{i + 1}" for i in range(smoothed.shape[1])]
         _write_atomic(out / "probs.csv", _csv_text(header, [t, *smoothed.T]))

@@ -5,7 +5,8 @@ regime indices); internal arrays are 0-based.
 
 The discrete one-step kernel on a grid of spacing h drops the o(h) terms of
 the generator expansion: stay with probability 1 + q_ii*h, jump i -> k with
-probability q_ik*h.  This requires the step guard h <= 1 / max_i |q_ii|.
+probability q_ik*h; in matrix form A = I + Q h, whose rows sum to one up to
+rounding.  This requires the step guard h <= 1 / max_i |q_ii|.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalFailure
+from .errors import ConfigError
 
 ROW_SUM_TOL = 1e-9
 
@@ -93,51 +94,16 @@ def _check_step(g: GeneratorMatrix, h: float) -> None:
 
 
 def transition_matrix_approx(g: GeneratorMatrix, h: float) -> np.ndarray:
-    """One-step transition kernel A[i,k] = 1{k=i}(1 + q_ii h) + 1{k!=i} q_ik h.
+    """One-step transition kernel A = I + Q h, i.e. A[i,k] = 1{k=i}(1 + q_ii h)
+    + 1{k!=i} q_ik h.
 
-    Rows sum to exactly 1.0: the diagonal is computed as one minus the
-    off-diagonal row sum, with an ulp-level fix-up so ``row.sum() == 1.0``
-    holds exactly, not merely within tolerance.  No entry is negative: at
-    the step bound (1 + q_ii h == 0) the off-diagonal sum can round past
-    1, so the diagonal is clamped at 0 and the fix-up moves an off-diagonal
-    entry instead.
+    Every entry lies in [0, 1]: the diagonal is the expression that the step
+    guard requires to be >= 0, and off-diagonal rates are nonnegative.  Rows
+    sum to one up to rounding (a few ulps), not exactly; every consumer
+    either renormalizes or takes logs of single entries.
     """
     _check_step(g, h)
-    a = g.q * h
-    np.fill_diagonal(a, 0.0)
-    for i in range(g.n_states):
-        a[i, i] = max(0.0, 1.0 - a[i].sum())
-        _force_row_sum_one(a[i], i)
-    return a
-
-
-def _force_row_sum_one(row: np.ndarray, i: int) -> None:
-    """Nudge row entries by single ulps until ``row.sum() == 1.0`` exactly.
-
-    The diagonal alone cannot always reach an exact sum (the pairwise
-    accumulation may round past 1 in both directions), so every entry is a
-    nudge candidate; each accepted nudge perturbs one probability by one
-    ulp, far below any statistical resolution, and never below zero.
-    """
-    for _ in range(8):
-        err = row.sum() - 1.0
-        if abs(err) <= np.finfo(float).eps * 4:
-            break
-        row[int(np.argmax(row))] -= err
-    if row.sum() == 1.0:
-        return
-    # err is down to a few ulps of 1; scan sub-ulp-of-1 perturbations of
-    # each entry (intermediate pairwise roundings make an analytic hit
-    # impossible, but some nearby perturbation always rounds to 1)
-    for k in range(row.size):
-        old = row[k]
-        step = np.spacing(old)
-        for m in range(-64, 65):
-            row[k] = old + m * step
-            if row[k] >= 0.0 and row.sum() - 1.0 == 0.0:
-                return
-        row[k] = old
-    raise NumericalFailure(f"cannot normalize kernel row {i + 1} exactly")
+    return np.eye(g.n_states) + g.q * h
 
 
 def simulate_chain(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import GeneratorMatrix, validate_generator
+from .ctmc import GeneratorMatrix
 from .errors import ConfigError, NumericalFailure
 from .likelihood import (
     ObservationSeries,
@@ -258,7 +258,9 @@ def update_generator(
     The weighted objective in the kernel entries is maximized by the
     row-normalized pair totals A[l, m] = W[l, m] / sum_m W[l, m]; converting
     back through A = I + Q h gives the rate update.  Rows with zero total
-    weight keep their previous rates.
+    weight keep their previous rates.  Each exit rate is capped at 1/h, so
+    a row with no stay mass, whose rates can round past the step bound,
+    still gives 1 + q_ii h >= 0 and a kernel at h.
     """
     tot = w.w.sum(axis=0)
     row_tot = tot.sum(axis=1, keepdims=True)
@@ -266,10 +268,9 @@ def update_generator(
     q = np.array(g.q, dtype=float)
     q[live] = tot[live] / row_tot[live] / h
     np.fill_diagonal(q, 0.0)
-    np.fill_diagonal(q, -q.sum(axis=1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return validate_generator(q)
+    np.fill_diagonal(q, -np.minimum(q.sum(axis=1), 1.0 / h))
+    q.setflags(write=False)
+    return GeneratorMatrix(q, g.n_states)
 
 
 def em_fit(

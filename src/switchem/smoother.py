@@ -184,15 +184,3 @@ def smoothed_marginals(fs: FilterState, w: SmoothedPairProbs) -> np.ndarray:
     state; the terminal slice is the filtered distribution.
     """
     return np.vstack([w.w.sum(axis=2), fs.filtered[-1:]])
-
-
-def smooth_regimes(
-    theta: Theta,
-    g: GeneratorMatrix,
-    obs: ObservationSeries,
-    initial_probs=None,
-) -> tuple[FilterState, np.ndarray, SmoothedPairProbs]:
-    """Convenience wrapper: forward pass then backward pass."""
-    fs = forward_filter(theta, g, obs, initial_probs)
-    w = backward_smooth(fs)
-    return fs, smoothed_marginals(fs, w), w

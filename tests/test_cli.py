@@ -15,9 +15,11 @@ from switchem import (
     ObservationSeries,
     SimulationConfig,
     Theta,
+    backward_smooth,
     em_fit,
+    forward_filter,
     simulate_path,
-    smooth_regimes,
+    smoothed_marginals,
     sort_regimes,
     validate_generator,
 )
@@ -193,6 +195,28 @@ class TestFit:
         err = capsys.readouterr().err
         assert err == f"error: {bad}: time column is not an equally spaced grid\n"
         assert not (tmp_path / "fit").exists()
+
+    def test_uneven_time_grid_exits_2(self, cfg_file, tmp_path, capsys):
+        bad = tmp_path / "uneven.csv"
+        bad.write_text("t,x\n0,1\n0.1,2\n0.25,1\n0.3,2\n")
+        assert main(["fit", "--config", cfg_file, "--data", str(bad),
+                     "--out", str(tmp_path / "fit")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: time column is not an equally spaced grid\n"
+
+    @pytest.mark.parametrize("h", [1.0 / 3.0, 1.0 / 7.0])
+    def test_fit_reads_a_path_at_a_step_printed_inexactly(self, tmp_path, h):
+        # path.csv prints t to 9 significant digits, so its spacings differ
+        # from h by up to about 1e-9 max|t|
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["simulation"].update(horizon_t=100.0, obs_step_h=h)
+        cfg["em"]["max_iters"] = 3
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(p), "--out", str(sim)]) == 0
+        assert main(["fit", "--config", str(p), "--data", str(sim / "path.csv"),
+                     "--out", str(tmp_path / "fit"), "--stable-output"]) == 0
 
 
 class TestExperiment:
@@ -805,7 +829,8 @@ class TestOptionalOutputs:
         obs = TestStartingPoint.read_path(sim / "path.csv")
         em = EmConfig(max_iters=20, update_q=True, theta0=(6.0, 3.0, 2.0, 1.0))
         result = em_fit(obs, validate_generator(BASE_CONFIG["simulation"]["q"]), em)
-        _, smoothed, _ = smooth_regimes(result.theta, result.generator, obs)
+        fs = forward_filter(result.theta, result.generator, obs)
+        smoothed = smoothed_marginals(fs, backward_smooth(fs))
         lines = read(out / "probs.csv").splitlines()
         assert lines[0] == "t,p1,p2"
         assert lines[1:] == [

@@ -10,16 +10,18 @@ from switchem import (
     SimulationConfig,
     SmoothedPairProbs,
     Theta,
+    backward_smooth,
     em_fit,
     first_order_step,
+    forward_filter,
     grad_H,
     hessian_H,
     newton_step,
     quadratic_error,
     simulate_path,
-    smooth_regimes,
     sort_regimes,
     termination_stat,
+    transition_matrix_approx,
     update_generator,
     validate_generator,
 )
@@ -90,7 +92,8 @@ class TestSteps:
         theta_true, g, obs = short_path
         theta = Theta(np.array([5.0, 2.0]), 1.0, 2.0)
         cfg = EmConfig()
-        fs, _, w = smooth_regimes(theta, g, obs)
+        fs = forward_filter(theta, g, obs)
+        w = backward_smooth(fs)
         grad = grad_H(theta, obs, w)
         new = first_order_step(theta, grad, cfg.rho, cfg.theta_boxes(2))
         assert H_n(new, fs.kernel, obs, w) >= H_n(theta, fs.kernel, obs, w)
@@ -192,7 +195,7 @@ class TestUpdateGenerator:
     def test_matches_weight_row_normalization(self, short_path):
         _, g, obs = short_path
         theta = Theta(np.array([6.0, 3.0]), 2.0, 1.0)
-        _, _, w = smooth_regimes(theta, g, obs)
+        w = backward_smooth(forward_filter(theta, g, obs))
         g2 = update_generator(g, w, obs.h)
         tot = w.w.sum(axis=0)
         a_row = tot[0] / tot[0].sum()
@@ -224,6 +227,17 @@ class TestUpdateGenerator:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 want = validate_generator(loop_update_rates(g.q, w, h))
             np.testing.assert_array_equal(got.q, want.q)
+
+    def test_row_without_stay_mass_stays_inside_the_step_bound(self):
+        # state 2's rates round to an exit rate just above 1/h, which left
+        # 1 + q_22*h = -2.2e-16 before the cap
+        g = validate_generator([[-1, .5, .5], [.5, -1, .5], [.5, .5, -1]])
+        w = np.zeros((1, 3, 3))
+        w[0] = [[0, .04, .27], [0, .69, 0], [0, 0, 0]]
+        g2 = update_generator(g, SmoothedPairProbs(w), 0.1)
+        a = transition_matrix_approx(g2, 0.1)
+        assert g2.q[0, 0] == -10.0
+        assert np.all((a >= 0.0) & (a <= 1.0))
 
 
 class TestHelpers:

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from switchem import (
     ObservationSeries,
+    SmoothedPairProbs,
     Theta,
     backward_smooth,
     euler_path,
     forward_filter,
     transition_matrix_approx,
+    update_generator,
     validate_generator,
 )
 from switchem.likelihood import cauchy_density_matrix
@@ -52,12 +54,38 @@ def filter_instance(draw):
 
 @PROPERTY_SETTINGS
 @given(generator_and_step())
-def test_kernel_rows_are_exact_distributions(gh):
+def test_kernel_rows_are_distributions_up_to_rounding(gh):
     g, h = gh
     a = transition_matrix_approx(g, h)
+    assert np.array_equal(a, np.eye(g.n_states) + g.q * h)
     assert np.all((a >= 0.0) & (a <= 1.0))
-    for row in a:
-        assert row.sum() == 1.0  # exact, not approximate
+    assert np.all(np.abs(a.sum(axis=1) - 1.0) <= g.n_states * np.finfo(float).eps)
+
+
+@st.composite
+def weights_without_stay_mass(draw):
+    """Pair weights (n, N, N) whose total puts no mass on some row's
+    diagonal, and a generator to update with a step h it allows, as in EM,
+    where the generator has just built its kernel at h."""
+    g, h = draw(generator_and_step())
+    n_states = g.n_states
+    n = draw(st.integers(1, 4))
+    mass = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    w = np.array(draw(st.lists(mass, min_size=n * n_states**2, max_size=n * n_states**2)))
+    w = w.reshape(n, n_states, n_states)
+    row = draw(st.integers(0, n_states - 1))
+    w[:, row, row] = 0.0
+    w[0, row, (row + 1) % n_states] += 1.0  # the row is live and must jump
+    w /= w.sum(axis=(1, 2), keepdims=True)
+    return g, SmoothedPairProbs(w), h
+
+
+@PROPERTY_SETTINGS
+@given(weights_without_stay_mass())
+def test_updated_generator_kernel_builds_at_its_step(inst):
+    g, w, h = inst
+    a = transition_matrix_approx(update_generator(g, w, h), h)
+    assert np.all((a >= 0.0) & (a <= 1.0))
 
 
 @PROPERTY_SETTINGS

@@ -13,7 +13,6 @@ from switchem import (
     backward_smooth,
     forward_filter,
     simulate_path,
-    smooth_regimes,
     smoothed_marginals,
     transition_matrix_approx,
     validate_generator,
@@ -236,11 +235,11 @@ class TestScanMatchesLoop:
         assert exc_info.value.index == 3
 
 
-class TestSmoothRegimes:
-    def test_wrapper_consistency(self):
+class TestSmoothedMarginals:
+    def test_rows_are_distributions(self):
         rng = np.random.default_rng(20)
         theta, g, obs = small_instance(rng, n=80)
-        fs, sm, w = smooth_regimes(theta, g, obs)
-        fs2 = forward_filter(theta, g, obs)
-        np.testing.assert_array_equal(fs.filtered, fs2.filtered)
+        fs = forward_filter(theta, g, obs)
+        sm = smoothed_marginals(fs, backward_smooth(fs))
+        np.testing.assert_array_equal(sm[-1], fs.filtered[-1])
         np.testing.assert_allclose(sm.sum(axis=1), 1.0, atol=1e-12)
