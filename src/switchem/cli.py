@@ -59,6 +59,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -271,32 +272,29 @@ def _trace_csv_text(result: EmResult, stable: bool) -> str:
 def _read_path_csv(path: str) -> ObservationSeries:
     """Parse the t and x columns of a path file; any regime column is ignored."""
     try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"t", "x"} <= set(reader.fieldnames):
-                raise ConfigError(
-                    f"{path}: header must contain columns t and x, "
-                    f"got {reader.fieldnames}"
-                )
-            t_vals, x_vals = [], []
-            for ln, row in enumerate(reader, start=2):
-                try:
-                    t_vals.append(float(row["t"]))
-                    x_vals.append(float(row["x"]))
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{path}:{ln}: bad numeric value: {exc}") from exc
+        with open(path) as fh:
+            header = next(csv.reader(fh), None)
+            if header is None or not {"t", "x"} <= set(header):
+                raise ConfigError(f"{path}: header must contain columns t and x, got {header}")
+            cols = (header.index("t"), header.index("x"))
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # header only: no rows
+                    data = np.loadtxt(fh, delimiter=",", usecols=cols, comments=None, ndmin=2)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: bad numeric value: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read data file {path}: {exc}") from exc
-    if len(x_vals) < 2:
+    t, x = data.T
+    if x.size < 2:
         raise ConfigError(f"{path}: need at least two rows")
     # t is written to 9 significant digits, so h comes from the whole span
     # and each spacing may be off by about 1e-9 max|t|
-    t = np.asarray(t_vals)
     h = float(t[-1] - t[0]) / (t.size - 1)
     if not (h > 0.0 and np.all(np.abs(np.diff(t) - h) <= 1e-8 * np.max(np.abs(t)))):
         raise ConfigError(f"{path}: time column is not an equally spaced grid")
     try:
-        return ObservationSeries(np.asarray(x_vals), h, t0=float(t[0]))
+        return ObservationSeries(np.ascontiguousarray(x), h, t0=float(t[0]))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

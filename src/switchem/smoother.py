@@ -10,15 +10,18 @@ M_j = diag(D[j]) A.  The emission density attaches to the *earlier* state i
 (the regime in force over (t_{j-1}, t_j)), so it scales rows of A rather
 than the predicted marginal.
 
-Backward pass (Kim-style one-lag approximation, exact when emissions would
-depend only on the later state).  With the predicted pair
-pair[j, i, k] = A[i, k] * filtered[j-1, i] and its marginal
+Backward pass (exact).  The pair (X, a) is jointly Markov, so
+P(a_{j-1} | a_j, X_{0..n}) = P(a_{j-1} | a_j, X_{0..j}): the earlier
+regime depends on later data only through a_j.  With the pair
+pair[j, i, k] = filtered[j-1, i] * M_j[i, k], proportional to
+P(a_{j-1} = i, a_j = k | X_{0..j}), and its marginal
 pm[j, k] = sum_i pair[j, i, k], let B_j[i, k] = pair[j, i, k] / pm[j, k]
 (0 where pm[j, k] = 0).  The smoothed marginals satisfy
 smoothed[j-1] = B_j smoothed[j] from smoothed[n] = filtered[n], so
 smoothed[j-1] is proportional to B_j ... B_n filtered[n], and the pair
 weights are w[j-1] = B_j * smoothed[j][None, :], each slice renormalized to
-sum to one.
+sum to one.  (Kim's 1994 pass builds the pair from A alone, dropping the
+emission D[j], and is exact only when emissions depend on the later state.)
 
 Both products are computed by one blocked two-level scan (:func:`_scan`)
 in about 2 sqrt(n) vectorized steps rather than one per observation: the
@@ -28,10 +31,12 @@ mass carried alongside, and the block boundaries are then chained in about
 sqrt(n) vector steps.  Carrying
 row scales in logs keeps a row that is improbable within one block from
 underflowing while the filter may still need it (absorbing states, one-hot
-starts).
+starts).  Sums and maxima over the N regimes are folded slice by slice
+(:func:`~switchem.likelihood._across`).
 
 Each emission row is scaled by its maximum before the forward scan, so
-observations whose densities underflow jointly still filter.  Failure is
+observations whose densities underflow jointly still filter; the scale of
+a row cancels in B_j.  Failure is
 located after the scan by one vectorized check of each step's mass under
 the previous row: the forward pass reports the first step whose emission
 mass under filtered[j-1] is non-positive or non-finite, the backward pass
@@ -51,6 +56,7 @@ from .likelihood import (
     ObservationSeries,
     SmoothedPairProbs,
     Theta,
+    _across,
     cauchy_density_matrix,
 )
 
@@ -60,14 +66,16 @@ class FilterState:
     """Forward-pass output.
 
     filtered[j, k] = P(a_{t_j} = k | X_{0..j});
-    kernel[i, k]   = A[i, k], the one-step chain kernel the pass ran under.
-    The predicted pair P(a_{t_{j-1}} = i, a_{t_j} = k | X_{0..j-1}) is
-    ``kernel * filtered[j-1][:, None]``; the M-step evaluates H under the
-    same kernel.
+    kernel[i, k]   = A[i, k], the one-step chain kernel the pass ran under;
+    steps[j-1]     = diag(D[j]) A, the scaled step of observation j, so that
+    ``steps[j-1] * filtered[j-1][:, None]`` is proportional to
+    P(a_{t_{j-1}} = i, a_{t_j} = k | X_{0..j}).  The M-step evaluates H
+    under the same kernel.
     """
 
     filtered: np.ndarray
     kernel: np.ndarray
+    steps: np.ndarray
 
     @property
     def n(self) -> int:
@@ -87,9 +95,9 @@ def _mix(v: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Normalized v diag(exp(r)) s over the last two axes, with log weights
     shifted by their maximum so no row weight underflows on its own."""
     lw = np.log(v) + r
-    wt = np.exp(lw - lw.max(axis=-1, keepdims=True))
-    u = (wt[..., :, None] * s).sum(axis=-2)
-    return u / u.sum(axis=-1, keepdims=True)
+    wt = np.exp(lw - _across(np.maximum, lw)[..., None])
+    u = _across(np.add, wt[..., :, None] * s, axis=-2)
+    return u / _across(np.add, u)[..., None]
 
 
 def _scan(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
@@ -110,7 +118,7 @@ def _scan(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
     cur, cur_log = np.broadcast_to(np.eye(m), (nb, m, m)), np.zeros((nb, m))
     for t in range(bl):
         cur = cur @ steps[t]
-        tot = cur.sum(axis=2)
+        tot = _across(np.add, cur)
         cur_log = cur_log + np.log(tot)
         cur = cur / np.where(tot > 0.0, tot, 1.0)[:, :, None]
         prod[t], logm[t] = cur, cur_log
@@ -139,35 +147,35 @@ def forward_filter(
     a = transition_matrix_approx(g, obs.h)
     d = cauchy_density_matrix(theta, obs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dm = d.max(axis=1, keepdims=True)
+        dm = _across(np.maximum, d)[:, None]
         d = np.where((dm > 0.0) & np.isfinite(dm), d / dm, d)
         steps = d[:, :, None] * a
         filtered = _scan(steps, _initial_probs(g.n_states, initial_probs))
-        mass = (steps * filtered[:-1, :, None]).sum(axis=(1, 2))
+        mass = _across(np.add, (steps * filtered[:-1, :, None]).reshape(len(steps), -1))
     bad = ~(np.isfinite(mass) & (mass > 0.0))
     if bad.any():
         j = int(np.argmax(bad)) + 1
         raise NumericalFailure(
             f"forward filter normalizer {mass[j - 1]!r} at observation {j}", index=j
         )
-    return FilterState(filtered, a)
+    return FilterState(filtered, a, steps)
 
 
 def backward_smooth(fs: FilterState) -> SmoothedPairProbs:
     """Backward pass producing the pairwise weights w[j-1, i, k] of the
     pair (t_{j-1}, t_j), shape (n, N, N).
 
-    The pass needs only the filter state: each predicted pair is rebuilt
-    from the kernel and the filtered row as the forward pass built it.
+    The pass needs only the filter state: each pair is rebuilt from the
+    scaled step and the filtered row as the forward pass built it.
     Smoothed marginals are recoverable via :func:`smoothed_marginals`.
     """
-    pair = fs.kernel * fs.filtered[:-1, :, None]
-    pm = pair.sum(axis=1)[:, None, :]
+    pair = fs.steps * fs.filtered[:-1, :, None]
+    pm = _across(np.add, pair, axis=1)[:, None, :]
     back = np.divide(pair, pm, out=np.zeros_like(pair), where=pm > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         smoothed = _scan(back[::-1].swapaxes(1, 2), fs.filtered[-1])[::-1]
         w = back * smoothed[1:, None, :]
-        z = w.sum(axis=(1, 2))
+        z = _across(np.add, w.reshape(len(w), -1))
     bad = ~(np.isfinite(z) & (z > 0.0))
     if bad.any():
         j = fs.n - int(np.argmax(bad[::-1]))
@@ -183,4 +191,4 @@ def smoothed_marginals(fs: FilterState, w: SmoothedPairProbs) -> np.ndarray:
     Slices 0..n-1 marginalize the pairwise weights w[j] over the later
     state; the terminal slice is the filtered distribution.
     """
-    return np.vstack([w.w.sum(axis=2), fs.filtered[-1:]])
+    return np.vstack([_across(np.add, w.w), fs.filtered[-1:]])

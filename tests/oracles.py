@@ -120,13 +120,17 @@ def enumerate_filter_smoother(x, h, b, lam, delta, a_kernel, p0):
     return filtered, pair, marg
 
 
-def loop_filter_smoother(a_kernel, dens, p0):
-    """Forward filter and Kim backward pass as one Python loop over observations.
+def loop_filter_smoother(a_kernel, dens, p0, kim=False):
+    """Forward filter and backward pass as one Python loop over observations.
 
     The step-by-step form of ``forward_filter``/``backward_smooth``: ``dens``
     is the (n, N) emission matrix (row j-1 for observation j), ``a_kernel`` the one-step
     kernel and ``p0`` the initial filter row.  A step whose emission mass
     underflows is retried with the densities scaled by their maximum.
+    The backward pass is exact: P(a_{j-1} = i | a_j = k, X_{0..n}) is
+    proportional to filtered[j-1, i] * dens[j-1, i] * A[i, k] (the
+    densities scaled by their maximum, which cancels).  With ``kim=True`` it
+    is Kim's (1994) approximation instead, which drops dens[j-1].
     Returns (filtered, w) in the package's index conventions; a breakdown
     raises ``ArithmeticError(message, j)`` at the first failing forward step
     or the highest failing backward step.
@@ -153,6 +157,10 @@ def loop_filter_smoother(a_kernel, dens, p0):
     smoothed[n] = filtered[n]
     for j in range(n, 0, -1):
         pj = a_kernel * filtered[j - 1][:, None]
+        if not kim:
+            dm = dens[j - 1].max()
+            dj = dens[j - 1] / dm if dm > 0.0 and np.isfinite(dm) else dens[j - 1]
+            pj = dj[:, None] * pj
         pm = pj.sum(axis=0)
         ratio = np.where(pm > 0.0, smoothed[j] / np.where(pm > 0.0, pm, 1.0), 0.0)
         wj = pj * ratio[None, :]

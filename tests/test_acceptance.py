@@ -58,11 +58,11 @@ def bench_generator():
 
 
 def test_criterion_1_smoother_matches_enumeration():
-    # Weakly informative instances: the pairwise smoother is approximate
-    # (its backward pass drops the next emission's information about the
-    # earlier regime), so the 1e-2 comparison is meaningful only when a
-    # single step carries little regime information (lam*|db| << delta).
-    # Filtered probabilities are exact and compared at 1e-10 regardless.
+    # Weakly informative instances (lam*|db| << delta), where even Kim's
+    # one-lag backward pass, which drops the next emission's information
+    # about the earlier regime, stays within the 1e-2 pair bound; the exact
+    # pass meets it with rounding-level gaps (tests/test_smoother.py pins
+    # 1e-12).  Filtered probabilities are exact and compared at 1e-10.
     t0 = time.time()
     rng = np.random.default_rng(12)
     max_filt = 0.0

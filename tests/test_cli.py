@@ -196,6 +196,21 @@ class TestFit:
         assert err == f"error: {bad}: time column is not an equally spaced grid\n"
         assert not (tmp_path / "fit").exists()
 
+    @pytest.mark.parametrize("body", [
+        "t,x\n0,1\n0.1,abc\n0.2,2\n",  # a bad number
+        "t,x\n0,1\n0.1\n0.2,2\n",  # a missing field
+        "t,x\n0,1\n0.1,\n0.2,2\n",  # an empty field
+        "t,x\n",  # the header only
+        "t,x\n0,1\n",  # one data row
+    ])
+    def test_malformed_path_file_exits_2(self, cfg_file, tmp_path, capsys, body):
+        bad = tmp_path / "malformed.csv"
+        bad.write_text(body)
+        assert main(["fit", "--config", cfg_file, "--data", str(bad),
+                     "--out", str(tmp_path / "fit")]) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
+
     def test_uneven_time_grid_exits_2(self, cfg_file, tmp_path, capsys):
         bad = tmp_path / "uneven.csv"
         bad.write_text("t,x\n0,1\n0.1,2\n0.25,1\n0.3,2\n")

@@ -75,6 +75,16 @@ class TestBasics:
         with pytest.raises(ValueError, match="sums to"):
             SmoothedPairProbs(w)
 
+    def test_pair_probs_reject_non_finite_weights(self):
+        # NaN fails every comparison, so the range test must be positive;
+        # H_n and grad_H would otherwise return NaN
+        with pytest.raises(ValueError, match="lie in"):
+            SmoothedPairProbs(np.full((2, 2, 2), np.nan))
+        w = np.full((2, 2, 2), 0.25)
+        w[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="lie in"):
+            SmoothedPairProbs(w)
+
 
 class TestHn:
     def test_matches_bruteforce(self):

@@ -1,11 +1,13 @@
 """Property tests: kernel and forward-backward invariants on random generators,
-and the scans (smoother and Euler path) against the step-by-step loops."""
+the scans (smoother and Euler path) against the step-by-step loops, and the
+regime-axis fold against numpy's reductions."""
 
 import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from switchem import (
     ObservationSeries,
@@ -18,7 +20,7 @@ from switchem import (
     update_generator,
     validate_generator,
 )
-from switchem.likelihood import cauchy_density_matrix
+from switchem.likelihood import _across, cauchy_density_matrix
 
 from oracles import euler_loop, loop_filter_smoother
 
@@ -161,3 +163,65 @@ def test_euler_scan_matches_the_loop(inst):
     x = euler_path(*inst)
     assert x.shape == ref.shape and x[0] == ref[0]
     np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * magnitude_scale(*inst))
+
+
+def regime_array(elements, ndim, max_states=5):
+    """Float arrays whose axis -1 (ndim 2) or axis 1 (ndim 3) has the
+    length N of a regime axis, 1..max_states, and whose other axes have
+    length 0..4."""
+    side = st.integers(0, 4)
+    return st.integers(1, max_states).flatmap(lambda n: hnp.arrays(
+        np.float64,
+        st.tuples(side, st.just(n)) if ndim == 2 else st.tuples(side, st.just(n), side),
+        elements=elements,
+    ))
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+FINITE = st.floats(-1e6, 1e6)
+
+
+def assert_same_floats(got, ref):
+    """Equal shapes and values, NaN where NaN; signed zeros may differ."""
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref, equal_nan=True)
+
+
+def assert_sum_close(got, ref, terms, n_states):
+    """Equal for N <= 2, where both add the same terms in the same order;
+    otherwise within N*eps of the sum of magnitudes."""
+    if n_states <= 2:
+        assert_same_floats(got, ref)
+    else:
+        bound = n_states * np.finfo(float).eps * terms
+        assert got.shape == ref.shape and np.all(np.abs(got - ref) <= bound)
+
+
+@PROPERTY_SETTINGS
+@given(regime_array(ANY_FLOAT, 2))
+def test_fold_max_is_the_reduction(x):
+    got, ref = _across(np.maximum, x), x.max(axis=-1)
+    assert_same_floats(got, ref)
+    real = ~np.isnan(ref)
+    assert np.array_equal(np.signbit(got[real]), np.signbit(ref[real]))
+
+
+@PROPERTY_SETTINGS
+@given(regime_array(ANY_FLOAT, 2, max_states=2))
+def test_fold_sum_keeps_non_finite_values(x):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same_floats(_across(np.add, x), x.sum(axis=-1))
+
+
+@PROPERTY_SETTINGS
+@given(regime_array(FINITE, 2))
+def test_fold_sum_over_the_last_axis(x):
+    got, ref = _across(np.add, x), x.sum(axis=-1)
+    assert_sum_close(got, ref, np.abs(x).sum(axis=-1), x.shape[1])
+
+
+@PROPERTY_SETTINGS
+@given(regime_array(FINITE, 3))
+def test_fold_sum_over_the_middle_axis(x):
+    got, ref = _across(np.add, x, axis=1), x.sum(axis=1)
+    assert_sum_close(got, ref, np.abs(x).sum(axis=1), x.shape[1])

@@ -114,13 +114,27 @@ class TestBackwardSmooth:
         # marginal at the later time point
         np.testing.assert_allclose(w.w.sum(axis=1), sm[1:], atol=1e-10)
 
-    def test_close_to_enumeration_when_weakly_informative(self):
-        # the backward pass drops the next emission's information about
-        # the earlier state, so it is approximate; when single steps carry
-        # little regime information (lam*|db| << delta) it stays close to
-        # the exact smoother
-        from switchem import SimulationConfig, simulate_path
+    def test_matches_enumeration_exactly(self):
+        # strongly informative instances, where Kim's pass is far off: the
+        # pair weights and marginals are the exact smoothed probabilities
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            m = int(rng.integers(2, 4))
+            n = int(rng.integers(3, 7))
+            theta, g, obs = small_instance(rng, n=n, m=m)
+            fs = forward_filter(theta, g, obs)
+            w = backward_smooth(fs)
+            _, ref_pair, ref_marg = enumerate_filter_smoother(
+                obs.x, obs.h, theta.b, theta.lam, theta.delta, fs.kernel, np.full(m, 1.0 / m)
+            )
+            np.testing.assert_allclose(w.w, ref_pair, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(smoothed_marginals(fs, w), ref_marg, rtol=0, atol=1e-12)
 
+    def test_close_to_enumeration_when_weakly_informative(self):
+        # Kim's one-lag pass drops the next emission's information about
+        # the earlier state; when single steps carry little regime
+        # information (lam*|db| << delta) it stays close to the exact
+        # smoother, which backward_smooth reproduces to rounding
         rng = np.random.default_rng(14)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -130,25 +144,31 @@ class TestBackwardSmooth:
         obs, _, _ = simulate_path(cfg)
         fs = forward_filter(theta, g, obs)
         w = backward_smooth(fs)
-        a = transition_matrix_approx(g, obs.h)
         _, ref_pair, _ = enumerate_filter_smoother(
-            obs.x, obs.h, theta.b, theta.lam, theta.delta, a, np.full(2, 0.5)
+            obs.x, obs.h, theta.b, theta.lam, theta.delta, fs.kernel, np.full(2, 0.5)
         )
-        assert np.max(np.abs(w.w - ref_pair)) < 1e-2
+        _, kim_w = loop_filter_smoother(
+            fs.kernel, cauchy_density_matrix(theta, obs), fs.filtered[0], kim=True
+        )
+        assert np.max(np.abs(kim_w - ref_pair)) < 1e-2
+        np.testing.assert_allclose(w.w, ref_pair, rtol=0, atol=1e-12)
 
     def test_approximation_error_can_be_large(self):
-        # with strongly discriminating observations the dropped emission
-        # factor matters; record that the gap is then genuinely non-small
+        # with strongly discriminating observations the emission factor
+        # Kim's pass drops matters; record that its gap is then genuinely
+        # non-small, where the exact pass stays at rounding level
         rng = np.random.default_rng(14)
         theta, g, obs = small_instance(rng, n=5)
         fs = forward_filter(theta, g, obs)
         w = backward_smooth(fs)
-        a = transition_matrix_approx(g, obs.h)
         _, ref_pair, _ = enumerate_filter_smoother(
-            obs.x, obs.h, theta.b, theta.lam, theta.delta, a, np.full(2, 0.5)
+            obs.x, obs.h, theta.b, theta.lam, theta.delta, fs.kernel, np.full(2, 0.5)
         )
-        gap = np.max(np.abs(w.w - ref_pair))
-        assert gap > 1e-2  # the approximation is not exact in general
+        _, kim_w = loop_filter_smoother(
+            fs.kernel, cauchy_density_matrix(theta, obs), fs.filtered[0], kim=True
+        )
+        assert np.max(np.abs(kim_w - ref_pair)) > 1e-2  # Kim is not exact in general
+        assert np.max(np.abs(w.w - ref_pair)) < 1e-12
 
 
 def assert_scan_matches_loop(theta, g, obs, initial_probs=None):
@@ -226,12 +246,14 @@ class TestScanMatchesLoop:
 
     def test_backward_breakdown_reports_highest_index(self):
         # filtered rows that jump between the states of an identity kernel
-        # leave no predicted mass under the smoothed row at j = 3; the rows
-        # below it are then undefined, and the pass reports the highest
-        # failing step, where a loop counting down from n stops
+        # (and identity steps) leave no predicted mass under the smoothed
+        # row at j = 3; the rows below it are then undefined, and the pass
+        # reports the highest failing step, where a loop counting down
+        # from n stops
         filtered = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        steps = np.broadcast_to(np.eye(2), (4, 2, 2))
         with pytest.raises(NumericalFailure) as exc_info:
-            backward_smooth(FilterState(filtered, np.eye(2)))
+            backward_smooth(FilterState(filtered, np.eye(2), steps))
         assert exc_info.value.index == 3
 
 
