@@ -409,6 +409,8 @@ def _run_replication(packed) -> dict:
         )
     except (NumericalFailure, EvaluationError) as exc:
         row["message"] = str(exc)
+    except Exception as exc:  # one broken replication must not abort the rest
+        row["message"] = f"{type(exc).__name__}: {exc}"
     return row
 
 

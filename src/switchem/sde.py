@@ -14,8 +14,10 @@ refinement of the noise itself is needed).  Observations are the fine path
 thinned to the coarse grid of spacing h.
 
 The Euler recursion is affine in X, so :func:`euler_path` runs it as a
-blocked two-level scan, the scalar case of the smoother's, in about
-2 sqrt(n) vectorized steps rather than one Python step per grid point.
+blocked scan in about 2 sqrt(n) vectorized steps rather than one Python
+step per grid point.  It keeps the two-level form, blocks of about
+sqrt(n) steps and then one step per block boundary, where the smoother's
+scan recurses on its block boundaries.
 
 ``self_convergence_test`` measures the strong self-convergence of the Euler
 scheme by coupling: all refinement levels share one finest-grid chain path

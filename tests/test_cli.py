@@ -312,6 +312,34 @@ class TestExperiment:
             "replication 1 (seed 43) failed: chain kernel row does not sum to one\n"
         )
 
+    @pytest.mark.parametrize("reps,rc", [(2, 0), (3, 0), (1, 3)])
+    def test_unexpected_error_keeps_the_other_rows(self, tmp_path, capsys, monkeypatch,
+                                                   reps, rc):
+        monkeypatch.delenv("SWITCHEM_SEED", raising=False)
+        real = em_fit
+
+        def fail_seed_43(obs, g, cfg):
+            if cfg.init_seed == (43, 1):
+                raise RuntimeError("worker lost its state")
+            return real(obs, g, cfg)
+
+        monkeypatch.setattr("switchem.cli.em_fit", fail_seed_43)
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["experiment"] = {"replications": reps}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "exp"
+        assert main(["experiment", "--config", str(p), "--out", str(out),
+                     "--jobs", "1"]) == rc
+        rows = [ln.split(",") for ln in read(out / "summary.csv").splitlines()[1:]]
+        assert rows[0][:3] == ["1", "43", ""] and rows[0][-1] == "numerical_failure"
+        assert all(r[-1] != "numerical_failure" and r[2] != "" for r in rows[1:reps])
+        aggregate = ["aggregate"] if reps > 1 else []  # over the rows that succeeded
+        assert [r[0] for r in rows] == [str(i) for i in range(1, reps + 1)] + aggregate
+        assert capsys.readouterr().err == (
+            "replication 1 (seed 43) failed: RuntimeError: worker lost its state\n"
+        )
+
     @pytest.mark.parametrize("jobs,reps,workers", [(64, 2, [2]), (64, 1, []), (1, 2, [])])
     def test_pool_never_exceeds_replications(self, tmp_path, monkeypatch, jobs, reps,
                                              workers):

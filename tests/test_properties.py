@@ -44,14 +44,23 @@ def generator_and_step(draw):
 
 @st.composite
 def filter_instance(draw):
+    """A filter input: N in 2..5 and n in 2..3000 steps (perfect cubes and
+    their neighbours drawn often, so the scan's blocks come out whole, one
+    step short or one step over), with observations uniform on [-10, 10]."""
     g, h = draw(generator_and_step())
     b = draw(st.lists(st.floats(-5.0, 5.0), min_size=g.n_states, max_size=g.n_states))
     lam, delta = draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 3.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # coinciding levels
         theta = Theta(np.array(b), lam, delta)
-    x = draw(st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=30))
-    return theta, g, ObservationSeries(np.array(x), h)
+    root = draw(st.integers(2, 14))
+    n = draw(st.one_of(
+        st.integers(2, 29),
+        st.builds(lambda d: root**3 + d, st.integers(-1, 1)),
+        st.integers(2, 3000),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return theta, g, ObservationSeries(rng.uniform(-10.0, 10.0, n + 1), h)
 
 
 @PROPERTY_SETTINGS

@@ -22,8 +22,8 @@ from switchem.likelihood import cauchy_density_matrix
 from oracles import enumerate_filter_smoother, loop_filter_smoother
 
 # Scan vs loop: both round once per product in float64 (eps 2.2e-16), the
-# scan along at most about 2*sqrt(n) chained products at n <= 2000, so a
-# gap above 1e-12 means a wrong product, not rounding.
+# scan along fewer than 50 chained products at n <= 10^4, so a gap above
+# 1e-12 means a wrong product, not rounding.
 SCAN_TOL = 1e-12
 
 
@@ -193,11 +193,13 @@ class TestScanMatchesLoop:
 
     def test_random_instances(self):
         rng = np.random.default_rng(30)
-        for m in range(2, 6):
-            for n in (1, 2, 37, 500, 2000):
-                theta, g, obs = small_instance(rng, n=n, m=m)
-                h = min(obs.h, 0.9 * g.max_step())
-                assert_scan_matches_loop(theta, g, ObservationSeries(obs.x, h))
+        # the last case has fit-long's size: four blocked levels (22, 8, 4
+        # and 2 steps a block) before the last 8 block ends are walked
+        sizes = [(m, n) for m in range(2, 6) for n in (1, 2, 37, 500, 2000)] + [(2, 10_000)]
+        for m, n in sizes:
+            theta, g, obs = small_instance(rng, n=n, m=m)
+            h = min(obs.h, 0.9 * g.max_step())
+            assert_scan_matches_loop(theta, g, ObservationSeries(obs.x, h))
 
     def test_underflowing_normalizer_is_rescaled(self):
         # delta*h = 1e-320: the first step pins the filter to regime 1 up
@@ -215,14 +217,20 @@ class TestScanMatchesLoop:
         assert unscaled == 0.0 and dens[1].max() > 0.0
         np.testing.assert_allclose(fs.filtered[2], [1e-13, 1.0], rtol=1e-12)
 
-    @pytest.mark.parametrize("start", [[1.0, 0.0], [0.0, 1.0], None])
-    def test_absorbing_state(self, start):
+    @pytest.mark.parametrize(
+        "start,n",
+        [([1.0, 0.0], 2000), ([0.0, 1.0], 2000), (None, 2000), ([1.0, 0.0], 10_000)],
+        ids=["start0", "start1", "start2", "start0-n10000"],
+    )
+    def test_absorbing_state(self, start, n):
         # regime 1 absorbs, and its level is so far from the path that
         # each step favours regime 2 by a factor near 1e8: started in
         # regime 1 the filter must stay there, although over one block of
-        # the scan (45 steps at n = 2000) that row of the product falls
-        # hundreds of orders of magnitude below the other
-        obs = two_regime_path(2000, seed=31)
+        # the scan (13 steps at n = 2000) that row of the product falls
+        # hundreds of orders of magnitude below the other; at the block
+        # ends of the chain below (5 top-level blocks at n = 2000, 8 at
+        # n = 10^4) it lies 1000 to 2900 nats below, past any shared scale
+        obs = two_regime_path(n, seed=31)
         theta = Theta(np.array([1e4, 3.0]), 2.0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
