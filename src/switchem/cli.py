@@ -7,7 +7,8 @@ Three subcommands share one JSON config document with sections
     switchem fit        --config cfg.json --data path.csv --out outdir
     switchem experiment --config cfg.json --out outdir --jobs 4
 
-File schemas (all CSV floats printed with 9 significant digits):
+File schemas (each CSV float field is exactly ``format(v, ".9g")`` and each
+integer field ``str(v)``):
 
     path.csv            t,x,alpha_true (fit reads t and x only)
     chain_fine.csv      t,alpha on the Euler grid (simulation.emit_chain_fine)
@@ -242,13 +243,112 @@ def _parse_em(cfg: dict, n_states: int) -> EmConfig:
     return em_cfg
 
 
+# CSV cells are formatted in blocks of rows, all cells of a block at once.
+# A cell |v| = D * 10**(e - 8), D its 9 significant digits, fills a slot of
+# four little-endian uint64 words: byte 0 the separator before it, 1 '-',
+# 2-6 '0.000', 7 + 2i digit i of D (i = 0..8), 8 + 2i a '.' after digit i
+# (i = 0..7), 24-27 'e', the exponent's sign and two digits.  A byte mask,
+# row ((e - _E_LO) * 9 + nz - 1) * 2 + sign of a table, with nz the digits
+# left after dropping trailing zeros, zeroes what format(v, ".9g") leaves
+# out; deleting the zero bytes then leaves the text.
+_CSV_BLOCK = 4096  # rows
+_E_LO, _E_HI = -14, 30  # decimal exponents whose scale 10**(8 - e) is exact
+_E_ALL = np.arange(_E_LO, _E_HI + 2)  # rounding up to 1e9 carries into _E_HI + 1
+
+
+@functools.cache
+def _csv_tables():
+    """The masks (all four words, and the first three), the 4-digit groups
+    and their trailing zeros, the first words, the exponent words, and the
+    scales of _csv_cells, built on first use: at import they cost about 1 ms."""
+    pos = np.arange(32)
+    e = _E_ALL[:, None, None, None]
+    nz = np.arange(1, 10)[:, None, None]
+    neg = np.arange(2)[:, None]
+    digit, i = (pos >= 7) & (pos <= 23) & (pos % 2 == 1), (pos - 7) // 2
+    dot = (pos >= 8) & (pos <= 22) & (pos % 2 == 0)
+    fixed = (e >= -4) & (e <= 8)
+    point = np.where(fixed, e, 0)  # the digit the '.' follows, unless 0 < |v| < 1
+    keep = (pos == 0) | (pos == 1) & (neg == 1)
+    keep = keep | digit & (i < np.where(fixed & (e >= 0), np.maximum(nz, e + 1), nz))
+    keep |= dot & (i == point) & (nz > point + 1) & ~(fixed & (e < 0))
+    keep |= fixed & (e < 0) & (pos >= 2) & (pos < 3 - e)  # '0.' and -e - 1 zeros
+    keep |= ~fixed & (pos >= 24) & (pos < 28)
+    masks = (keep * np.uint8(255)).view("<u8").reshape(-1, 4)
+    # the 10**4 groups of 4 digits as '.', digit, '.', ..., digit, and
+    # their trailing zeros; the axes of the (10, 10, 10, 10) grids are
+    # the digits from the first to the last
+    digits = [np.arange(10).reshape((10,) + (1,) * k) for k in range(3, -1, -1)]
+    quad = np.full((10,) * 4 + (8,), ord("."), np.uint8)
+    tz = 0
+    for k, d in enumerate(digits):
+        quad[..., 2 * k + 1] = d + ord("0")
+        tz = (d == 0) * (1 + tz)
+    lead = [int.from_bytes(b",-0.000" + str(d).encode(), "little") for d in range(10)]
+    exp = [int.from_bytes(f"e{x:+03d}".encode(), "little") for x in _E_ALL]
+    return (masks, masks[:, :3].copy(), quad.view("<u8").reshape(-1), tz.reshape(-1),
+            np.array(lead, np.uint64), np.array(exp, np.uint64),
+            10.0 ** np.maximum(8 - _E_ALL, 0), 10.0 ** np.maximum(_E_ALL - 8, 0))
+
+
+def _csv_cells(v: np.ndarray, limit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slots (rows, columns, words) of the cells of the float block ``v``,
+    and which of them are exact.  The others are to be formatted one by
+    one: non-finite values, |v| outside [1e-14, 1e31) or not below the
+    column's ``limit``, and values whose rounding is within 1e-6 of a half."""
+    masks, masks_fixed, quad, quad_tz, lead, exp, scale, unscale = _csv_tables()
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    ok = (e >= _E_LO) & (e <= _E_HI) & (a < limit)
+    ei = np.where(ok, e - _E_LO, -_E_LO).astype(np.intp)  # zero, and each fallback, at e = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = a * scale[ei] / unscale[ei]  # one rounding: |m - exact| <= 6e-8
+        d = np.rint(m)
+        # m leaves [1e8, 1e9] only if log10 misjudges e next to a power of ten
+        ok &= (m >= 1e8) & (m <= 1e9) & (np.abs(m - d) <= 0.5 - 1e-6)
+    ok |= a == 0.0
+    d = np.where(ok, d, 0.0).astype(np.intp)
+    up = d == 10**9
+    d[up], ei[up] = 10**8, ei[up] + 1
+    d0, hi = d // 10**8, d // 10**4
+    q1, q2 = hi - d0 * 10**4, d - hi * 10**4
+    tz = quad_tz[q2] + (q2 == 0) * quad_tz[q1]
+    key = ei * 18 + 16 - 2 * tz + np.signbit(v)
+    sci = (ei < -4 - _E_LO) | (ei > 8 - _E_LO)
+    # without an exponent in the block, the last word is zero and left out
+    out = np.take(masks if sci.any() else masks_fixed, key, axis=0)
+    out[..., 0] &= lead[d0]
+    out[..., 1] &= quad[q1]
+    out[..., 2] &= quad[q2]
+    if out.shape[-1] == 4:
+        out[..., 3] &= exp[ei]
+    out[:, 0, 0] ^= np.uint64(ord(",") ^ ord("\n"))  # a row starts a line
+    return out, ok
+
+
 def _csv_text(header: list[str], columns) -> str:
     """CSV text with one row per entry of the equal-length ``columns``;
-    integer columns print as integers, all others with 9 significant digits."""
+    integer columns print as ``str(v)``, all others as ``format(v, ".9g")``."""
     cols = [np.asarray(c) for c in columns]
-    fmt = ",".join("{:d}" if c.dtype.kind in "iu" else "{:.9g}" for c in cols)
-    rows = map(fmt.format, *(c.tolist() for c in cols))
-    return "\n".join([",".join(header), *rows]) + "\n"
+    is_int = [c.dtype.kind in "iu" for c in cols]
+    limit = np.where(is_int, 1e9, np.inf)  # integers of 10 digits or more go one by one
+    v = np.empty((len(cols[0]), len(cols)))
+    for j, c in enumerate(cols):
+        v[:, j] = c
+    parts = [",".join(header).encode()]
+    for start in range(0, len(v), _CSV_BLOCK):
+        out, ok = _csv_cells(v[start:start + _CSV_BLOCK], limit)
+        slots = out.reshape(-1, out.shape[-1]).view(np.uint8)
+        for cell in np.flatnonzero(~ok):
+            r, j = divmod(int(cell), len(cols))
+            x = cols[j][start + r]
+            text = str(int(x)) if is_int[j] else _fmt(x)
+            slots[cell, 1:] = 0  # a text of at most 20 bytes after the separator
+            slots[cell, 1:1 + len(text)] = np.frombuffer(text.encode(), np.uint8)
+        parts.append(out.tobytes().translate(None, b"\0"))
+    parts.append(b"\n")
+    return b"".join(parts).decode()
 
 
 def _coords(n_states: int) -> list[str]:

@@ -189,7 +189,8 @@ def forward_filter(
         d = np.where((dm > 0.0) & np.isfinite(dm), d / dm, d)
         steps = d[:, :, None] * a
         filtered = _scan(steps, _initial_probs(g.n_states, initial_probs))
-        mass = _across(np.add, (steps * filtered[:-1, :, None]).reshape(len(steps), -1))
+        # sum_{i,k} filtered[j-1, i] * steps[j-1, i, k], without the n x N x N product
+        mass = _across(np.add, filtered[:-1] * d * _across(np.add, a))
     bad = ~(np.isfinite(mass) & (mass > 0.0))
     if bad.any():
         j = int(np.argmax(bad)) + 1

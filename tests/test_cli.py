@@ -23,7 +23,7 @@ from switchem import (
     sort_regimes,
     validate_generator,
 )
-from switchem.cli import _EM_KINDS, main
+from switchem.cli import _CSV_BLOCK, _EM_KINDS, _csv_cells, _csv_text, main
 
 from oracles import nig_density_direct
 
@@ -882,6 +882,44 @@ class TestOptionalOutputs:
         ]
 
 
+def reference_csv(header, columns):
+    """The CSV text of one format() or str() call per value."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    lines = [",".join(str(v) if isinstance(v, int) else format(v, ".9g") for v in row)
+             for row in rows]
+    return "\n".join([",".join(header), *lines]) + "\n"
+
+
+class TestCsvText:
+    """_csv_text formats whole blocks of rows at once; every row count,
+    across the block edges, gives the text of one call per value."""
+
+    HEADER = ["iter", "b1", "lambda", "H", "state", "elapsed_ms"]
+
+    @pytest.mark.parametrize("n", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1])
+    def test_rows_across_block_edges(self, n):
+        rng = np.random.default_rng(n)
+        columns = [
+            np.arange(1, n + 1),
+            rng.standard_normal(n) * 10.0 ** rng.integers(-8, 12, n),
+            rng.uniform(-1e-3, 1e3, n),
+            -rng.exponential(1e4, n),
+            rng.integers(-3, 10**10, n),
+            np.zeros(n),
+        ]
+        assert _csv_text(self.HEADER, columns) == reference_csv(self.HEADER, columns)
+
+    def test_zeros_and_labels_need_no_fallback(self):
+        v = np.array([[0.0, 0.0], [-0.0, 1.0], [2.5, 7.0]])
+        _, exact = _csv_cells(v, np.array([np.inf, 1e9]))
+        assert exact.all()
+
+    def test_no_rows_is_the_header_line(self):
+        # trace.csv of a fit that fails at its first iteration
+        empty = [[] for _ in self.HEADER]
+        assert _csv_text(self.HEADER, empty) == ",".join(self.HEADER) + "\n"
+
+
 class TestStartingPoint:
     """Without em.theta0 the CLI draws the EM start from the init ranges
     with the generator seeded by [seed, 1]; fit honours em.init_seed."""
@@ -948,11 +986,14 @@ class TestStartingPoint:
 
 def test_cli_import_leaves_out_scipy_and_the_pool():
     # scipy.special and the process pool were about half of every command's
-    # start-up; only nig_density and experiment --jobs > 1 need them
+    # start-up; only nig_density and experiment --jobs > 1 need them.  The
+    # CSV writer formats with plain numpy arithmetic, not numpy's string
+    # modules
     code = """
 import sys
 import switchem.cli
-print(sorted(m for m in ("scipy", "multiprocessing", "concurrent.futures.process")
+print(sorted(m for m in ("scipy", "multiprocessing", "concurrent.futures.process",
+                         "numpy.strings", "numpy.char")
              if m in sys.modules))
 import switchem
 print(repr(switchem.nig_density(0.7, switchem.NigParams(1.5, 0.8, 0.5))))

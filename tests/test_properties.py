@@ -1,7 +1,9 @@
 """Property tests: kernel and forward-backward invariants on random generators,
-the scans (smoother and Euler path) against the step-by-step loops, and the
-regime-axis fold against numpy's reductions."""
+the scans (smoother and Euler path) against the step-by-step loops, the
+regime-axis fold against numpy's reductions, and the CSV writer against one
+format() or str() call per value."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -20,6 +22,7 @@ from switchem import (
     update_generator,
     validate_generator,
 )
+from switchem.cli import _csv_text
 from switchem.likelihood import _across, cauchy_density_matrix
 
 from oracles import euler_loop, loop_filter_smoother
@@ -234,3 +237,46 @@ def test_fold_sum_over_the_last_axis(x):
 def test_fold_sum_over_the_middle_axis(x):
     got, ref = _across(np.add, x, axis=1), x.sum(axis=1)
     assert_sum_close(got, ref, np.abs(x).sum(axis=1), x.shape[1])
+
+
+# floats whose 9-digit text is easy to get wrong: signed zeros, non-finite
+# values, subnormals, the float range's ends, exact and inexact half-way
+# points, and powers of ten with their lower neighbours
+NAMED_FLOATS = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+    np.nextafter(2.2250738585072014e-308, 0.0), 1.7e308, -sys.float_info.max,
+    999999999.5, 99999.99995, 100000000.5, 0.1234567895, -1.0000000005e-5,
+    *(float(f"1e{k}") for k in range(-30, 31)),
+    *(np.nextafter(float(f"1e{k}"), 0.0) for k in range(-30, 31)),
+]
+NAMED_INTS = [0, -1, 7, -12345, 10**9 - 1, 10**9, -(10**9 - 1), -(10**9), 2**53 + 1,
+              -(2**53) - 1, 10**18 + 7, 2**63 - 1, -(2**63)]
+# the doubles nearest to d.5 units of the 9th significant digit
+HALF_WAY = st.builds(lambda d, k: float(f"{d}5e{k}"), st.integers(10**8, 10**9 - 1),
+                     st.integers(-335, 300))
+CSV_FLOAT = st.one_of(
+    ANY_FLOAT,
+    st.sampled_from(NAMED_FLOATS),
+    HALF_WAY,
+    st.builds(np.nextafter, HALF_WAY, st.sampled_from([0.0, np.inf])),
+)
+CSV_INT = st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(-(10**9) - 5, 10**9 + 5),
+                    st.sampled_from(NAMED_INTS))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(CSV_FLOAT, CSV_INT), max_size=40))
+def test_csv_cells_are_format_and_str(rows):
+    floats = np.array([x for x, _ in rows], dtype=float)
+    ints = np.array([i for _, i in rows], dtype=np.int64)
+    assert _csv_text(["x", "i"], [floats, ints]) == "".join(
+        ["x,i\n", *(f"{format(x, '.9g')},{i}\n" for x, i in rows)]
+    )
+
+
+def test_csv_named_cells():
+    floats, ints = np.array(NAMED_FLOATS), np.array(NAMED_INTS, dtype=np.int64)
+    assert _csv_text(["x"], [floats]).splitlines()[1:] == [
+        format(float(x), ".9g") for x in NAMED_FLOATS
+    ]
+    assert _csv_text(["i"], [ints]).splitlines()[1:] == [str(i) for i in NAMED_INTS]
