@@ -87,9 +87,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    tmp.write_bytes(data)
     os.replace(tmp, path)
 
 
@@ -327,8 +327,8 @@ def _csv_cells(v: np.ndarray, limit: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return out, ok
 
 
-def _csv_text(header: list[str], columns) -> str:
-    """CSV text with one row per entry of the equal-length ``columns``;
+def _csv_text(header: list[str], columns) -> bytes:
+    """CSV text, as bytes, with one row per entry of the equal-length ``columns``;
     integer columns print as ``str(v)``, all others as ``format(v, ".9g")``."""
     cols = [np.asarray(c) for c in columns]
     is_int = [c.dtype.kind in "iu" for c in cols]
@@ -348,7 +348,7 @@ def _csv_text(header: list[str], columns) -> str:
             slots[cell, 1:1 + len(text)] = np.frombuffer(text.encode(), np.uint8)
         parts.append(out.tobytes().translate(None, b"\0"))
     parts.append(b"\n")
-    return b"".join(parts).decode()
+    return b"".join(parts)
 
 
 def _coords(n_states: int) -> list[str]:
@@ -356,7 +356,7 @@ def _coords(n_states: int) -> list[str]:
     return [f"b{i + 1}" for i in range(n_states)] + ["lambda", "delta"]
 
 
-def _trace_csv_text(result: EmResult, stable: bool) -> str:
+def _trace_csv_text(result: EmResult, stable: bool) -> bytes:
     recs, n_states = result.trace, result.theta.n_states
     theta = np.reshape([rec.theta for rec in recs], (len(recs), n_states + 2))
     header = ["iter", *_coords(n_states), "H", "stat", "elapsed_ms"]
@@ -475,7 +475,7 @@ def cmd_fit(args) -> int:
         payload["quadratic_error"] = dict(zip(_coords(g.n_states), map(float, qe)))
     payload["config"] = cfg
     payload["seed"] = seed
-    _write_atomic(out / "result.json", json.dumps(payload, indent=2) + "\n")
+    _write_atomic(out / "result.json", (json.dumps(payload, indent=2) + "\n").encode())
     _write_atomic(out / "trace.csv", _trace_csv_text(result, args.stable_output))
     if emit_probs:
         fs = forward_filter(result.theta, result.generator, obs, em_cfg.initial_filter_probs)
@@ -492,7 +492,7 @@ def _run_replication(packed) -> dict:
     base, em_cfg, rep, seed, stable = packed
     sc = dataclasses.replace(base, seed=seed)
     row = {"rep": rep, "seed": seed, "estimate": None, "qe": None, "iters": 0,
-           "status": "numerical_failure", "trace": ""}
+           "status": "numerical_failure", "trace": b""}
     try:
         obs, _, _ = simulate_path(sc)
         # independent starting point per replication; em.init_seed is ignored
@@ -578,7 +578,7 @@ def cmd_experiment(args) -> int:
             + ["", f"median_iqr_over_{len(ok_rows)}"]
         )
         lines.append(",".join(vals))
-    _write_atomic(out / "summary.csv", "\n".join(lines) + "\n")
+    _write_atomic(out / "summary.csv", ("\n".join(lines) + "\n").encode())
     n_ok = len(ok_rows)
     print(f"experiment: {n_ok}/{reps} replications succeeded -> {out / 'summary.csv'}")
     return EXIT_OK if n_ok * 2 >= reps else EXIT_NUMERICAL

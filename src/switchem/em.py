@@ -262,7 +262,7 @@ def update_generator(
     a row with no stay mass, whose rates can round past the step bound,
     still gives 1 + q_ii h >= 0 and a kernel at h.
     """
-    tot = w.w.sum(axis=0)
+    tot = w.w.transpose(1, 2, 0).sum(axis=2)
     row_tot = tot.sum(axis=1, keepdims=True)
     live = row_tot[:, 0] > 0.0
     q = np.array(g.q, dtype=float)

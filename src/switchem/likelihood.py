@@ -14,7 +14,12 @@ terms; each formula is cross-checked against finite differences in the
 test suite.
 
 Index convention: weight arrays have shape (n, N, N); slice j-1 holds the
-pair (t_{j-1}, t_j), j = 1..n.
+pair (t_{j-1}, t_j), j = 1..n.  The shapes are the public ones; in memory
+the observation axis is innermost.  The smoother's weights are transposed
+views of (N, N, n) arrays, read here through ``w.w.transpose(1, 2, 0)``,
+and residuals and densities are computed as (N, n), so every sum over
+the regimes runs along the contiguous observation axis.  Weights in any
+other memory layout give the same results, more slowly.
 """
 
 from __future__ import annotations
@@ -28,17 +33,6 @@ from .errors import EvaluationError
 from .nig import cauchy_density
 
 PAIR_SLICE_TOL = 1e-9
-
-
-def _across(ufunc, x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """``ufunc.reduce(x, axis)`` over a short regime axis, folded slice by
-    slice: N-1 elementwise calls cost a small fraction of one numpy
-    reduction over an axis of length N.  At N = 1 the result is a view."""
-    lead = (slice(None),) * (axis % x.ndim)
-    out = x[lead + (0,)]
-    for i in range(1, x.shape[axis]):
-        out = ufunc(out, x[lead + (i,)])
-    return out
 
 
 @dataclass(frozen=True)
@@ -117,7 +111,7 @@ class SmoothedPairProbs:
             raise ValueError(f"bad weight array shape {w.shape}")
         if not np.all((w >= 0.0) & (w <= 1.0)):
             raise ValueError("weights must lie in [0, 1]")
-        sums = _across(np.add, w.reshape(len(w), -1))
+        sums = w.sum(axis=(1, 2))
         if np.any(np.abs(sums - 1.0) > PAIR_SLICE_TOL):
             j = int(np.argmax(np.abs(sums - 1.0)))
             raise ValueError(f"pair slice {j} sums to {sums[j]!r}, not 1")
@@ -133,14 +127,15 @@ class SmoothedPairProbs:
 
 def cauchy_density_matrix(theta: Theta, obs: ObservationSeries) -> np.ndarray:
     """Matrix D[j-1, i] = f(X_j | X_{j-1}, regime i; theta) for j = 1..n,
-    shape (n, N), indexed like the pair weights."""
-    return cauchy_density(_residuals(theta, obs), theta.delta * obs.h)
+    shape (n, N), indexed like the pair weights; a transposed view of an
+    (N, n) array."""
+    return cauchy_density(_residuals(theta, obs), theta.delta * obs.h).T
 
 
 def _residuals(theta: Theta, obs: ObservationSeries) -> np.ndarray:
-    """u[j-1, i] = X_j - mu_{j-1}(lam) under regime i, shape (n, N)."""
-    xp = obs.x[:-1, None]
-    return obs.x[1:, None] - xp - theta.lam * (theta.b[None, :] - xp) * obs.h
+    """u[i, j-1] = X_j - mu_{j-1}(lam) under regime i, shape (N, n)."""
+    xp = obs.x[:-1]
+    return obs.x[1:] - xp - theta.lam * (theta.b[:, None] - xp) * obs.h
 
 
 def _check_pair_support(a: np.ndarray, pair_tot: np.ndarray) -> None:
@@ -165,8 +160,9 @@ def H_n(theta: Theta, a: np.ndarray, obs: ObservationSeries, w: SmoothedPairProb
     u = _residuals(theta, obs)
     scale = theta.delta * obs.h
     logf = -np.log(np.pi * (scale * scale + u * u) / scale)
-    wi = _across(np.add, w.w)
-    pair_tot = w.w.sum(axis=0)
+    ww = w.w.transpose(1, 2, 0)
+    wi = ww.sum(axis=1)
+    pair_tot = ww.sum(axis=2)
     _check_pair_support(a, pair_tot)
     log_a = np.where(pair_tot > 0.0, np.log(np.where(a > 0.0, a, 1.0)), 0.0)
     return float(np.sum(wi * logf) + np.sum(pair_tot * log_a))
@@ -175,7 +171,7 @@ def H_n(theta: Theta, a: np.ndarray, obs: ObservationSeries, w: SmoothedPairProb
 def _kernels(theta: Theta, obs: ObservationSeries):
     """Shared per-observation factors for the derivative formulas."""
     u = _residuals(theta, obs)
-    v = theta.b[None, :] - obs.x[:-1, None]
+    v = theta.b[:, None] - obs.x[:-1]
     h = obs.h
     delta = theta.delta
     k2 = cauchy_density(u, delta * h)
@@ -198,8 +194,8 @@ def grad_H(theta: Theta, obs: ObservationSeries, w: SmoothedPairProbs) -> np.nda
     """Analytic gradient of H in the coordinates (b(1..N), lam, delta)."""
     _check_dims(obs, w, theta.n_states)
     _, _, k1, k2, k3, k4 = _kernels(theta, obs)
-    wi = _across(np.add, w.w)
-    d_b = np.sum(k2 * k4 * wi, axis=0)
+    wi = w.w.transpose(1, 2, 0).sum(axis=1)
+    d_b = np.sum(k2 * k4 * wi, axis=1)
     d_lam = float(np.sum(k2 * k3 * wi))
     d_delta = float(np.sum(k1 * k2 * wi))
     return np.concatenate([d_b, [d_lam, d_delta]])
@@ -217,16 +213,16 @@ def hessian_H(theta: Theta, obs: ObservationSeries, w: SmoothedPairProbs) -> np.
     k7 = -2.0 * np.pi * u * v / (delta * delta)
     k8 = -2.0 * np.pi * u * lam / (delta * delta)
     k9 = 2.0 * np.pi * (u - lam * v * h) / delta
-    wi = _across(np.add, w.w)
+    wi = w.w.transpose(1, 2, 0).sum(axis=1)
     n_par = theta.n_states + 2
     il, id_ = n_par - 2, n_par - 1
     hess = np.zeros((n_par, n_par))
     hess[id_, id_] = np.sum((k1 * k1 * k2 * k2 + k2 * k5) * wi)
     hess[il, il] = np.sum((k2 * k2 * k3 * k3 + k2 * k6) * wi)
     hess[il, id_] = hess[id_, il] = np.sum((k2 * k2 * k3 * k1 + k2 * k7) * wi)
-    bd = np.sum((k2 * k2 * k1 * k4 + k2 * k8) * wi, axis=0)
-    bl = np.sum((k2 * k2 * k3 * k4 + k2 * k9) * wi, axis=0)
-    bb = np.sum((k2 * k2 * k4 * k4 + k2 * (-2.0 * np.pi * h * lam * lam / delta)) * wi, axis=0)
+    bd = np.sum((k2 * k2 * k1 * k4 + k2 * k8) * wi, axis=1)
+    bl = np.sum((k2 * k2 * k3 * k4 + k2 * k9) * wi, axis=1)
+    bb = np.sum((k2 * k2 * k4 * k4 + k2 * (-2.0 * np.pi * h * lam * lam / delta)) * wi, axis=1)
     ib = np.arange(theta.n_states)
     hess[ib, id_] = hess[id_, ib] = bd
     hess[ib, il] = hess[il, ib] = bl

@@ -907,7 +907,7 @@ class TestCsvText:
             rng.integers(-3, 10**10, n),
             np.zeros(n),
         ]
-        assert _csv_text(self.HEADER, columns) == reference_csv(self.HEADER, columns)
+        assert _csv_text(self.HEADER, columns) == reference_csv(self.HEADER, columns).encode()
 
     def test_zeros_and_labels_need_no_fallback(self):
         v = np.array([[0.0, 0.0], [-0.0, 1.0], [2.5, 7.0]])
@@ -917,7 +917,7 @@ class TestCsvText:
     def test_no_rows_is_the_header_line(self):
         # trace.csv of a fit that fails at its first iteration
         empty = [[] for _ in self.HEADER]
-        assert _csv_text(self.HEADER, empty) == ",".join(self.HEADER) + "\n"
+        assert _csv_text(self.HEADER, empty) == (",".join(self.HEADER) + "\n").encode()
 
 
 class TestStartingPoint:

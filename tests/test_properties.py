@@ -23,7 +23,8 @@ from switchem import (
     validate_generator,
 )
 from switchem.cli import _csv_text
-from switchem.likelihood import _across, cauchy_density_matrix
+from switchem.likelihood import cauchy_density_matrix
+from switchem.smoother import _across
 
 from oracles import euler_loop, loop_filter_smoother
 
@@ -214,6 +215,7 @@ def assert_sum_close(got, ref, terms, n_states):
 def test_fold_max_is_the_reduction(x):
     got, ref = _across(np.maximum, x), x.max(axis=-1)
     assert_same_floats(got, ref)
+    assert_same_floats(_across(np.maximum, x.T, axis=0), got)
     real = ~np.isnan(ref)
     assert np.array_equal(np.signbit(got[real]), np.signbit(ref[real]))
 
@@ -237,6 +239,8 @@ def test_fold_sum_over_the_last_axis(x):
 def test_fold_sum_over_the_middle_axis(x):
     got, ref = _across(np.add, x, axis=1), x.sum(axis=1)
     assert_sum_close(got, ref, np.abs(x).sum(axis=1), x.shape[1])
+    # with the regime axis leading, as the smoother stores it
+    assert_same_floats(_across(np.add, x.swapaxes(0, 1), axis=0), got)
 
 
 # floats whose 9-digit text is easy to get wrong: signed zeros, non-finite
@@ -271,12 +275,12 @@ def test_csv_cells_are_format_and_str(rows):
     ints = np.array([i for _, i in rows], dtype=np.int64)
     assert _csv_text(["x", "i"], [floats, ints]) == "".join(
         ["x,i\n", *(f"{format(x, '.9g')},{i}\n" for x, i in rows)]
-    )
+    ).encode()
 
 
 def test_csv_named_cells():
     floats, ints = np.array(NAMED_FLOATS), np.array(NAMED_INTS, dtype=np.int64)
-    assert _csv_text(["x"], [floats]).splitlines()[1:] == [
+    assert _csv_text(["x"], [floats]).decode().splitlines()[1:] == [
         format(float(x), ".9g") for x in NAMED_FLOATS
     ]
-    assert _csv_text(["i"], [ints]).splitlines()[1:] == [str(i) for i in NAMED_INTS]
+    assert _csv_text(["i"], [ints]).decode().splitlines()[1:] == [str(i) for i in NAMED_INTS]

@@ -6,15 +6,20 @@ import pytest
 from switchem import (
     ConfigError,
     FilterState,
+    H_n,
     NumericalFailure,
     ObservationSeries,
     SimulationConfig,
+    SmoothedPairProbs,
     Theta,
     backward_smooth,
     forward_filter,
+    grad_H,
+    hessian_H,
     simulate_path,
     smoothed_marginals,
     transition_matrix_approx,
+    update_generator,
     validate_generator,
 )
 from switchem.likelihood import cauchy_density_matrix
@@ -273,3 +278,38 @@ class TestSmoothedMarginals:
         sm = smoothed_marginals(fs, backward_smooth(fs))
         np.testing.assert_array_equal(sm[-1], fs.filtered[-1])
         np.testing.assert_allclose(sm.sum(axis=1), 1.0, atol=1e-12)
+
+
+class TestMemoryLayout:
+    """The smoother keeps every per-observation array with the observation
+    axis last and contiguous; its public arrays are transposed views."""
+
+    def instance(self):
+        theta, g, obs = small_instance(np.random.default_rng(21), n=500, m=3)
+        fs = forward_filter(theta, g, obs)
+        return theta, g, obs, fs, backward_smooth(fs)
+
+    def test_public_arrays_view_observation_innermost_arrays(self):
+        _, _, obs, fs, w = self.instance()
+        assert fs.filtered.shape == (obs.n + 1, 3)
+        assert fs.steps.shape == w.w.shape == (obs.n, 3, 3)
+        assert fs.filtered.T.flags.c_contiguous
+        assert fs.steps.transpose(1, 2, 0).flags.c_contiguous
+        assert w.w.transpose(1, 2, 0).flags.c_contiguous
+
+    def test_c_contiguous_inputs_give_the_same_results(self):
+        # callers may build their own (n, N, N) weights and (n+1, N) rows
+        theta, g, obs, fs, w = self.instance()
+        fs_c = FilterState(np.ascontiguousarray(fs.filtered), fs.kernel,
+                           np.ascontiguousarray(fs.steps))
+        w_c = SmoothedPairProbs(np.ascontiguousarray(w.w))
+        assert w_c.w.flags.c_contiguous and fs_c.steps.flags.c_contiguous
+        pairs = [
+            (H_n(theta, fs.kernel, obs, w_c), H_n(theta, fs.kernel, obs, w)),
+            (grad_H(theta, obs, w_c), grad_H(theta, obs, w)),
+            (hessian_H(theta, obs, w_c), hessian_H(theta, obs, w)),
+            (update_generator(g, w_c, obs.h).q, update_generator(g, w, obs.h).q),
+            (backward_smooth(fs_c).w, w.w),
+        ]
+        for got, ref in pairs:
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
