@@ -36,20 +36,8 @@ from .likelihood import (
     grad_H,
     hessian_H,
 )
-from .nig import (
-    NigParams,
-    cauchy_density,
-    nig_density,
-    sample_nig,
-    std_cauchy_limit_check,
-)
-from .sde import (
-    ConvergenceReport,
-    SimulationConfig,
-    euler_path,
-    self_convergence_test,
-    simulate_path,
-)
+from .nig import NigParams, cauchy_density, sample_nig
+from .sde import SimulationConfig, euler_path, simulate_path
 from .smoother import (
     FilterState,
     backward_smooth,
@@ -62,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChainPath",
     "ConfigError",
-    "ConvergenceReport",
     "EmConfig",
     "EmResult",
     "EvaluationError",
@@ -85,15 +72,12 @@ __all__ = [
     "grad_H",
     "hessian_H",
     "newton_step",
-    "nig_density",
     "quadratic_error",
     "sample_nig",
-    "self_convergence_test",
     "simulate_chain",
     "simulate_path",
     "smoothed_marginals",
     "sort_regimes",
-    "std_cauchy_limit_check",
     "termination_stat",
     "transition_matrix_approx",
     "update_generator",

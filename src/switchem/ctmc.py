@@ -26,7 +26,10 @@ class GeneratorMatrix:
     """Validated CTMC generator: nonnegative off-diagonal, rows sum to zero."""
 
     q: np.ndarray
-    n_states: int
+
+    @property
+    def n_states(self) -> int:
+        return self.q.shape[0]
 
     def max_step(self) -> float:
         """Largest grid step keeping 1 + q_ii*h >= 0 for all states."""
@@ -78,7 +81,7 @@ def validate_generator(q_raw) -> GeneratorMatrix:
             "generator has absorbing state(s) " + ", ".join(absorbing), RuntimeWarning
         )
     off.setflags(write=False)
-    return GeneratorMatrix(off, n)
+    return GeneratorMatrix(off)
 
 
 def _check_step(g: GeneratorMatrix, h: float) -> None:

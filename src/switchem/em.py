@@ -270,7 +270,7 @@ def update_generator(
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -np.minimum(q.sum(axis=1), 1.0 / h))
     q.setflags(write=False)
-    return GeneratorMatrix(q, g.n_states)
+    return GeneratorMatrix(q)
 
 
 def em_fit(

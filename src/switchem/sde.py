@@ -17,12 +17,9 @@ The Euler recursion is affine in X, so :func:`euler_path` runs it as a
 blocked scan in about 2 sqrt(n) vectorized steps rather than one Python
 step per grid point.  It keeps the two-level form, blocks of about
 sqrt(n) steps and then one step per block boundary, where the smoother's
-scan recurses on its block boundaries.
-
-``self_convergence_test`` measures the strong self-convergence of the Euler
-scheme by coupling: all refinement levels share one finest-grid chain path
-and one finest-grid pool of noise increments, aggregated upward, so
-successive levels differ only through the drift discretization.
+scan recurses on its block boundaries.  Acceptance criterion 7
+(``tests/test_acceptance.py``) checks the scheme's strong order 1 by
+coupling successive refinements of :func:`euler_path`.
 """
 
 from __future__ import annotations
@@ -175,74 +172,3 @@ def euler_path(
         cur = cur + lam * (drift[:, t] - cur) * step + noise[:, t]
         drift[:, t] = cur
     return x[: n + 1]
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Coupled mean-square gaps between successive Euler refinements.
-
-    ``gaps[l]`` is the Monte Carlo estimate of
-    E[ sup_k ( X^{(l)}_k - X^{(l+1)}_k )^2 ] over the coarse grid, where
-    level l uses step h / fine_factor^l.  ``ratios`` are consecutive
-    quotients gaps[l] / gaps[l+1]; for this model they are expected near
-    fine_factor**2 (additive noise: strong order 1, gaps shrink like step^2).
-    """
-
-    gaps: np.ndarray
-    ratios: np.ndarray
-    n_reps: int
-
-
-def self_convergence_test(
-    cfg: SimulationConfig, levels: int = 3, n_reps: int = 200
-) -> ConvergenceReport:
-    """Estimate coupled strong self-convergence rates of the Euler scheme.
-
-    Builds ``levels + 1`` refinement levels with steps h / f^l (f =
-    ``cfg.fine_factor``).  Per replication, one chain path and then one
-    pool of NIG increments are drawn on the finest grid from
-    ``default_rng(cfg.seed)``; coarser levels reuse the same chain
-    (subsampled) and the same noise (aggregated by summation), so level
-    differences isolate the drift discretization error.  The noise is
-    additive, so Euler has strong order 1 and the returned ratios are
-    expected near ``cfg.fine_factor**2``.
-    """
-    if levels < 1:
-        raise ConfigError(f"levels must be >= 1, got {levels}")
-    if n_reps < 1:
-        raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
-    rng = np.random.default_rng(cfg.seed)
-    f = cfg.fine_factor
-    if f < 2:
-        raise ConfigError("fine_factor must be >= 2 for refinement levels")
-    n0 = cfg.n_obs
-    n_finest = n0 * f**levels
-    finest_step = cfg.obs_step_h / f**levels
-
-    theta = cfg.theta_true
-    p_noise = NigParams(cfg.a_nuisance, theta.delta, finest_step)
-    states = np.empty((n_reps, n_finest + 1), dtype=np.int64)
-    incr = np.empty((n_reps, n_finest))
-    for r in range(n_reps):
-        states[r] = simulate_chain(
-            cfg.generator, finest_step, n_finest, cfg.initial_state, rng
-        ).states
-        incr[r] = sample_nig(p_noise, n_finest, rng)
-
-    paths = []
-    for lvl in range(levels + 1):
-        sub = f ** (levels - lvl)
-        step_l = finest_step * sub
-        inc_l = incr.reshape(n_reps, n_finest // sub, sub).sum(axis=2)
-        full = np.stack([
-            euler_path(cfg.x0, theta, states[r, ::sub], inc_l[r], step_l)
-            for r in range(n_reps)
-        ])
-        paths.append(full[:, :: f**lvl])  # thin to the coarse observation grid
-
-    gaps = np.empty(levels)
-    for lvl in range(levels):
-        diff = paths[lvl] - paths[lvl + 1]
-        gaps[lvl] = float(np.mean(np.max(diff * diff, axis=1)))
-    ratios = gaps[:-1] / gaps[1:] if levels > 1 else np.empty(0)
-    return ConvergenceReport(gaps, ratios, n_reps)

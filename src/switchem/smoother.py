@@ -42,11 +42,12 @@ weights (N, N, n); filtered and smoothed rows (N, n+1); the scan's blocks
 (block length, N, N, blocks).  Each numpy call then runs one long loop
 along the observations or blocks rather than n loops of length N.  The
 public (n+1, N) and (n, N, N) arrays are transposed views.  Inside a
-block a matrix product is one broadcast product summed over N, and every
-sum or maximum over the regimes folds slice by slice (:func:`_across`):
-on (455, 2, 2) top-level blocks at n = 10^4 a step takes about half as
-long as a batched ``@``; at N = 3, n = 10^3 it takes longer, but the rest
-of the pass gains more.
+block a matrix product is one broadcast product summed over N.  A sum or
+maximum over a regime axis is numpy's own reduction: on these arrays the
+regime axes are outer, so numpy combines whole slices, each one pass
+along the observations or blocks.  On (455, 2, 2) top-level blocks at
+n = 10^4 a step takes about half as long as a batched ``@``; at N = 3,
+n = 10^3 it takes longer, but the rest of the pass gains more.
 
 Each emission row is scaled by its maximum before the forward scan, so
 observations whose densities underflow jointly still filter; the scale of
@@ -107,17 +108,6 @@ def _initial_probs(n_states: int, initial) -> np.ndarray:
     return p / p.sum()
 
 
-def _across(ufunc, x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """``ufunc.reduce(x, axis)`` over a short regime axis, folded slice by
-    slice: N-1 elementwise calls, each along the contiguous observation
-    axis.  At N = 1 the result is a view."""
-    lead = (slice(None),) * (axis % x.ndim)
-    out = x[lead + (0,)]
-    for i in range(1, x.shape[axis]):
-        out = ufunc(out, x[lead + (i,)])
-    return out
-
-
 def _mix(v: np.ndarray, s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of v diag(exp(r)) s, each normalized to sum to one, and their log
     masses: v holds rows (..., N, B), s matrices (..., N, N, B) and r the log
@@ -125,10 +115,10 @@ def _mix(v: np.ndarray, s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.nd
     weights are shifted by their row maximum so no weight underflows on
     its own; a row without mass stays zero, with log mass -inf."""
     lw = np.log(v) + r
-    mx = _across(np.maximum, lw, axis=-2)
+    mx = lw.max(axis=-2)
     wt = np.exp(lw - np.maximum(mx, _FLOOR)[..., None, :])
-    u = _across(np.add, wt[..., None, :] * s, axis=-3)
-    tot = _across(np.add, u, axis=-2)
+    u = (wt[..., None, :] * s).sum(axis=-3)
+    tot = u.sum(axis=-2)
     return u / np.where(tot > 0.0, tot, 1.0)[..., None, :], mx + np.log(tot)
 
 
@@ -179,7 +169,8 @@ def _scan(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
     (N, n+1) array; column 0 is ``v0``.
 
     The prefix products inside every block advance together, each step a
-    product folded over N, rows renormalized with their log masses carried.
+    broadcast product summed over N, rows renormalized with their log
+    masses carried.
     """
     n = mats.shape[-1]
     prod = _blocks(mats)
@@ -187,8 +178,8 @@ def _scan(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
     cur, cur_log = prod[0], 0.0
     for t in range(len(prod)):
         if t:
-            cur = _across(np.add, cur[:, :, None] * prod[t], axis=1)
-        tot = _across(np.add, cur, axis=1)
+            cur = (cur[:, :, None] * prod[t]).sum(axis=1)
+        tot = cur.sum(axis=1)
         cur_log = cur_log + np.log(tot)
         cur = cur / np.where(tot > 0.0, tot, 1.0)[:, None]
         prod[t], logm[t] = cur, cur_log
@@ -211,12 +202,12 @@ def forward_filter(
     a = transition_matrix_approx(g, obs.h)
     d = cauchy_density_matrix(theta, obs).T
     with np.errstate(divide="ignore", invalid="ignore"):
-        dm = _across(np.maximum, d, axis=0)
+        dm = d.max(axis=0)
         d = np.where((dm > 0.0) & np.isfinite(dm), d / dm, d)
         steps = d[:, None, :] * a[:, :, None]
         filtered = _scan(steps, _initial_probs(g.n_states, initial_probs))
         # sum_{i,k} filtered[j-1, i] * steps[j-1, i, k], without the N x N x n product
-        mass = _across(np.add, filtered[:, :-1] * d * _across(np.add, a)[:, None], axis=0)
+        mass = (filtered[:, :-1] * d * a.sum(axis=1)[:, None]).sum(axis=0)
     bad = ~(np.isfinite(mass) & (mass > 0.0))
     if bad.any():
         j = int(np.argmax(bad)) + 1
@@ -236,12 +227,12 @@ def backward_smooth(fs: FilterState) -> SmoothedPairProbs:
     """
     filtered = fs.filtered.T
     pair = fs.steps.transpose(1, 2, 0) * filtered[:, None, :-1]
-    pm = _across(np.add, pair, axis=0)
+    pm = pair.sum(axis=0)
     back = np.divide(pair, pm, out=np.zeros_like(pair), where=pm > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         smoothed = _scan(back[:, :, ::-1].swapaxes(0, 1), filtered[:, -1])[:, ::-1]
         w = back * smoothed[:, 1:]
-        z = _across(np.add, w.reshape(-1, fs.n), axis=0)
+        z = w.reshape(-1, fs.n).sum(axis=0)
     bad = ~(np.isfinite(z) & (z > 0.0))
     if bad.any():
         j = fs.n - int(np.argmax(bad[::-1]))

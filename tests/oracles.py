@@ -2,15 +2,18 @@
 
 Everything here is deliberately slow and direct: quadrature instead of
 special-function identities, exhaustive enumeration instead of recursions,
-finite differences instead of analytic derivatives.  Nothing in this module
-imports the package internals beyond plain data containers.
+finite differences instead of analytic derivatives.  The one exception is
+the NIG density, which the package never evaluates: :func:`nig_density`
+uses scipy's scaled K1 and is itself checked against the quadrature form
+:func:`nig_density_direct`.  Nothing in this module imports the package
+internals beyond plain data containers.
 """
 
 import itertools
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 
 def k1_quadrature(x: float) -> float:
@@ -27,6 +30,17 @@ def nig_density_direct(z: float, a: float, s: float) -> float:
     return (a * s / math.pi) * math.exp(a * s) * k1_quadrature(a * root) / root
 
 
+def nig_density(z, a: float, s: float):
+    """NIG(a, 0, s, 0) density at a float or array ``z``.
+
+    Uses the exponentially scaled K1 so the a*s prefactor never overflows:
+    with u = a*sqrt(s^2 + z^2) >= a*s the exponent a*s - u is <= 0.
+    """
+    root = np.sqrt(s * s + np.square(z))
+    u = a * root
+    return (a * s / np.pi) * np.exp(a * s - u) * special.k1e(u) / root
+
+
 def nig_cdf_grid(a: float, s: float, z_max: float = 150.0):
     """Tabulated CDF of NIG(a, 0, s, 0) by cumulative trapezoidal quadrature.
 
@@ -35,14 +49,6 @@ def nig_cdf_grid(a: float, s: float, z_max: float = 150.0):
     the exponential tails; the left-tail mass below -z_max is obtained by
     scipy quadrature of the density.
     """
-    from scipy.special import k1e
-
-    def dens(z):
-        z = np.asarray(z, dtype=float)
-        root = np.sqrt(s * s + z * z)
-        u = a * root
-        return (a * s / np.pi) * np.exp(a * s - u) * k1e(u) / root
-
     inner = max(10.0 * s, 2.0)
     grid = np.unique(
         np.concatenate(
@@ -53,23 +59,16 @@ def nig_cdf_grid(a: float, s: float, z_max: float = 150.0):
             ]
         )
     )
-    pdf = dens(grid)
+    pdf = nig_density(grid, a, s)
     cdf = integrate.cumulative_trapezoid(pdf, grid, initial=0.0)
-    left_tail, _ = integrate.quad(dens, -np.inf, -z_max, limit=200)
+    left_tail, _ = integrate.quad(nig_density, -np.inf, -z_max, args=(a, s), limit=200)
     cdf = cdf + left_tail
     return grid, cdf
 
 
 def nig_second_moment(a: float, s: float) -> float:
     """E[Z^2] of NIG(a, 0, s, 0) by direct quadrature of z^2 f(z)."""
-    from scipy.special import k1e
-
-    def integrand(z):
-        root = math.sqrt(s * s + z * z)
-        u = a * root
-        return z * z * (a * s / math.pi) * math.exp(a * s - u) * k1e(u) / root
-
-    val, _ = integrate.quad(integrand, 0.0, np.inf, limit=400)
+    val, _ = integrate.quad(lambda z: z * z * nig_density(z, a, s), 0.0, np.inf, limit=400)
     return 2.0 * val
 
 
@@ -186,6 +185,17 @@ def loop_update_rates(q, w, h):
         q[l] = tot[l] / row_tot / h
         q[l, l] = -(q[l].sum() - q[l, l])
     return q
+
+
+def fold_across(ufunc, x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``ufunc.reduce(x, axis)`` as a left fold, one slice of ``axis`` at a
+    time: x[0], then ufunc(., x[1]), ...  The order in which the smoother's
+    regime-axis sums and maxima must combine for bitwise-stable output."""
+    lead = (slice(None),) * (axis % x.ndim)
+    out = x[lead + (0,)]
+    for i in range(1, x.shape[axis]):
+        out = ufunc(out, x[lead + (i,)])
+    return out
 
 
 def euler_loop(x0, theta, states, increments, step):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 
 from switchem import (
     ConfigError,
+    SmoothedPairProbs,
     simulate_chain,
     transition_matrix_approx,
+    update_generator,
     validate_generator,
 )
 
@@ -18,6 +21,14 @@ class TestValidateGenerator:
         g = validate_generator(BENCH_Q)
         assert g.n_states == 2
         np.testing.assert_allclose(g.q.sum(axis=1), 0.0, atol=1e-15)
+
+    def test_n_states_follows_q(self):
+        # n_states is read from q, not stored beside it
+        g = validate_generator([[-1.0, 0.5, 0.5], [0.0, -2.0, 2.0], [1.0, 1.0, -2.0]])
+        assert [f.name for f in dataclasses.fields(g)] == ["q"]
+        assert g.n_states == g.q.shape[0] == 3
+        w = np.full((4, 3, 3), 1.0 / 9.0)
+        assert update_generator(g, SmoothedPairProbs(w), 0.1).n_states == 3
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ConfigError):

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from switchem import (
-    NigParams,
-    cauchy_density,
-    nig_density,
-    sample_nig,
-    std_cauchy_limit_check,
-)
+from switchem import NigParams, cauchy_density, sample_nig
 
-from oracles import nig_density_direct
+from oracles import nig_density, nig_density_direct
+from test_acceptance import std_cauchy_limit_check
 
 
 class TestNigParams:
@@ -26,30 +21,36 @@ class TestNigParams:
 
 
 class TestNigDensity:
+    """The test oracle's scaled-K1 density, against its quadrature form."""
+
     def test_matches_direct_formula(self):
-        p = NigParams(0.3, 1.0, 0.1)
+        a, s = 0.3, 0.1
         for z in [-5.0, -0.3, 0.0, 0.01, 2.0, 40.0]:
-            assert nig_density(z, p) == pytest.approx(
-                nig_density_direct(z, p.a, p.scale), rel=1e-9
+            assert nig_density(z, a, s) == pytest.approx(
+                nig_density_direct(z, a, s), rel=1e-9
             )
 
     def test_symmetric_and_positive(self):
-        p = NigParams(1.0, 0.5, 1.0)
         z = np.linspace(-20, 20, 401)
-        f = nig_density(z, p)
+        f = nig_density(z, 1.0, 0.5)
         assert np.all(f > 0.0)
         np.testing.assert_allclose(f, f[::-1], rtol=1e-13)
 
     def test_integrates_to_one(self):
-        for a, d, t in [(0.3, 1.0, 0.1), (0.3, 1.0, 1.0), (1.0, 0.5, 0.1)]:
-            p = NigParams(a, d, t)
-            mass, _ = integrate.quad(lambda z: nig_density(z, p), -np.inf, np.inf, limit=400)
+        for a, s in [(0.3, 0.1), (0.3, 1.0), (1.0, 0.05)]:
+            mass, _ = integrate.quad(nig_density, -np.inf, np.inf, args=(a, s), limit=400)
             assert mass == pytest.approx(1.0, abs=1e-8)
+
+    def test_array_matches_scalar_calls(self):
+        # nig_cdf_grid evaluates whole grids, quad one point at a time
+        z = np.array([-40.0, -2.0, 0.0, 0.01, 0.3, 5.0])
+        np.testing.assert_array_equal(
+            nig_density(z, 0.3, 0.1), [nig_density(v, 0.3, 0.1) for v in z]
+        )
 
     def test_large_argument_no_overflow(self):
         # the exp(a*s) prefactor alone would overflow for a*s > 709
-        p = NigParams(800.0, 1.0, 1.0)
-        assert np.isfinite(nig_density(0.5, p))
+        assert np.isfinite(nig_density(0.5, 800.0, 1.0))
 
 
 class TestSampleNig:
@@ -73,12 +74,10 @@ class TestSampleNig:
 
 class TestCauchyLimit:
     def test_gaps_decrease(self):
-        gaps = std_cauchy_limit_check(0.3, 1.0, [0.4, 0.2, 0.1, 0.05])
+        # criterion 6 takes a*|delta| = 0.3; here a larger product, 3
+        gaps = std_cauchy_limit_check(2.0, 1.5, [0.4, 0.2, 0.1, 0.05, 0.025])
+        assert gaps.shape == (5,)
         assert np.all(np.diff(gaps) < 0.0)
-
-    def test_rejects_nondecreasing_h(self):
-        with pytest.raises(ValueError):
-            std_cauchy_limit_check(0.3, 1.0, [0.1, 0.2])
 
     def test_cauchy_density_value(self):
         assert cauchy_density(0.0) == pytest.approx(1.0 / np.pi)

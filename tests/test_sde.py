@@ -8,11 +8,12 @@ from switchem import (
     Theta,
     euler_path,
     sample_nig,
-    self_convergence_test,
     simulate_chain,
     simulate_path,
     validate_generator,
 )
+
+from test_acceptance import self_convergence_test
 
 BENCH_Q = [[-0.009, 0.009], [0.005, -0.005]]
 
@@ -155,14 +156,7 @@ class TestSelfConvergence:
         theta = Theta(np.array([6.0, 3.0]), 2.0, 1.0)
         g = validate_generator(BENCH_Q)
         cfg = SimulationConfig(theta, 0.3, g, 20.0, 0.1, fine_factor=2, seed=6)
-        rep = self_convergence_test(cfg, levels=2, n_reps=100)
-        assert rep.n_reps == 100
-        assert np.all(rep.gaps > 0.0)
-        assert rep.gaps[1] < rep.gaps[0]
-
-    def test_rejects_bad_levels(self):
-        theta = Theta(np.array([6.0, 3.0]), 2.0, 1.0)
-        g = validate_generator(BENCH_Q)
-        cfg = SimulationConfig(theta, 0.3, g, 10.0, 0.1, fine_factor=2, seed=1)
-        with pytest.raises(ConfigError):
-            self_convergence_test(cfg, levels=0)
+        gaps = self_convergence_test(cfg, levels=2, n_reps=100)
+        assert gaps.shape == (2,)
+        assert np.all(gaps > 0.0)
+        assert gaps[1] < gaps[0]
