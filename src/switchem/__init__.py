@@ -29,6 +29,7 @@ from .em import (
 )
 from .errors import ConfigError, EvaluationError, NumericalFailure
 from .likelihood import (
+    CauchyTerms,
     ObservationSeries,
     SmoothedPairProbs,
     Theta,
@@ -48,6 +49,7 @@ from .smoother import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CauchyTerms",
     "ChainPath",
     "ConfigError",
     "EmConfig",

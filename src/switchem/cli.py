@@ -43,8 +43,9 @@ no output file is written until every replication has ended.  The EM
 starting point is ``em.theta0`` when given.  Otherwise ``fit`` draws it from
 ``em.init_seed`` if set, else from the stream ``[seed, 1]``; replication
 r of ``experiment`` draws it from ``[seed_base + r, 1]``, as
-``em.init_seed`` applies to ``fit`` only.  ``--jobs`` (0 = all cores) is
-capped at the replication count.  ``--stable-output`` zeroes the
+``em.init_seed`` applies to ``fit`` only.  ``--jobs`` (0 = every core in
+the process's CPU affinity set, or on the host where there is no such set)
+is capped at the replication count.  ``--stable-output`` zeroes the
 elapsed-time fields, making outputs bit-identical across runs and across
 ``--jobs`` values.
 """
@@ -74,7 +75,7 @@ from .em import (
     sort_regimes,
 )
 from .errors import ConfigError, EvaluationError, NumericalFailure
-from .likelihood import ObservationSeries, Theta
+from .likelihood import CauchyTerms, ObservationSeries, Theta
 from .sde import SimulationConfig, simulate_path
 from .smoother import backward_smooth, forward_filter, smoothed_marginals
 
@@ -478,7 +479,9 @@ def cmd_fit(args) -> int:
     _write_atomic(out / "result.json", (json.dumps(payload, indent=2) + "\n").encode())
     _write_atomic(out / "trace.csv", _trace_csv_text(result, args.stable_output))
     if emit_probs:
-        fs = forward_filter(result.theta, result.generator, obs, em_cfg.initial_filter_probs)
+        fs = forward_filter(
+            CauchyTerms(result.theta, obs), result.generator, em_cfg.initial_filter_probs
+        )
         smoothed = smoothed_marginals(fs, backward_smooth(fs))
         t = obs.t0 + np.arange(smoothed.shape[0]) * obs.h
         header = ["t"] + [f"p{i + 1}" for i in range(smoothed.shape[1])]
@@ -530,7 +533,8 @@ def cmd_experiment(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # a fork pool starts all its workers at once, so never more than reps
-    jobs = min(args.jobs or os.cpu_count() or 1, reps)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(args.jobs or cores or 1, reps)
     tasks = [
         (sc, em_cfg, r, sc.seed + r, args.stable_output) for r in range(1, reps + 1)
     ]
@@ -606,7 +610,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="seeded replication study")
     exp.add_argument("--config", required=True)
     exp.add_argument("--out", required=True)
-    exp.add_argument("--jobs", type=int, default=0, help="worker count (0 = all cores)")
+    exp.add_argument("--jobs", type=int, default=0, help="worker count (0 = all usable cores)")
     exp.set_defaults(func=cmd_experiment)
     for parser in (fit, exp):
         parser.add_argument(

@@ -29,6 +29,7 @@ import numpy as np
 from .ctmc import GeneratorMatrix
 from .errors import ConfigError, NumericalFailure
 from .likelihood import (
+    CauchyTerms,
     ObservationSeries,
     SmoothedPairProbs,
     Theta,
@@ -262,7 +263,7 @@ def update_generator(
     a row with no stay mass, whose rates can round past the step bound,
     still gives 1 + q_ii h >= 0 and a kernel at h.
     """
-    tot = w.w.transpose(1, 2, 0).sum(axis=2)
+    tot = w.totals
     row_tot = tot.sum(axis=1, keepdims=True)
     live = row_tot[:, 0] > 0.0
     q = np.array(g.q, dtype=float)
@@ -290,23 +291,26 @@ def em_fit(
     gen = g
     trace: list[IterationRecord] = []
     init_probs = cfg.initial_filter_probs
+    terms = CauchyTerms(theta, obs)
     for m in range(1, cfg.max_iters + 1):
         t_start = time.perf_counter()
         try:
-            fs = forward_filter(theta, gen, obs, init_probs)
+            fs = forward_filter(terms, gen, init_probs)
             w = backward_smooth(fs)
-            h_before = H_n(theta, fs.kernel, obs, w)
-            grad = grad_H(theta, obs, w)
+            h_before = H_n(terms, fs.kernel, w)
+            grad = grad_H(terms, w)
             fallback = False
             if cfg.m_step == "newton":
-                hess = hessian_H(theta, obs, w)
+                hess = hessian_H(terms, w)
                 theta_new, fallback = newton_step(theta, grad, hess, boxes)
                 if not fallback:
-                    h_after = H_n(theta_new, fs.kernel, obs, w)
+                    new = CauchyTerms(theta_new, obs)
+                    h_after = H_n(new, fs.kernel, w)
                     fallback = h_after < h_before
             if fallback or cfg.m_step == "first_order":
                 theta_new = first_order_step(theta, grad, cfg.rho, boxes)
-                h_after = H_n(theta_new, fs.kernel, obs, w)
+                new = CauchyTerms(theta_new, obs)
+                h_after = H_n(new, fs.kernel, w)
             if cfg.update_q:
                 gen = update_generator(gen, w, obs.h)
         except NumericalFailure as exc:
@@ -328,7 +332,7 @@ def em_fit(
                 (time.perf_counter() - t_start) * 1e3,
             )
         )
-        theta = theta_new
+        theta, terms = theta_new, new
         if stat <= cfg.epsilon:
             return EmResult(theta, gen, trace, "converged", m)
     return EmResult(theta, gen, trace, "max_iters_reached", cfg.max_iters)

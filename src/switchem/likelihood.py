@@ -13,24 +13,34 @@ which factor every derivative into (weight-independent) per-observation
 terms; each formula is cross-checked against finite differences in the
 test suite.
 
+One evaluation per iterate: :class:`CauchyTerms` holds the terms at one
+theta, each computed once.  From the residuals u and q = pi (s^2 + u^2),
+s = delta*h, it derives the density s / q, which the forward filter,
+:func:`grad_H` and :func:`hessian_H` read, and the log density
+-log(q / s), which :func:`H_n` reads; K1, K3 and K4, which both
+derivatives read, follow on first use.  EM builds one per iterate, for
+H_n at the new iterate, and the next iteration's filter, H_n and
+derivatives reuse it.  The weight sums over the later regime and over the
+observations are likewise kept, on first use, on :class:`SmoothedPairProbs`.
+
 Index convention: weight arrays have shape (n, N, N); slice j-1 holds the
 pair (t_{j-1}, t_j), j = 1..n.  The shapes are the public ones; in memory
 the observation axis is innermost.  The smoother's weights are transposed
-views of (N, N, n) arrays, read here through ``w.w.transpose(1, 2, 0)``,
-and residuals and densities are computed as (N, n), so every sum over
-the regimes runs along the contiguous observation axis.  Weights in any
-other memory layout give the same results, more slowly.
+views of (N, N, n) arrays, summed here through ``w.w.transpose(1, 2, 0)``,
+and the terms are (N, n) arrays, so every sum over the regimes runs along
+the contiguous observation axis.  Weights in any other memory layout give
+the same results, more slowly.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EvaluationError
-from .nig import cauchy_density
 
 PAIR_SLICE_TOL = 1e-9
 
@@ -124,18 +134,48 @@ class SmoothedPairProbs:
     def n_states(self) -> int:
         return self.w.shape[1]
 
+    @cached_property
+    def marginals(self) -> np.ndarray:
+        """sum_k w[j-1, i, k] as an (N, n) array."""
+        return self.w.transpose(1, 2, 0).sum(axis=1)
 
-def cauchy_density_matrix(theta: Theta, obs: ObservationSeries) -> np.ndarray:
-    """Matrix D[j-1, i] = f(X_j | X_{j-1}, regime i; theta) for j = 1..n,
-    shape (n, N), indexed like the pair weights; a transposed view of an
-    (N, n) array."""
-    return cauchy_density(_residuals(theta, obs), theta.delta * obs.h).T
+    @cached_property
+    def totals(self) -> np.ndarray:
+        """sum_j w[j-1, i, k], the (N, N) pair totals."""
+        return self.w.transpose(1, 2, 0).sum(axis=2)
 
 
-def _residuals(theta: Theta, obs: ObservationSeries) -> np.ndarray:
-    """u[i, j-1] = X_j - mu_{j-1}(lam) under regime i, shape (N, n)."""
-    xp = obs.x[:-1]
-    return obs.x[1:] - xp - theta.lam * (theta.b[:, None] - xp) * obs.h
+@dataclass(frozen=True)
+class CauchyTerms:
+    """The per-observation terms at ``theta`` (see the module docstring),
+    each an (N, n) array whose column j-1 is observation j: the residuals
+    ``u``, the density K2 and its log, and, on first use, ``factors``."""
+
+    theta: Theta
+    obs: ObservationSeries
+    u: np.ndarray = field(init=False, repr=False)
+    density: np.ndarray = field(init=False, repr=False)
+    log_density: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        xp = self.obs.x[:-1]
+        u = self.obs.x[1:] - xp - self.theta.lam * (self.theta.b[:, None] - xp) * self.obs.h
+        s = self.theta.delta * self.obs.h
+        q = np.pi * (s * s + u * u)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "density", s / q)
+        with np.errstate(over="ignore"):  # where the density underflows, -log gives -inf
+            object.__setattr__(self, "log_density", -np.log(q / s))
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, ...]:
+        """(v, K1, K3, K4) with v = b_i - X_{j-1}."""
+        u, h, delta = self.u, self.obs.h, self.theta.delta
+        v = self.theta.b[:, None] - self.obs.x[:-1]
+        k1 = np.pi * u * u / (delta * delta * h) - h * np.pi
+        k3 = 2.0 * np.pi * u * v / delta
+        k4 = 2.0 * np.pi * u * self.theta.lam / delta
+        return v, k1, k3, k4
 
 
 def _check_pair_support(a: np.ndarray, pair_tot: np.ndarray) -> None:
@@ -148,64 +188,48 @@ def _check_pair_support(a: np.ndarray, pair_tot: np.ndarray) -> None:
         )
 
 
-def H_n(theta: Theta, a: np.ndarray, obs: ObservationSeries, w: SmoothedPairProbs) -> float:
-    """Weighted quasi-log-likelihood H(theta; w) under the one-step kernel ``a``.
+def H_n(terms: CauchyTerms, a: np.ndarray, w: SmoothedPairProbs) -> float:
+    """Weighted quasi-log-likelihood H(theta; w) at ``terms.theta`` under the
+    one-step kernel ``a``.
 
     ``a`` is the kernel the weights were smoothed under
     (:attr:`FilterState.kernel`).  Terms with zero weight contribute zero
     (0*log 0 = 0 convention); a zero transition probability carrying
     positive weight is an evaluation error.
     """
-    _check_dims(obs, w, theta.n_states, *a.shape)
-    u = _residuals(theta, obs)
-    scale = theta.delta * obs.h
-    logf = -np.log(np.pi * (scale * scale + u * u) / scale)
-    ww = w.w.transpose(1, 2, 0)
-    wi = ww.sum(axis=1)
-    pair_tot = ww.sum(axis=2)
-    _check_pair_support(a, pair_tot)
-    log_a = np.where(pair_tot > 0.0, np.log(np.where(a > 0.0, a, 1.0)), 0.0)
-    return float(np.sum(wi * logf) + np.sum(pair_tot * log_a))
+    _check_dims(terms, w, *a.shape)
+    _check_pair_support(a, w.totals)
+    log_a = np.where(w.totals > 0.0, np.log(np.where(a > 0.0, a, 1.0)), 0.0)
+    return float(np.sum(w.marginals * terms.log_density) + np.sum(w.totals * log_a))
 
 
-def _kernels(theta: Theta, obs: ObservationSeries):
-    """Shared per-observation factors for the derivative formulas."""
-    u = _residuals(theta, obs)
-    v = theta.b[:, None] - obs.x[:-1]
-    h = obs.h
-    delta = theta.delta
-    k2 = cauchy_density(u, delta * h)
-    k1 = np.pi * u * u / (delta * delta * h) - h * np.pi
-    k3 = 2.0 * np.pi * u * v / delta
-    k4 = 2.0 * np.pi * u * theta.lam / delta
-    return u, v, k1, k2, k3, k4
-
-
-def _check_dims(obs: ObservationSeries, w: SmoothedPairProbs, *sizes: int) -> None:
-    """Each of ``sizes`` must equal the weights' regime count."""
-    if any(k != w.n_states for k in sizes) or w.n != obs.n:
+def _check_dims(terms: CauchyTerms, w: SmoothedPairProbs, *sizes: int) -> None:
+    """The regime count of theta and each of ``sizes`` must equal the weights'."""
+    sizes = (terms.theta.n_states, *sizes)
+    if any(k != w.n_states for k in sizes) or w.n != terms.obs.n:
         raise EvaluationError(
             f"dimension mismatch: regime counts {sizes}, "
-            f"weights (n={w.n}, N={w.n_states}), observations n={obs.n}"
+            f"weights (n={w.n}, N={w.n_states}), observations n={terms.obs.n}"
         )
 
 
-def grad_H(theta: Theta, obs: ObservationSeries, w: SmoothedPairProbs) -> np.ndarray:
+def grad_H(terms: CauchyTerms, w: SmoothedPairProbs) -> np.ndarray:
     """Analytic gradient of H in the coordinates (b(1..N), lam, delta)."""
-    _check_dims(obs, w, theta.n_states)
-    _, _, k1, k2, k3, k4 = _kernels(theta, obs)
-    wi = w.w.transpose(1, 2, 0).sum(axis=1)
+    _check_dims(terms, w)
+    _, k1, k3, k4 = terms.factors
+    k2, wi = terms.density, w.marginals
     d_b = np.sum(k2 * k4 * wi, axis=1)
     d_lam = float(np.sum(k2 * k3 * wi))
     d_delta = float(np.sum(k1 * k2 * wi))
     return np.concatenate([d_b, [d_lam, d_delta]])
 
 
-def hessian_H(theta: Theta, obs: ObservationSeries, w: SmoothedPairProbs) -> np.ndarray:
+def hessian_H(terms: CauchyTerms, w: SmoothedPairProbs) -> np.ndarray:
     """Analytic Hessian of H; the b-b off-diagonal block is exactly zero."""
-    _check_dims(obs, w, theta.n_states)
-    u, v, k1, k2, k3, k4 = _kernels(theta, obs)
-    h = obs.h
+    _check_dims(terms, w)
+    theta, u, k2, wi = terms.theta, terms.u, terms.density, w.marginals
+    v, k1, k3, k4 = terms.factors
+    h = terms.obs.h
     delta = theta.delta
     lam = theta.lam
     k5 = -2.0 * np.pi * u * u / (delta**3 * h)
@@ -213,7 +237,6 @@ def hessian_H(theta: Theta, obs: ObservationSeries, w: SmoothedPairProbs) -> np.
     k7 = -2.0 * np.pi * u * v / (delta * delta)
     k8 = -2.0 * np.pi * u * lam / (delta * delta)
     k9 = 2.0 * np.pi * (u - lam * v * h) / delta
-    wi = w.w.transpose(1, 2, 0).sum(axis=1)
     n_par = theta.n_states + 2
     il, id_ = n_par - 2, n_par - 1
     hess = np.zeros((n_par, n_par))

@@ -13,9 +13,10 @@ The law is a normal variance-mean mixture: Z = sqrt(V) * N(0, 1) with V
 inverse Gaussian with mean s/a and shape s^2.  Rescaling by the scale
 parameter gives Z/(s) ~ NIG(a*s, 0, 1, 0), which converges to a standard
 Cauchy as a*s -> 0; this is the basis of the Cauchy quasi-likelihood, whose
-one density is :func:`cauchy_density`.  The estimator never evaluates f:
-the tests check the sampler and the Cauchy limit against it
-(``tests/oracles.py``, acceptance criteria 5 and 6).
+``CauchyTerms.density`` is :func:`cauchy_density` computed from terms it
+shares with the log density.  The estimator never evaluates f: the tests
+check the sampler and the Cauchy limit against it (``tests/oracles.py``,
+acceptance criteria 5 and 6).
 """
 
 from __future__ import annotations

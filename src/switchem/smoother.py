@@ -25,9 +25,12 @@ emission D[j], and is exact only when emissions depend on the later state.)
 
 Both products are computed by one recursive blocked scan (:func:`_scan`;
 Blelloch 1990).  The stack is cut into blocks of about cbrt(n) steps whose
-prefix products advance together, each row renormalized to sum to one
-with its log mass carried alongside; the block ends form a chain that is
-scanned the same way, until at most 8 ends are left to walk one by one.
+prefix products advance together in one buffer, each step written over
+its block entries and each row renormalized there to sum to one (a row
+without mass stays exactly zero); the step's row totals are kept, and
+after the loop their logs, summed along the block, give each row's log
+mass.  The block ends form a chain that is scanned the same way, until
+at most 8 ends are left to walk one by one.
 At n = 10^4 that is 22 + 7 + 3 + 1 + 7 sequential product steps and 4
 broadcasts, against 2 sqrt(n) = 200 steps for a two-level scan.  Carrying
 row scales in logs, and below the top level shifting each row's log
@@ -67,14 +70,12 @@ import numpy as np
 
 from .ctmc import GeneratorMatrix, transition_matrix_approx
 from .errors import ConfigError, NumericalFailure
-from .likelihood import (
-    ObservationSeries,
-    SmoothedPairProbs,
-    Theta,
-    cauchy_density_matrix,
-)
+from .likelihood import CauchyTerms, SmoothedPairProbs
 
 _FLOOR = -np.finfo(float).max  # finite stand-in for the row maximum of a massless row
+# every positive total is at least _TINY, so dividing by max(total, _TINY)
+# normalizes a row with mass exactly and leaves a row without mass zero
+_TINY = np.finfo(float).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -116,10 +117,11 @@ def _mix(v: np.ndarray, s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.nd
     its own; a row without mass stays zero, with log mass -inf."""
     lw = np.log(v) + r
     mx = lw.max(axis=-2)
-    wt = np.exp(lw - np.maximum(mx, _FLOOR)[..., None, :])
-    u = (wt[..., None, :] * s).sum(axis=-3)
+    lw -= np.maximum(mx, _FLOOR)[..., None, :]
+    u = (np.exp(lw, out=lw)[..., None, :] * s).sum(axis=-3)
     tot = u.sum(axis=-2)
-    return u / np.where(tot > 0.0, tot, 1.0)[..., None, :], mx + np.log(tot)
+    u /= np.maximum(tot, _TINY)[..., None, :]
+    return u, mx + np.log(tot)
 
 
 def _blocks(x: np.ndarray) -> np.ndarray:
@@ -129,9 +131,13 @@ def _blocks(x: np.ndarray) -> np.ndarray:
     prefixes end in them, and the last block's end is never chained on."""
     c = x.shape[-1]
     bl = max(1, round(c ** (1 / 3)))
-    out = np.zeros(x.shape[:-1] + (-(-c // bl) * bl,))
-    out[..., :c] = x
-    return np.moveaxis(out.reshape(x.shape[:-1] + (-1, bl)), -1, 0).copy()
+    full = c // bl
+    out = np.empty((bl,) + x.shape[:-1] + (-(-c // bl),))
+    np.moveaxis(out[..., :full], 0, -1)[...] = x[..., :full * bl].reshape(*x.shape[:-1], full, bl)
+    if full < out.shape[-1]:
+        out[:c - full * bl, ..., full] = np.moveaxis(x[..., full * bl:], -1, 0)
+        out[c - full * bl:, ..., full] = 0.0
+    return out
 
 
 def _rows(prod: np.ndarray, logm: np.ndarray, v0: np.ndarray, n: int) -> np.ndarray:
@@ -140,9 +146,11 @@ def _rows(prod: np.ndarray, logm: np.ndarray, v0: np.ndarray, n: int) -> np.ndar
     products are ``prod`` (rows normalized) with row log masses ``logm``:
     the block ends are chained by :func:`_starts`, then every prefix row
     follows from its block's start."""
-    starts = _starts(prod[-1], logm[-1], v0)
-    rows = _mix(starts, prod, logm)[0]
-    return np.hstack([v0[:, None], rows.transpose(1, 2, 0).reshape(len(v0), -1)[:, :n]])
+    rows = _mix(_starts(prod[-1], logm[-1], v0), prod, logm)[0]
+    out = np.empty((len(v0), n + 1))
+    out[:, 0] = v0
+    out[:, 1:] = rows.transpose(1, 2, 0).reshape(len(v0), -1)[:, :n]
+    return out
 
 
 def _starts(s: np.ndarray, r: np.ndarray, v0: np.ndarray) -> np.ndarray:
@@ -168,39 +176,35 @@ def _scan(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
     nonnegative stack, each normalized to sum to one, as the columns of an
     (N, n+1) array; column 0 is ``v0``.
 
-    The prefix products inside every block advance together, each step a
-    broadcast product summed over N, rows renormalized with their log
-    masses carried.
+    The prefix products inside every block advance together in place, each
+    step a broadcast product summed over N; the logs of the row totals,
+    summed along the block after the loop, are the rows' log masses.
     """
     n = mats.shape[-1]
     prod = _blocks(mats)
     logm = np.empty_like(prod[:, 0])
-    cur, cur_log = prod[0], 0.0
     for t in range(len(prod)):
         if t:
-            cur = (cur[:, :, None] * prod[t]).sum(axis=1)
-        tot = cur.sum(axis=1)
-        cur_log = cur_log + np.log(tot)
-        cur = cur / np.where(tot > 0.0, tot, 1.0)[:, None]
-        prod[t], logm[t] = cur, cur_log
+            (prod[t - 1][:, :, None] * prod[t]).sum(axis=1, out=prod[t])
+        tot = prod[t].sum(axis=1, out=logm[t])
+        prod[t] /= np.maximum(tot, _TINY)[:, None]
+    np.log(logm, out=logm)
+    for t in range(1, len(logm)):
+        logm[t] += logm[t - 1]
     return _rows(prod, logm, v0, n)
 
 
-def forward_filter(
-    theta: Theta,
-    g: GeneratorMatrix,
-    obs: ObservationSeries,
-    initial_probs=None,
-) -> FilterState:
-    """Run the forward recursion; raises :class:`NumericalFailure` with the
-    failing observation index if a normalizer is non-positive or non-finite.
+def forward_filter(terms: CauchyTerms, g: GeneratorMatrix, initial_probs=None) -> FilterState:
+    """Run the forward recursion at ``terms.theta``; raises
+    :class:`NumericalFailure` with the failing observation index if a
+    normalizer is non-positive or non-finite.
     """
-    if theta.n_states != g.n_states:
+    if terms.theta.n_states != g.n_states:
         raise ConfigError(
-            f"theta has {theta.n_states} regimes, generator {g.n_states} states"
+            f"theta has {terms.theta.n_states} regimes, generator {g.n_states} states"
         )
-    a = transition_matrix_approx(g, obs.h)
-    d = cauchy_density_matrix(theta, obs).T
+    a = transition_matrix_approx(g, terms.obs.h)
+    d = terms.density
     with np.errstate(divide="ignore", invalid="ignore"):
         dm = d.max(axis=0)
         d = np.where((dm > 0.0) & np.isfinite(dm), d / dm, d)
@@ -228,7 +232,7 @@ def backward_smooth(fs: FilterState) -> SmoothedPairProbs:
     filtered = fs.filtered.T
     pair = fs.steps.transpose(1, 2, 0) * filtered[:, None, :-1]
     pm = pair.sum(axis=0)
-    back = np.divide(pair, pm, out=np.zeros_like(pair), where=pm > 0.0)
+    back = np.divide(pair, np.maximum(pm, _TINY), out=pair)
     with np.errstate(divide="ignore", invalid="ignore"):
         smoothed = _scan(back[:, :, ::-1].swapaxes(0, 1), filtered[:, -1])[:, ::-1]
         w = back * smoothed[:, 1:]
@@ -239,7 +243,8 @@ def backward_smooth(fs: FilterState) -> SmoothedPairProbs:
         raise NumericalFailure(
             f"backward smoother slice sum {z[j - 1]!r} at observation {j}", index=j
         )
-    return SmoothedPairProbs((w / z).transpose(2, 0, 1))
+    w /= z
+    return SmoothedPairProbs(w.transpose(2, 0, 1))
 
 
 def smoothed_marginals(fs: FilterState, w: SmoothedPairProbs) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from switchem import (
+    CauchyTerms,
     EmConfig,
     NigParams,
     SimulationConfig,
@@ -88,7 +89,7 @@ def test_criterion_1_smoother_matches_enumeration():
                 theta, 0.3, g, n * h, h, seed=int(rng.integers(1 << 31))
             )
             obs, _, _ = simulate_path(cfg)
-            fs = forward_filter(theta, g, obs)
+            fs = forward_filter(CauchyTerms(theta, obs), g)
             w = backward_smooth(fs)
             a = transition_matrix_approx(g, h)
             ref_filt, ref_pair, _ = enumerate_filter_smoother(
@@ -126,17 +127,17 @@ def test_criterion_2_derivatives_match_finite_differences():
             a = transition_matrix_approx(g, obs.h)
 
             def f(vv):
-                return H_n(Theta.from_vector(vv), a, obs, w)
+                return H_n(CauchyTerms(Theta.from_vector(vv), obs), a, w)
 
             def gr(vv):
-                return grad_H(Theta.from_vector(vv), obs, w)
+                return grad_H(CauchyTerms(Theta.from_vector(vv), obs), w)
 
-            analytic_g = grad_H(theta, obs, w)
+            analytic_g = grad_H(CauchyTerms(theta, obs), w)
             fd_g = central_diff(f, v)
             rel = np.abs(analytic_g - fd_g) / np.maximum(np.abs(fd_g), 1e-8)
             worst_grad = max(worst_grad, float(rel.max()))
 
-            analytic_h = hessian_H(theta, obs, w)
+            analytic_h = hessian_H(CauchyTerms(theta, obs), w)
             fd_h = central_diff_jacobian(gr, v)
             fd_h = 0.5 * (fd_h + fd_h.T)
             m = theta.n_states
@@ -342,7 +343,7 @@ def test_criterion_8_probability_invariants_on_fitted_paths():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for theta, g, obs in FITTED_PATHS:
-            fs = forward_filter(theta, g, obs)
+            fs = forward_filter(CauchyTerms(theta, obs), g)
             w = backward_smooth(fs)
             sm = smoothed_marginals(fs, w)
             pair = fs.kernel * fs.filtered[:-1, :, None]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from switchem import (
+    CauchyTerms,
     EmConfig,
     EvaluationError,
     NumericalFailure,
@@ -338,9 +339,10 @@ class TestExperiment:
             "replication 1 (seed 43) failed: RuntimeError: worker lost its state\n"
         )
 
-    @pytest.mark.parametrize("jobs,reps,workers", [(64, 2, [2]), (64, 1, []), (1, 2, [])])
-    def test_pool_never_exceeds_replications(self, tmp_path, monkeypatch, jobs, reps,
-                                             workers):
+    @staticmethod
+    def run_with_recorded_pool(tmp_path, monkeypatch, jobs, reps):
+        """Run an experiment with a serial stand-in for the process pool;
+        returns the worker count of each pool it started."""
         # a fork pool starts all of its workers at the first submit
         seen = []
 
@@ -364,7 +366,19 @@ class TestExperiment:
         p.write_text(json.dumps(cfg))
         assert main(["experiment", "--config", str(p), "--out", str(tmp_path / "o"),
                      "--jobs", str(jobs)]) == 0
-        assert seen == workers
+        return seen
+
+    @pytest.mark.parametrize("jobs,reps,workers", [(64, 2, [2]), (64, 1, []), (1, 2, [])])
+    def test_pool_never_exceeds_replications(self, tmp_path, monkeypatch, jobs, reps,
+                                             workers):
+        assert self.run_with_recorded_pool(tmp_path, monkeypatch, jobs, reps) == workers
+
+    def test_jobs_zero_counts_the_usable_cores(self, tmp_path, monkeypatch):
+        # pinned to one core of a larger host (taskset -c 0), --jobs 0 runs
+        # in-process: os.cpu_count() would count every core of the host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert self.run_with_recorded_pool(tmp_path, monkeypatch, 0, 2) == []
 
     def test_kernel_diagonal_at_zero_does_not_abort(self, tmp_path):
         # from its random start, seed 1046 drives a generator row to
@@ -870,7 +884,7 @@ class TestOptionalOutputs:
         obs = TestStartingPoint.read_path(sim / "path.csv")
         em = EmConfig(max_iters=20, update_q=True, theta0=(6.0, 3.0, 2.0, 1.0))
         result = em_fit(obs, validate_generator(BASE_CONFIG["simulation"]["q"]), em)
-        fs = forward_filter(result.theta, result.generator, obs)
+        fs = forward_filter(CauchyTerms(result.theta, obs), result.generator)
         smoothed = smoothed_marginals(fs, backward_smooth(fs))
         lines = read(out / "probs.csv").splitlines()
         assert lines[0] == "t,p1,p2"

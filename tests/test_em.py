@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from switchem import (
+    CauchyTerms,
     ConfigError,
     EmConfig,
     H_n,
@@ -92,11 +93,11 @@ class TestSteps:
         theta_true, g, obs = short_path
         theta = Theta(np.array([5.0, 2.0]), 1.0, 2.0)
         cfg = EmConfig()
-        fs = forward_filter(theta, g, obs)
+        terms = CauchyTerms(theta, obs)
+        fs = forward_filter(terms, g)
         w = backward_smooth(fs)
-        grad = grad_H(theta, obs, w)
-        new = first_order_step(theta, grad, cfg.rho, cfg.theta_boxes(2))
-        assert H_n(new, fs.kernel, obs, w) >= H_n(theta, fs.kernel, obs, w)
+        new = first_order_step(theta, grad_H(terms, w), cfg.rho, cfg.theta_boxes(2))
+        assert H_n(CauchyTerms(new, obs), fs.kernel, w) >= H_n(terms, fs.kernel, w)
 
     def test_first_order_respects_boxes(self):
         theta = Theta(np.array([9.9]), 1.0, 1.0)
@@ -191,11 +192,45 @@ class TestEmFit:
         np.testing.assert_allclose(res.generator.q.sum(axis=1), 0.0, atol=1e-12)
 
 
+    @pytest.mark.parametrize("m_step", ["first_order", "newton"])
+    def test_records_match_fresh_evaluations(self, short_path, m_step):
+        # em_fit evaluates the terms at each iterate once and shares them
+        # between the filter, H and its derivatives, and the next
+        # iteration; every record must equal what fresh evaluations of the
+        # public functions at the recorded iterates give
+        _, g, obs = short_path
+        cfg = EmConfig(max_iters=8, m_step=m_step, update_q=True, theta0=(5.0, 2.0, 1.0, 0.5))
+        res = em_fit(obs, g, cfg)
+        assert res.iterations == 8
+        if m_step == "newton":  # accepted Newton steps and fallbacks both occur
+            assert 0 < sum(r.used_fallback for r in res.trace) < 8
+        theta, gen, boxes = cfg.initial_theta(2), g, cfg.theta_boxes(2)
+        for rec in res.trace:
+            fs = forward_filter(CauchyTerms(theta, obs), gen)
+            w = backward_smooth(fs)
+            h_before = H_n(CauchyTerms(theta, obs), fs.kernel, w)
+            assert rec.h_before == h_before
+            grad = grad_H(CauchyTerms(theta, obs), w)
+            if rec.used_fallback or m_step == "first_order":
+                step = first_order_step(theta, grad, cfg.rho, boxes)
+            else:
+                step = newton_step(theta, grad, hessian_H(CauchyTerms(theta, obs), w), boxes)[0]
+            np.testing.assert_array_equal(step.to_vector(), rec.theta)
+            new = Theta.from_vector(rec.theta)
+            h_after = H_n(CauchyTerms(new, obs), fs.kernel, w)
+            assert rec.h_after == h_after
+            assert rec.stat == termination_stat(
+                "D3", theta.to_vector(), rec.theta, h_before, h_after
+            )
+            theta, gen = new, update_generator(gen, w, obs.h)
+        np.testing.assert_array_equal(res.generator.q, gen.q)
+
+
 class TestUpdateGenerator:
     def test_matches_weight_row_normalization(self, short_path):
         _, g, obs = short_path
         theta = Theta(np.array([6.0, 3.0]), 2.0, 1.0)
-        w = backward_smooth(forward_filter(theta, g, obs))
+        w = backward_smooth(forward_filter(CauchyTerms(theta, obs), g))
         g2 = update_generator(g, w, obs.h)
         tot = w.w.sum(axis=0)
         a_row = tot[0] / tot[0].sum()

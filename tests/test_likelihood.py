@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from switchem import (
+    CauchyTerms,
     EvaluationError,
     H_n,
     ObservationSeries,
     SmoothedPairProbs,
     Theta,
+    cauchy_density,
     grad_H,
     hessian_H,
     transition_matrix_approx,
     validate_generator,
 )
-from switchem.likelihood import cauchy_density_matrix
 
 from oracles import central_diff, central_diff_jacobian, h_bruteforce
 
@@ -63,10 +64,21 @@ class TestBasics:
         h = 0.1
         loc = 1.0 + theta.lam * (6.0 - 1.0) * h  # one-step Euler location
         x = np.array([1.0, loc, 1.0, loc + theta.delta * h])
-        d = cauchy_density_matrix(theta, ObservationSeries(x, h))[:, 0]
+        d = CauchyTerms(theta, ObservationSeries(x, h)).density[0]
         peak, half = d[0], d[2]
         assert peak == pytest.approx(1.0 / (np.pi * theta.delta * h))
         assert half == pytest.approx(peak / 2.0)
+
+    def test_terms_are_the_public_density_and_its_log(self):
+        # one q = pi (s^2 + u^2) gives both, bitwise as cauchy_density and
+        # the log density H_n took before the terms were shared
+        theta, _, obs, _ = random_instance(np.random.default_rng(4), m=3)
+        terms = CauchyTerms(theta, obs)
+        s = theta.delta * obs.h
+        u = obs.x[1:] - obs.x[:-1] - theta.lam * (theta.b[:, None] - obs.x[:-1]) * obs.h
+        np.testing.assert_array_equal(terms.u, u)
+        np.testing.assert_array_equal(terms.density, cauchy_density(u, s))
+        np.testing.assert_array_equal(terms.log_density, -np.log(np.pi * (s * s + u * u) / s))
 
     def test_pair_probs_validation(self):
         w = np.full((2, 2, 2), 0.25)
@@ -93,7 +105,7 @@ class TestHn:
             theta, g, obs, w = random_instance(rng)
             a = transition_matrix_approx(g, obs.h)
             ref = h_bruteforce(obs.x, obs.h, theta.b, theta.lam, theta.delta, a, w.w)
-            assert H_n(theta, a, obs, w) == pytest.approx(ref, rel=1e-12)
+            assert H_n(CauchyTerms(theta, obs), a, w) == pytest.approx(ref, rel=1e-12)
 
     def test_zero_weight_zero_prob_convention(self):
         # a vanishing transition probability is fine while its weight is 0
@@ -104,19 +116,19 @@ class TestHn:
         a = transition_matrix_approx(g, obs.h)
         w = np.zeros((2, 2, 2))
         w[:, 0, 0] = 1.0  # never uses the impossible 1 -> 2 move
-        val = H_n(theta, a, obs, SmoothedPairProbs(w))
+        val = H_n(CauchyTerms(theta, obs), a, SmoothedPairProbs(w))
         assert np.isfinite(val)
         w2 = np.zeros((2, 2, 2))
         w2[:, 0, 1] = 1.0  # positive weight on a zero-probability move
         with pytest.raises(EvaluationError):
-            H_n(theta, a, obs, SmoothedPairProbs(w2))
+            H_n(CauchyTerms(theta, obs), a, SmoothedPairProbs(w2))
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(0)
         theta, g, obs, w = random_instance(rng, n=10, m=2)
         other = Theta(np.array([1.0, 2.0, 3.0]), 1.0, 1.0)
         with pytest.raises(EvaluationError):
-            H_n(other, transition_matrix_approx(g, obs.h), obs, w)
+            H_n(CauchyTerms(other, obs), transition_matrix_approx(g, obs.h), w)
 
 
 class TestGradient:
@@ -124,13 +136,13 @@ class TestGradient:
         rng = np.random.default_rng(42)
         for _ in range(25):
             theta, g, obs, w = random_instance(rng)
-            analytic = grad_H(theta, obs, w)
+            analytic = grad_H(CauchyTerms(theta, obs), w)
             a = transition_matrix_approx(g, obs.h)
 
             def f(v):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    return H_n(Theta.from_vector(v), a, obs, w)
+                    return H_n(CauchyTerms(Theta.from_vector(v), obs), a, w)
 
             fd = central_diff(f, theta.to_vector())
             np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8)
@@ -146,7 +158,7 @@ class TestGradient:
             warnings.simplefilter("ignore", RuntimeWarning)
             for d in deltas:
                 t = Theta(theta.b, theta.lam, float(d))
-                vals.append(grad_H(t, obs, w)[-1])
+                vals.append(grad_H(CauchyTerms(t, obs), w)[-1])
         vals = np.asarray(vals)
         assert vals[0] > 0.0 and vals[-1] < 0.0
 
@@ -156,12 +168,12 @@ class TestHessian:
         rng = np.random.default_rng(314)
         for _ in range(25):
             theta, g, obs, w = random_instance(rng)
-            analytic = hessian_H(theta, obs, w)
+            analytic = hessian_H(CauchyTerms(theta, obs), w)
 
             def gr(v):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    return grad_H(Theta.from_vector(v), obs, w)
+                    return grad_H(CauchyTerms(Theta.from_vector(v), obs), w)
 
             fd = central_diff_jacobian(gr, theta.to_vector())
             fd = 0.5 * (fd + fd.T)
@@ -170,7 +182,7 @@ class TestHessian:
     def test_bb_offdiagonal_exactly_zero(self):
         rng = np.random.default_rng(8)
         theta, g, obs, w = random_instance(rng, n=30, m=3)
-        hess = hessian_H(theta, obs, w)
+        hess = hessian_H(CauchyTerms(theta, obs), w)
         for l in range(3):
             for k in range(3):
                 if l != k:
@@ -179,5 +191,5 @@ class TestHessian:
     def test_symmetry(self):
         rng = np.random.default_rng(9)
         theta, g, obs, w = random_instance(rng)
-        hess = hessian_H(theta, obs, w)
+        hess = hessian_H(CauchyTerms(theta, obs), w)
         np.testing.assert_array_equal(hess, hess.T)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from switchem import (
+    CauchyTerms,
     ObservationSeries,
     SmoothedPairProbs,
     Theta,
@@ -23,7 +24,6 @@ from switchem import (
     validate_generator,
 )
 from switchem.cli import _csv_text
-from switchem.likelihood import cauchy_density_matrix
 
 from oracles import euler_loop, fold_across, loop_filter_smoother
 
@@ -106,7 +106,7 @@ def test_updated_generator_kernel_builds_at_its_step(inst):
 @given(filter_instance())
 def test_filter_carries_the_kernel_and_slices_are_distributions(inst):
     theta, g, obs = inst
-    fs = forward_filter(theta, g, obs)
+    fs = forward_filter(CauchyTerms(theta, obs), g)
     assert np.array_equal(fs.kernel, transition_matrix_approx(g, obs.h))
     assert np.all(fs.filtered >= 0.0)
     np.testing.assert_allclose(fs.filtered.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -119,9 +119,9 @@ def test_filter_carries_the_kernel_and_slices_are_distributions(inst):
 @given(filter_instance())
 def test_scans_match_the_loop(inst):
     theta, g, obs = inst
-    fs = forward_filter(theta, g, obs)
+    fs = forward_filter(CauchyTerms(theta, obs), g)
     ref_filt, ref_w = loop_filter_smoother(
-        fs.kernel, cauchy_density_matrix(theta, obs), fs.filtered[0]
+        fs.kernel, CauchyTerms(theta, obs).density.T, fs.filtered[0]
     )
     np.testing.assert_allclose(fs.filtered, ref_filt, rtol=0, atol=1e-12)
     np.testing.assert_allclose(backward_smooth(fs).w, ref_w, rtol=0, atol=1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from switchem import (
+    CauchyTerms,
     ConfigError,
     FilterState,
     H_n,
@@ -22,7 +23,7 @@ from switchem import (
     update_generator,
     validate_generator,
 )
-from switchem.likelihood import cauchy_density_matrix
+from switchem.smoother import _scan
 
 from oracles import enumerate_filter_smoother, loop_filter_smoother
 
@@ -53,7 +54,7 @@ class TestForwardFilter:
             m = int(rng.integers(2, 4))
             n = int(rng.integers(3, 7))
             theta, g, obs = small_instance(rng, n=n, m=m)
-            fs = forward_filter(theta, g, obs)
+            fs = forward_filter(CauchyTerms(theta, obs), g)
             a = transition_matrix_approx(g, obs.h)
             p0 = np.full(m, 1.0 / m)
             ref_filt, _, _ = enumerate_filter_smoother(
@@ -64,7 +65,7 @@ class TestForwardFilter:
     def test_slices_are_distributions(self):
         rng = np.random.default_rng(5)
         theta, g, obs = small_instance(rng, n=200)
-        fs = forward_filter(theta, g, obs)
+        fs = forward_filter(CauchyTerms(theta, obs), g)
         np.testing.assert_allclose(fs.filtered.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(fs.filtered >= 0.0) and np.all(fs.filtered <= 1.0)
         pair = fs.kernel * fs.filtered[:-1, :, None]
@@ -75,17 +76,17 @@ class TestForwardFilter:
     def test_custom_initial_probs(self):
         rng = np.random.default_rng(6)
         theta, g, obs = small_instance(rng)
-        fs = forward_filter(theta, g, obs, initial_probs=[1.0, 0.0])
+        fs = forward_filter(CauchyTerms(theta, obs), g, initial_probs=[1.0, 0.0])
         np.testing.assert_array_equal(fs.filtered[0], [1.0, 0.0])
         with pytest.raises(ConfigError):
-            forward_filter(theta, g, obs, initial_probs=[0.7, 0.7])
+            forward_filter(CauchyTerms(theta, obs), g, initial_probs=[0.7, 0.7])
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(2)
         theta, g, obs = small_instance(rng, m=2)
         bad = Theta(np.array([1.0, 2.0, 3.0]), 1.0, 1.0)
         with pytest.raises(ConfigError):
-            forward_filter(bad, g, obs)
+            forward_filter(CauchyTerms(bad, obs), g)
 
     def test_breakdown_reports_index(self):
         # an absurd outlier overflows every squared residual, so all
@@ -95,7 +96,7 @@ class TestForwardFilter:
         x = np.array([0.0, 0.4, 1e200, 0.5, 0.7])
         with np.errstate(over="ignore"):
             with pytest.raises(NumericalFailure) as exc_info:
-                forward_filter(theta, g, ObservationSeries(x, 0.1))
+                forward_filter(CauchyTerms(theta, ObservationSeries(x, 0.1)), g)
         assert exc_info.value.index == 2
 
 
@@ -103,7 +104,7 @@ class TestBackwardSmooth:
     def test_pair_slices_are_distributions(self):
         rng = np.random.default_rng(12)
         theta, g, obs = small_instance(rng, n=150)
-        fs = forward_filter(theta, g, obs)
+        fs = forward_filter(CauchyTerms(theta, obs), g)
         w = backward_smooth(fs)
         np.testing.assert_allclose(w.w.sum(axis=(1, 2)), 1.0, atol=1e-12)
         assert np.all(w.w >= 0.0) and np.all(w.w <= 1.0)
@@ -111,7 +112,7 @@ class TestBackwardSmooth:
     def test_terminal_marginal_is_filtered(self):
         rng = np.random.default_rng(13)
         theta, g, obs = small_instance(rng, n=60)
-        fs = forward_filter(theta, g, obs)
+        fs = forward_filter(CauchyTerms(theta, obs), g)
         w = backward_smooth(fs)
         sm = smoothed_marginals(fs, w)
         np.testing.assert_allclose(sm[-1], fs.filtered[-1], atol=1e-12)
@@ -127,7 +128,7 @@ class TestBackwardSmooth:
             m = int(rng.integers(2, 4))
             n = int(rng.integers(3, 7))
             theta, g, obs = small_instance(rng, n=n, m=m)
-            fs = forward_filter(theta, g, obs)
+            fs = forward_filter(CauchyTerms(theta, obs), g)
             w = backward_smooth(fs)
             _, ref_pair, ref_marg = enumerate_filter_smoother(
                 obs.x, obs.h, theta.b, theta.lam, theta.delta, fs.kernel, np.full(m, 1.0 / m)
@@ -147,13 +148,13 @@ class TestBackwardSmooth:
         g = validate_generator([[-0.05, 0.05], [0.03, -0.03]])
         cfg = SimulationConfig(theta, 0.3, g, 0.5, 0.1, seed=3)
         obs, _, _ = simulate_path(cfg)
-        fs = forward_filter(theta, g, obs)
+        fs = forward_filter(CauchyTerms(theta, obs), g)
         w = backward_smooth(fs)
         _, ref_pair, _ = enumerate_filter_smoother(
             obs.x, obs.h, theta.b, theta.lam, theta.delta, fs.kernel, np.full(2, 0.5)
         )
         _, kim_w = loop_filter_smoother(
-            fs.kernel, cauchy_density_matrix(theta, obs), fs.filtered[0], kim=True
+            fs.kernel, CauchyTerms(theta, obs).density.T, fs.filtered[0], kim=True
         )
         assert np.max(np.abs(kim_w - ref_pair)) < 1e-2
         np.testing.assert_allclose(w.w, ref_pair, rtol=0, atol=1e-12)
@@ -164,22 +165,22 @@ class TestBackwardSmooth:
         # non-small, where the exact pass stays at rounding level
         rng = np.random.default_rng(14)
         theta, g, obs = small_instance(rng, n=5)
-        fs = forward_filter(theta, g, obs)
+        fs = forward_filter(CauchyTerms(theta, obs), g)
         w = backward_smooth(fs)
         _, ref_pair, _ = enumerate_filter_smoother(
             obs.x, obs.h, theta.b, theta.lam, theta.delta, fs.kernel, np.full(2, 0.5)
         )
         _, kim_w = loop_filter_smoother(
-            fs.kernel, cauchy_density_matrix(theta, obs), fs.filtered[0], kim=True
+            fs.kernel, CauchyTerms(theta, obs).density.T, fs.filtered[0], kim=True
         )
         assert np.max(np.abs(kim_w - ref_pair)) > 1e-2  # Kim is not exact in general
         assert np.max(np.abs(w.w - ref_pair)) < 1e-12
 
 
 def assert_scan_matches_loop(theta, g, obs, initial_probs=None):
-    fs = forward_filter(theta, g, obs, initial_probs)
+    fs = forward_filter(CauchyTerms(theta, obs), g, initial_probs)
     w = backward_smooth(fs)
-    dens = cauchy_density_matrix(theta, obs)
+    dens = CauchyTerms(theta, obs).density.T
     ref_filt, ref_w = loop_filter_smoother(fs.kernel, dens, fs.filtered[0])
     np.testing.assert_allclose(fs.filtered, ref_filt, rtol=0, atol=SCAN_TOL)
     np.testing.assert_allclose(w.w, ref_w, rtol=0, atol=SCAN_TOL)
@@ -217,7 +218,7 @@ class TestScanMatchesLoop:
         x.append(x[-1] + 0.1 * (1000.0 - x[-1]) + 1e-160)
         obs = ObservationSeries(np.array(x), 0.1)
         fs = assert_scan_matches_loop(theta, g, obs)
-        dens = cauchy_density_matrix(theta, obs)
+        dens = CauchyTerms(theta, obs).density.T
         unscaled = (dens[1][:, None] * fs.kernel * fs.filtered[1][:, None]).sum()
         assert unscaled == 0.0 and dens[1].max() > 0.0
         np.testing.assert_allclose(fs.filtered[2], [1e-13, 1.0], rtol=1e-12)
@@ -270,11 +271,53 @@ class TestScanMatchesLoop:
         assert exc_info.value.index == 3
 
 
+class TestScanMasslessRows:
+    """``_scan`` keeps every row without mass exactly zero, at every level."""
+
+    N_STEPS = 2000  # 154 blocks of 13, whose ends are scanned in blocks of 5, then 3, then 2
+
+    def stack(self, dead_step=None):
+        # regime 1 absorbs; regime 2 emits nothing at every 7th step, so the
+        # block products' rows that start in regime 2 lose all their mass
+        # inside their blocks.  With ``dead_step``, regime 1 emits nothing
+        # there either.
+        d = np.random.default_rng(34).uniform(0.1, 1.0, (3, self.N_STEPS))
+        d[1, 3::7] = 0.0
+        if dead_step is not None:
+            d[0, dead_step] = 0.0
+        a = np.array([[1.0, 0.0, 0.0], [0.3, 0.3, 0.4], [0.2, 0.5, 0.3]])
+        return d[:, None, :] * a[:, :, None], a, d
+
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_matches_loop_from_a_one_hot_start(self, start):
+        mats, a, d = self.stack()
+        v0 = np.eye(3)[start]
+        with np.errstate(divide="ignore"):
+            rows = _scan(mats, v0)
+        ref = loop_filter_smoother(a, d.T, v0)[0]
+        np.testing.assert_allclose(rows.T, ref, rtol=0, atol=SCAN_TOL)
+        if start == 0:  # the absorbing regime keeps all the mass
+            np.testing.assert_array_equal(rows.T, np.broadcast_to(v0, ref.shape))
+
+    def test_rows_after_the_mass_dies_are_zero(self):
+        # started in the absorbing regime, all mass dies at step 995, the
+        # eighth of its top-level block: the loop stops there, and every
+        # later row of the scan must be exactly zero
+        mats, a, d = self.stack(dead_step=995)
+        v0 = np.eye(3)[0]
+        with pytest.raises(ArithmeticError):
+            loop_filter_smoother(a, d.T, v0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows = _scan(mats, v0)
+        np.testing.assert_array_equal(rows[:, :996].T, np.broadcast_to(v0, (996, 3)))
+        np.testing.assert_array_equal(rows[:, 996:], 0.0)
+
+
 class TestSmoothedMarginals:
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(20)
         theta, g, obs = small_instance(rng, n=80)
-        fs = forward_filter(theta, g, obs)
+        fs = forward_filter(CauchyTerms(theta, obs), g)
         sm = smoothed_marginals(fs, backward_smooth(fs))
         np.testing.assert_array_equal(sm[-1], fs.filtered[-1])
         np.testing.assert_allclose(sm.sum(axis=1), 1.0, atol=1e-12)
@@ -286,7 +329,7 @@ class TestMemoryLayout:
 
     def instance(self):
         theta, g, obs = small_instance(np.random.default_rng(21), n=500, m=3)
-        fs = forward_filter(theta, g, obs)
+        fs = forward_filter(CauchyTerms(theta, obs), g)
         return theta, g, obs, fs, backward_smooth(fs)
 
     def test_public_arrays_view_observation_innermost_arrays(self):
@@ -304,10 +347,11 @@ class TestMemoryLayout:
                            np.ascontiguousarray(fs.steps))
         w_c = SmoothedPairProbs(np.ascontiguousarray(w.w))
         assert w_c.w.flags.c_contiguous and fs_c.steps.flags.c_contiguous
+        terms = CauchyTerms(theta, obs)
         pairs = [
-            (H_n(theta, fs.kernel, obs, w_c), H_n(theta, fs.kernel, obs, w)),
-            (grad_H(theta, obs, w_c), grad_H(theta, obs, w)),
-            (hessian_H(theta, obs, w_c), hessian_H(theta, obs, w)),
+            (H_n(terms, fs.kernel, w_c), H_n(terms, fs.kernel, w)),
+            (grad_H(terms, w_c), grad_H(terms, w)),
+            (hessian_H(terms, w_c), hessian_H(terms, w)),
             (update_generator(g, w_c, obs.h).q, update_generator(g, w, obs.h).q),
             (backward_smooth(fs_c).w, w.w),
         ]
