@@ -483,9 +483,9 @@ def cmd_fit(args) -> int:
             CauchyTerms(result.theta, obs), result.generator, em_cfg.initial_filter_probs
         )
         smoothed = smoothed_marginals(fs, backward_smooth(fs))
-        t = obs.t0 + np.arange(smoothed.shape[0]) * obs.h
-        header = ["t"] + [f"p{i + 1}" for i in range(smoothed.shape[1])]
-        _write_atomic(out / "probs.csv", _csv_text(header, [t, *smoothed.T]))
+        t = obs.t0 + np.arange(smoothed.shape[1]) * obs.h
+        header = ["t"] + [f"p{i + 1}" for i in range(len(smoothed))]
+        _write_atomic(out / "probs.csv", _csv_text(header, [t, *smoothed]))
     print(f"fit status={result.status} iterations={result.iterations}")
     return EXIT_NUMERICAL if result.status == "numerical_failure" else EXIT_OK
 

@@ -3,7 +3,7 @@
 The latent-regime objective evaluated at parameters theta given pairwise
 smoothed regime weights w computed at the previous iterate is
 
-    H(theta; w) = sum_{j=1..n} sum_{i,k} w[j-1,i,k] *
+    H(theta; w) = sum_{j=1..n} sum_{i,k} w[i,k,j-1] *
                   log( f(X_j | X_{j-1}, regime i; theta) * A[i,k] ),
 
 where f is the Cauchy density with location X_{j-1} + lam*(b_i - X_{j-1})*h
@@ -23,13 +23,10 @@ H_n at the new iterate, and the next iteration's filter, H_n and
 derivatives reuse it.  The weight sums over the later regime and over the
 observations are likewise kept, on first use, on :class:`SmoothedPairProbs`.
 
-Index convention: weight arrays have shape (n, N, N); slice j-1 holds the
-pair (t_{j-1}, t_j), j = 1..n.  The shapes are the public ones; in memory
-the observation axis is innermost.  The smoother's weights are transposed
-views of (N, N, n) arrays, summed here through ``w.w.transpose(1, 2, 0)``,
-and the terms are (N, n) arrays, so every sum over the regimes runs along
-the contiguous observation axis.  Weights in any other memory layout give
-the same results, more slowly.
+Index convention: the observation axis is last.  Weight arrays have shape
+(N, N, n), and w[i, k, j-1] weights the pair (a_{t_{j-1}}, a_{t_j}) = (i, k),
+j = 1..n; the terms are (N, n) arrays.  Every sum over the regimes then
+runs along the contiguous observation axis.
 """
 
 from __future__ import annotations
@@ -107,9 +104,10 @@ class ObservationSeries:
 
 @dataclass(frozen=True)
 class SmoothedPairProbs:
-    """Pairwise smoothed regime weights w[j-1, i, k] ~ P(a_{t_{j-1}}=i, a_{t_j}=k | data).
+    """Pairwise smoothed regime weights w[i, k, j-1] ~ P(a_{t_{j-1}}=i, a_{t_j}=k | data).
 
-    Shape (n, N, N); slice j-1 holds the pair (t_{j-1}, t_j) and sums to 1.
+    Shape (N, N, n); slice ``w[:, :, j-1]`` holds the pair (t_{j-1}, t_j)
+    and sums to 1.
     """
 
     w: np.ndarray
@@ -117,32 +115,32 @@ class SmoothedPairProbs:
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
         object.__setattr__(self, "w", w)
-        if w.ndim != 3 or w.shape[1] != w.shape[2] or w.shape[0] < 1:
+        if w.ndim != 3 or w.shape[0] != w.shape[1] or w.shape[2] < 1:
             raise ValueError(f"bad weight array shape {w.shape}")
         if not np.all((w >= 0.0) & (w <= 1.0)):
             raise ValueError("weights must lie in [0, 1]")
-        sums = w.sum(axis=(1, 2))
+        sums = w.sum(axis=(0, 1))
         if np.any(np.abs(sums - 1.0) > PAIR_SLICE_TOL):
             j = int(np.argmax(np.abs(sums - 1.0)))
             raise ValueError(f"pair slice {j} sums to {sums[j]!r}, not 1")
 
     @property
     def n(self) -> int:
-        return self.w.shape[0]
+        return self.w.shape[2]
 
     @property
     def n_states(self) -> int:
-        return self.w.shape[1]
+        return self.w.shape[0]
 
     @cached_property
     def marginals(self) -> np.ndarray:
-        """sum_k w[j-1, i, k] as an (N, n) array."""
-        return self.w.transpose(1, 2, 0).sum(axis=1)
+        """sum_k w[i, k, j-1], the (N, n) marginals over the later regime."""
+        return self.w.sum(axis=1)
 
     @cached_property
     def totals(self) -> np.ndarray:
-        """sum_j w[j-1, i, k], the (N, N) pair totals."""
-        return self.w.transpose(1, 2, 0).sum(axis=2)
+        """sum_j w[i, k, j-1], the (N, N) pair totals."""
+        return self.w.sum(axis=2)
 
 
 @dataclass(frozen=True)

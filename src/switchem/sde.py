@@ -72,6 +72,11 @@ class SimulationConfig:
             raise ConfigError(
                 f"horizon_t / obs_step_h = {n!r} is not an integer number of steps"
             )
+        if self.n_obs < 1:
+            raise ConfigError(f"horizon_t / obs_step_h = {n!r} rounds to no step")
+        s = self.theta_true.delta * self.fine_step  # the NIG increments' scale
+        if not (s / self.a_nuisance > 0.0 and s * s > 0.0):  # wald's mean and shape
+            raise ConfigError(f"NIG increment scale delta * fine step = {s!r} underflows")
         _check_step(self.generator, self.fine_step)
         # |1 - lam*step| < 1 with lam > 0; compared as a product, because
         # 1 - lam*step rounds to 1.0 for a tiny lam*step, which does not diverge
@@ -108,10 +113,7 @@ def simulate_path(cfg: SimulationConfig) -> tuple[ObservationSeries, ChainPath, 
     n_fine = cfg.n_obs * cfg.fine_factor
     step = cfg.fine_step
     chain = simulate_chain(cfg.generator, step, n_fine, cfg.initial_state, rng)
-    # a grid can round to zero steps, and the sampler needs a positive count
-    increments = sample_nig(
-        NigParams(cfg.a_nuisance, cfg.theta_true.delta, step), max(n_fine, 1), rng
-    )[:n_fine]
+    increments = sample_nig(NigParams(cfg.a_nuisance, cfg.theta_true.delta, step), n_fine, rng)
     x_fine = euler_path(cfg.x0, cfg.theta_true, chain.states, increments, step)
     x_obs = x_fine[:: cfg.fine_factor]
     obs_chain = ChainPath(chain.states[:: cfg.fine_factor], cfg.obs_step_h)

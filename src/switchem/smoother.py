@@ -1,27 +1,27 @@
 """Forward filtering and backward smoothing of the hidden regime, as scans.
 
-Forward pass.  With D[j, i] the Cauchy emission density of X_j given
-X_{j-1} in regime i and A the one-step chain kernel, the filter is
+Forward pass.  With d_j[i] the Cauchy emission density of X_j given
+X_{j-1} in regime i and A the one-step chain kernel, f_j = filtered[:, j] is
 
-    filtered[j, k] = sum_i filtered[j-1, i] * D[j, i] * A[i, k] / normalizer,
+    f_j[k] = sum_i f_{j-1}[i] * d_j[i] * A[i, k] / normalizer,
 
-i.e. filtered[j] is proportional to filtered[0] M_1 ... M_j with
-M_j = diag(D[j]) A.  The emission density attaches to the *earlier* state i
-(the regime in force over (t_{j-1}, t_j)), so it scales rows of A rather
-than the predicted marginal.
+i.e. f_j is proportional to f_0 M_1 ... M_j with M_j = diag(d_j) A.
+The emission density attaches to the *earlier* state i (the regime in
+force over (t_{j-1}, t_j)), so it scales rows of A rather than the
+predicted marginal.
 
 Backward pass (exact).  The pair (X, a) is jointly Markov, so
 P(a_{j-1} | a_j, X_{0..n}) = P(a_{j-1} | a_j, X_{0..j}): the earlier
 regime depends on later data only through a_j.  With the pair
-pair[j, i, k] = filtered[j-1, i] * M_j[i, k], proportional to
+P_j[i, k] = f_{j-1}[i] * M_j[i, k], proportional to
 P(a_{j-1} = i, a_j = k | X_{0..j}), and its marginal
-pm[j, k] = sum_i pair[j, i, k], let B_j[i, k] = pair[j, i, k] / pm[j, k]
-(0 where pm[j, k] = 0).  The smoothed marginals satisfy
-smoothed[j-1] = B_j smoothed[j] from smoothed[n] = filtered[n], so
-smoothed[j-1] is proportional to B_j ... B_n filtered[n], and the pair
-weights are w[j-1] = B_j * smoothed[j][None, :], each slice renormalized to
-sum to one.  (Kim's 1994 pass builds the pair from A alone, dropping the
-emission D[j], and is exact only when emissions depend on the later state.)
+m_j[k] = sum_i P_j[i, k], let B_j[i, k] = P_j[i, k] / m_j[k]
+(0 where m_j[k] = 0).  The smoothed marginals satisfy s_{j-1} = B_j s_j
+from s_n = f_n, so s_{j-1} is proportional to B_j ... B_n f_n, and the
+pair weights are w[:, :, j-1] = B_j * s_j[None, :], each slice
+renormalized to sum to one.  (Kim's 1994 pass builds the pair from A
+alone, dropping the emission d_j, and is exact only when emissions depend
+on the later state.)
 
 Both products are computed by one recursive blocked scan (:func:`_scan`;
 Blelloch 1990).  The stack is cut into blocks of about cbrt(n) steps whose
@@ -39,27 +39,27 @@ block (absorbing states, one-hot starts; thousands of nats below the
 others at the chain's block ends) from underflowing while the filter may
 still need it.
 
-Layout.  Every per-observation array is stored regime-first, with the
+Layout.  Every per-observation array is regime-first, with the
 observation axis last and contiguous: densities (N, n); steps, pairs and
-weights (N, N, n); filtered and smoothed rows (N, n+1); the scan's blocks
-(block length, N, N, blocks).  Each numpy call then runs one long loop
-along the observations or blocks rather than n loops of length N.  The
-public (n+1, N) and (n, N, N) arrays are transposed views.  Inside a
-block a matrix product is one broadcast product summed over N.  A sum or
-maximum over a regime axis is numpy's own reduction: on these arrays the
-regime axes are outer, so numpy combines whole slices, each one pass
-along the observations or blocks.  On (455, 2, 2) top-level blocks at
-n = 10^4 a step takes about half as long as a batched ``@``; at N = 3,
-n = 10^3 it takes longer, but the rest of the pass gains more.
+weights (N, N, n); filtered and smoothed distributions (N, n+1); the
+scan's blocks (block length, N, N, blocks).  Each numpy call then runs
+one long loop along the observations or blocks rather than n loops of
+length N.  Inside a block a matrix product is one broadcast product
+summed over N.  A sum or maximum over a regime axis is numpy's own
+reduction: on these arrays the regime axes are outer, so numpy combines
+whole slices, each one pass along the observations or blocks.  On
+(455, 2, 2) top-level blocks at n = 10^4 a step takes about half as long
+as a batched ``@``; at N = 3, n = 10^3 it takes longer, but the rest of
+the pass gains more.
 
-Each emission row is scaled by its maximum before the forward scan, so
-observations whose densities underflow jointly still filter; the scale of
-a row cancels in B_j.  Failure is
-located after the scan by one vectorized check of each step's mass under
-the previous row: the forward pass reports the first step whose emission
-mass under filtered[j-1] is non-positive or non-finite, the backward pass
-the highest j whose slice sum is; rows before (forward) or after (backward)
-that step do not depend on it.
+Each observation's densities d_j are scaled by their maximum before the
+forward scan, so observations whose densities underflow jointly still
+filter; the scale cancels in B_j.  Failure is located after the scan by
+one vectorized check of each step's mass under the previous distribution:
+the forward pass reports the first step whose emission mass under f_{j-1}
+is non-positive or non-finite, the backward pass the highest j whose
+slice sum is; observations before (forward) or after (backward) that step
+do not depend on it.
 """
 
 from __future__ import annotations
@@ -80,15 +80,14 @@ _TINY = np.finfo(float).smallest_subnormal
 
 @dataclass(frozen=True)
 class FilterState:
-    """Forward-pass output; ``filtered`` and ``steps`` are transposed views
-    of the pass's observation-innermost arrays (see the module docstring).
+    """Forward-pass output, observation axis last (see the module docstring).
 
-    filtered[j, k] = P(a_{t_j} = k | X_{0..j});
-    kernel[i, k]   = A[i, k], the one-step chain kernel the pass ran under;
-    steps[j-1]     = diag(D[j]) A, the scaled step of observation j, so that
-    ``steps[j-1] * filtered[j-1][:, None]`` is proportional to
-    P(a_{t_{j-1}} = i, a_{t_j} = k | X_{0..j}).  The M-step evaluates H
-    under the same kernel.
+    filtered[k, j]   = P(a_{t_j} = k | X_{0..j}), shape (N, n+1);
+    kernel[i, k]     = A[i, k], the one-step chain kernel the pass ran under;
+    steps[:, :, j-1] = M_j = diag(d_j) A, the scaled step of observation j,
+    shape (N, N, n), so that ``steps[:, :, j-1] * filtered[:, j-1, None]``
+    is proportional to P(a_{t_{j-1}} = i, a_{t_j} = k | X_{0..j}).  The
+    M-step evaluates H under the same kernel.
     """
 
     filtered: np.ndarray
@@ -97,7 +96,7 @@ class FilterState:
 
     @property
     def n(self) -> int:
-        return self.filtered.shape[0] - 1
+        return self.filtered.shape[1] - 1
 
 
 def _initial_probs(n_states: int, initial) -> np.ndarray:
@@ -210,7 +209,7 @@ def forward_filter(terms: CauchyTerms, g: GeneratorMatrix, initial_probs=None) -
         d = np.where((dm > 0.0) & np.isfinite(dm), d / dm, d)
         steps = d[:, None, :] * a[:, :, None]
         filtered = _scan(steps, _initial_probs(g.n_states, initial_probs))
-        # sum_{i,k} filtered[j-1, i] * steps[j-1, i, k], without the N x N x n product
+        # sum_{i,k} filtered[i, j-1] * steps[i, k, j-1], without the N x N x n product
         mass = (filtered[:, :-1] * d * a.sum(axis=1)[:, None]).sum(axis=0)
     bad = ~(np.isfinite(mass) & (mass > 0.0))
     if bad.any():
@@ -218,23 +217,22 @@ def forward_filter(terms: CauchyTerms, g: GeneratorMatrix, initial_probs=None) -
         raise NumericalFailure(
             f"forward filter normalizer {mass[j - 1]!r} at observation {j}", index=j
         )
-    return FilterState(filtered.T, a, steps.transpose(2, 0, 1))
+    return FilterState(filtered, a, steps)
 
 
 def backward_smooth(fs: FilterState) -> SmoothedPairProbs:
-    """Backward pass producing the pairwise weights w[j-1, i, k] of the
-    pair (t_{j-1}, t_j), shape (n, N, N).
+    """Backward pass producing the pairwise weights w[i, k, j-1] of the
+    pair (t_{j-1}, t_j), shape (N, N, n).
 
     The pass needs only the filter state: each pair is rebuilt from the
-    scaled step and the filtered row as the forward pass built it.
+    scaled step and the filtered distribution as the forward pass built it.
     Smoothed marginals are recoverable via :func:`smoothed_marginals`.
     """
-    filtered = fs.filtered.T
-    pair = fs.steps.transpose(1, 2, 0) * filtered[:, None, :-1]
+    pair = fs.steps * fs.filtered[:, None, :-1]
     pm = pair.sum(axis=0)
     back = np.divide(pair, np.maximum(pm, _TINY), out=pair)
     with np.errstate(divide="ignore", invalid="ignore"):
-        smoothed = _scan(back[:, :, ::-1].swapaxes(0, 1), filtered[:, -1])[:, ::-1]
+        smoothed = _scan(back[:, :, ::-1].swapaxes(0, 1), fs.filtered[:, -1])[:, ::-1]
         w = back * smoothed[:, 1:]
         z = w.reshape(-1, fs.n).sum(axis=0)
     bad = ~(np.isfinite(z) & (z > 0.0))
@@ -244,13 +242,13 @@ def backward_smooth(fs: FilterState) -> SmoothedPairProbs:
             f"backward smoother slice sum {z[j - 1]!r} at observation {j}", index=j
         )
     w /= z
-    return SmoothedPairProbs(w.transpose(2, 0, 1))
+    return SmoothedPairProbs(w)
 
 
 def smoothed_marginals(fs: FilterState, w: SmoothedPairProbs) -> np.ndarray:
-    """Smoothed one-point probabilities P(a_{t_j} = k | X_{0..n}).
+    """Smoothed one-point probabilities P(a_{t_j} = k | X_{0..n}), (N, n+1).
 
-    Slices 0..n-1 marginalize the pairwise weights w[j] over the later
-    state; the terminal slice is the filtered distribution.
+    Columns 0..n-1 are the pair weights' marginals over the later state
+    (:attr:`SmoothedPairProbs.marginals`); column n is filtered[:, n].
     """
-    return np.vstack([w.w.sum(axis=2), fs.filtered[-1:]])
+    return np.hstack([w.marginals, fs.filtered[:, -1:]])

@@ -82,9 +82,9 @@ def enumerate_filter_smoother(x, h, b, lam, delta, a_kernel, p0):
     """Exact filtered / smoothed regime distributions by brute-force enumeration.
 
     Sums the joint density over all (N)^(n+1) regime sequences.  Returns
-    (filtered, smoothed_pair, smoothed_marginal) with the same index
-    conventions as the package: filtered has shape (n+1, N); pair arrays
-    have shape (n, N, N) with slice j-1 covering (t_{j-1}, t_j).
+    (filtered, smoothed_pair, smoothed_marginal) in the package's layout,
+    observation axis last: filtered and marginals have shape (N, n+1); the
+    pair array has shape (N, N, n), slice [:, :, j-1] covering (t_{j-1}, t_j).
     """
     x = np.asarray(x, dtype=float)
     n = x.size - 1
@@ -98,24 +98,23 @@ def enumerate_filter_smoother(x, h, b, lam, delta, a_kernel, p0):
             w *= cauchy_density(x[j], x[j - 1], b[seq[j - 1]], lam, delta, h)
         return w
 
-    filtered = np.zeros((n + 1, m))
+    filtered = np.zeros((m, n + 1))
     for j in range(n + 1):
         tot = np.zeros(m)
         for seq in itertools.product(states, repeat=j + 1):
             tot[seq[j]] += seq_weight(seq, j)
-        filtered[j] = tot / tot.sum()
+        filtered[:, j] = tot / tot.sum()
 
-    pair = np.zeros((n, m, m))
-    marg = np.zeros((n + 1, m))
+    pair = np.zeros((m, m, n))
+    marg = np.zeros((m, n + 1))
     for seq in itertools.product(states, repeat=n + 1):
         w = seq_weight(seq, n)
         for j in range(1, n + 1):
-            pair[j - 1, seq[j - 1], seq[j]] += w
+            pair[seq[j - 1], seq[j], j - 1] += w
         for j in range(n + 1):
-            marg[j, seq[j]] += w
-    for j in range(n):
-        pair[j] /= pair[j].sum()
-    marg /= marg.sum(axis=1, keepdims=True)
+            marg[seq[j], j] += w
+    pair /= pair.sum(axis=(0, 1))
+    marg /= marg.sum(axis=0)
     return filtered, pair, marg
 
 
@@ -123,51 +122,53 @@ def loop_filter_smoother(a_kernel, dens, p0, kim=False):
     """Forward filter and backward pass as one Python loop over observations.
 
     The step-by-step form of ``forward_filter``/``backward_smooth``: ``dens``
-    is the (n, N) emission matrix (row j-1 for observation j), ``a_kernel`` the one-step
-    kernel and ``p0`` the initial filter row.  A step whose emission mass
-    underflows is retried with the densities scaled by their maximum.
-    The backward pass is exact: P(a_{j-1} = i | a_j = k, X_{0..n}) is
-    proportional to filtered[j-1, i] * dens[j-1, i] * A[i, k] (the
-    densities scaled by their maximum, which cancels).  With ``kim=True`` it
-    is Kim's (1994) approximation instead, which drops dens[j-1].
-    Returns (filtered, w) in the package's index conventions; a breakdown
+    is the (N, n) emission matrix (column j-1 for observation j), ``a_kernel``
+    the one-step kernel and ``p0`` the initial filter distribution.  A step
+    whose emission mass underflows is retried with the densities scaled by
+    their maximum.  The backward pass is exact: P(a_{j-1} = i | a_j = k,
+    X_{0..n}) is proportional to filtered[i, j-1] * dens[i, j-1] * A[i, k]
+    (the densities scaled by their maximum, which cancels).  With
+    ``kim=True`` it is Kim's (1994) approximation instead, which drops
+    dens[:, j-1].  Returns (filtered, w) in the package's layout, (N, n+1)
+    and (N, N, n); a breakdown
     raises ``ArithmeticError(message, j)`` at the first failing forward step
     or the highest failing backward step.
     """
     a_kernel = np.asarray(a_kernel, dtype=float)
-    n, m = dens.shape[0], a_kernel.shape[0]
-    filtered = np.zeros((n + 1, m))
-    filtered[0] = p0
+    m, n = dens.shape
+    filtered = np.zeros((m, n + 1))
+    filtered[:, 0] = p0
     for j in range(1, n + 1):
-        pj = a_kernel * filtered[j - 1][:, None]
-        col = (dens[j - 1][:, None] * pj).sum(axis=0)
+        pj = a_kernel * filtered[:, j - 1][:, None]
+        dj = dens[:, j - 1]
+        col = (dj[:, None] * pj).sum(axis=0)
         z = col.sum()
         if not np.isfinite(z) or z <= 0.0:
-            dm = dens[j - 1].max()
+            dm = dj.max()
             if dm > 0.0 and np.isfinite(dm):
-                col = ((dens[j - 1] / dm)[:, None] * pj).sum(axis=0)
+                col = ((dj / dm)[:, None] * pj).sum(axis=0)
                 z = col.sum()
             if not np.isfinite(z) or z <= 0.0:
                 raise ArithmeticError(f"forward normalizer {z!r} at observation {j}", j)
-        filtered[j] = col / z
+        filtered[:, j] = col / z
 
-    smoothed = np.zeros((n + 1, m))
-    w = np.zeros((n, m, m))
-    smoothed[n] = filtered[n]
+    smoothed = np.zeros((m, n + 1))
+    w = np.zeros((m, m, n))
+    smoothed[:, n] = filtered[:, n]
     for j in range(n, 0, -1):
-        pj = a_kernel * filtered[j - 1][:, None]
+        pj = a_kernel * filtered[:, j - 1][:, None]
         if not kim:
-            dm = dens[j - 1].max()
-            dj = dens[j - 1] / dm if dm > 0.0 and np.isfinite(dm) else dens[j - 1]
-            pj = dj[:, None] * pj
+            dj = dens[:, j - 1]
+            dm = dj.max()
+            pj = (dj / dm if dm > 0.0 and np.isfinite(dm) else dj)[:, None] * pj
         pm = pj.sum(axis=0)
-        ratio = np.where(pm > 0.0, smoothed[j] / np.where(pm > 0.0, pm, 1.0), 0.0)
+        ratio = np.where(pm > 0.0, smoothed[:, j] / np.where(pm > 0.0, pm, 1.0), 0.0)
         wj = pj * ratio[None, :]
         z = wj.sum()
         if not np.isfinite(z) or z <= 0.0:
             raise ArithmeticError(f"backward slice sum {z!r} at observation {j}", j)
-        w[j - 1] = wj / z
-        smoothed[j - 1] = w[j - 1].sum(axis=1)
+        w[:, :, j - 1] = wj / z
+        smoothed[:, j - 1] = w[:, :, j - 1].sum(axis=1)
     return filtered, w
 
 
@@ -175,8 +176,8 @@ def loop_update_rates(q, w, h):
     """Generator M-step as a loop over rows: each row with positive total
     pair weight becomes its row-normalized pair totals divided by ``h``,
     with the diagonal set to minus the off-diagonal sum; rows without
-    weight keep their rates.  ``w`` is the (n, N, N) weight array."""
-    tot = w.sum(axis=0)
+    weight keep their rates.  ``w`` is the (N, N, n) weight array."""
+    tot = w.sum(axis=2)
     q = np.array(q, dtype=float)
     for l in range(q.shape[0]):
         row_tot = tot[l].sum()
@@ -214,14 +215,15 @@ def euler_loop(x0, theta, states, increments, step):
 
 
 def h_bruteforce(x, h, b, lam, delta, a_kernel, w):
-    """Direct triple-loop evaluation of the weighted quasi-log-likelihood."""
+    """Direct triple-loop evaluation of the weighted quasi-log-likelihood
+    under (N, N, n) weights."""
     n = len(x) - 1
     m = len(b)
     total = 0.0
     for j in range(1, n + 1):
         for i in range(m):
             for k in range(m):
-                wk = w[j - 1, i, k]
+                wk = w[i, k, j - 1]
                 if wk == 0.0:
                     continue
                 f = cauchy_density(x[j], x[j - 1], b[i], lam, delta, h)

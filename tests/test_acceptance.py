@@ -98,7 +98,7 @@ def test_criterion_1_smoother_matches_enumeration():
             max_filt = max(max_filt, float(np.max(np.abs(fs.filtered - ref_filt))))
             max_pair = max(max_pair, float(np.max(np.abs(w.w - ref_pair))))
             for j in range(n):
-                if np.argmax(w.w[j]) != np.argmax(ref_pair[j]):
+                if np.argmax(w.w[:, :, j]) != np.argmax(ref_pair[:, :, j]):
                     argmax_mismatches += 1
     elapsed = time.time() - t0
     ok = max_filt < 1e-10 and max_pair < 1e-2 and argmax_mismatches == 0 and elapsed < 10.0
@@ -346,21 +346,21 @@ def test_criterion_8_probability_invariants_on_fitted_paths():
             fs = forward_filter(CauchyTerms(theta, obs), g)
             w = backward_smooth(fs)
             sm = smoothed_marginals(fs, w)
-            pair = fs.kernel * fs.filtered[:-1, :, None]
-            marginal = pair.sum(axis=1)
+            pair = fs.kernel[:, :, None] * fs.filtered[:, None, :-1]
+            marginal = pair.sum(axis=0)
             for arr in (fs.filtered, w.w, sm, pair, marginal):
                 if np.any(arr < 0.0) or np.any(arr > 1.0):
                     in_range = False
             worst = max(
                 worst,
-                float(np.max(np.abs(fs.filtered.sum(axis=1) - 1.0))),
-                float(np.max(np.abs(w.w.sum(axis=(1, 2)) - 1.0))),
-                float(np.max(np.abs(sm.sum(axis=1) - 1.0))),
-                float(np.max(np.abs(pair.sum(axis=(1, 2)) - 1.0))),
+                float(np.max(np.abs(fs.filtered.sum(axis=0) - 1.0))),
+                float(np.max(np.abs(w.w.sum(axis=(0, 1)) - 1.0))),
+                float(np.max(np.abs(sm.sum(axis=0) - 1.0))),
+                float(np.max(np.abs(pair.sum(axis=(0, 1)) - 1.0))),
                 # marginalizing pairs over the earlier state reproduces the
                 # smoothed marginal at the later time point
-                float(np.max(np.abs(w.w.sum(axis=1) - sm[1:]))),
-                float(np.max(np.abs(pair.sum(axis=1) - marginal))),
+                float(np.max(np.abs(w.w.sum(axis=0) - sm[:, 1:]))),
+                float(np.max(np.abs(pair.sum(axis=0) - marginal))),
             )
     ok = worst < 1e-9 and in_range
     report(

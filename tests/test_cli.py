@@ -749,6 +749,25 @@ class TestInputRanges:
         assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
         self.assert_refused(capsys.readouterr(), tmp_path, "simulation.obs_step_h must be ")
 
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    @pytest.mark.parametrize(
+        "horizon_t,obs_step_h,message",
+        [
+            # about 1e-10 steps passes the integer-grid check but rounds to none
+            (1e-11, 0.1, "horizon_t / obs_step_h = 9.999999999999999e-11 rounds to no step"),
+            # the sampler's inverse Gaussian shape (delta * 1e-301)^2 underflows to 0
+            (1e-300, 1e-300, "NIG increment scale delta * fine step = 1e-301 underflows"),
+        ],
+        ids=["no-step", "underflowing-scale"],
+    )
+    def test_grid_the_sampler_cannot_draw_exits_2(self, tmp_path, path_csv, capsys,
+                                                  command, horizon_t, obs_step_h, message):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["simulation"].update(horizon_t=horizon_t, obs_step_h=obs_step_h)
+        assert self.run(tmp_path, path_csv, command, cfg) == 2
+        self.assert_refused(capsys.readouterr(), tmp_path,
+                            f"bad simulation section: {message}")
+
     def test_integer_over_the_digit_limit_exits_2(self, tmp_path, path_csv, capsys):
         p = tmp_path / "huge.json"
         p.write_text(json.dumps(BASE_CONFIG).replace('"lambda": 2.0', '"lambda": 1' + "0" * 5000))
@@ -890,7 +909,7 @@ class TestOptionalOutputs:
         assert lines[0] == "t,p1,p2"
         assert lines[1:] == [
             ",".join(self.fmt(v) for v in [obs.t0 + j * obs.h, *row])
-            for j, row in enumerate(smoothed)
+            for j, row in enumerate(smoothed.T)
         ]
 
 

@@ -27,7 +27,7 @@ class TestValidateGenerator:
         g = validate_generator([[-1.0, 0.5, 0.5], [0.0, -2.0, 2.0], [1.0, 1.0, -2.0]])
         assert [f.name for f in dataclasses.fields(g)] == ["q"]
         assert g.n_states == g.q.shape[0] == 3
-        w = np.full((4, 3, 3), 1.0 / 9.0)
+        w = np.full((3, 3, 4), 1.0 / 9.0)
         assert update_generator(g, SmoothedPairProbs(w), 0.1).n_states == 3
 
     def test_rejects_nonsquare(self):

@@ -232,7 +232,7 @@ class TestUpdateGenerator:
         theta = Theta(np.array([6.0, 3.0]), 2.0, 1.0)
         w = backward_smooth(forward_filter(CauchyTerms(theta, obs), g))
         g2 = update_generator(g, w, obs.h)
-        tot = w.w.sum(axis=0)
+        tot = w.w.sum(axis=2)
         a_row = tot[0] / tot[0].sum()
         assert g2.q[0, 1] == pytest.approx(a_row[1] / obs.h)
 
@@ -241,7 +241,7 @@ class TestUpdateGenerator:
             [[-0.02, 0.01, 0.01], [0.03, -0.05, 0.02], [0.004, 0.006, -0.01]]
         )
         w = np.zeros((3, 3, 3))
-        w[:, 0, 0], w[:, 0, 2], w[:, 2, 1] = 0.5, 0.3, 0.2
+        w[0, 0], w[0, 2], w[2, 1] = 0.5, 0.3, 0.2
         g2 = update_generator(g, SmoothedPairProbs(w), 0.1)
         np.testing.assert_array_equal(g2.q[1], g.q[1])
         np.testing.assert_array_equal(g2.q[2], [0.0, 10.0, -10.0])
@@ -256,6 +256,7 @@ class TestUpdateGenerator:
             w = rng.uniform(size=(30, n_states, n_states))
             w[:, rng.integers(n_states)] = 0.0  # one row without weight
             w /= w.sum(axis=(1, 2), keepdims=True)
+            w = w.transpose(1, 2, 0).copy()  # drawn observation-first, as always
             h = float(rng.uniform(0.05, 0.5))
             got = update_generator(g, SmoothedPairProbs(w), h)
             with warnings.catch_warnings():
@@ -267,8 +268,8 @@ class TestUpdateGenerator:
         # state 2's rates round to an exit rate just above 1/h, which left
         # 1 + q_22*h = -2.2e-16 before the cap
         g = validate_generator([[-1, .5, .5], [.5, -1, .5], [.5, .5, -1]])
-        w = np.zeros((1, 3, 3))
-        w[0] = [[0, .04, .27], [0, .69, 0], [0, 0, 0]]
+        w = np.zeros((3, 3, 1))
+        w[:, :, 0] = [[0, .04, .27], [0, .69, 0], [0, 0, 0]]
         g2 = update_generator(g, SmoothedPairProbs(w), 0.1)
         a = transition_matrix_approx(g2, 0.1)
         assert g2.q[0, 0] == -10.0

@@ -36,11 +36,11 @@ def random_instance(rng, n=None, m=None):
         warnings.simplefilter("ignore", RuntimeWarning)
         g = validate_generator(q)
     obs = ObservationSeries(np.cumsum(rng.standard_cauchy(n + 1) * 0.3), h)
-    # one spare leading slice is drawn and dropped, which keeps the
-    # instances that each seed has always given
+    # drawn observation-first with one spare leading slice dropped, then
+    # laid out observation-last: the instances each seed has always given
     w = rng.uniform(0.01, 1.0, (n + 1, m, m))[1:]
     w /= w.sum(axis=(1, 2), keepdims=True)
-    return theta, g, obs, SmoothedPairProbs(w)
+    return theta, g, obs, SmoothedPairProbs(w.transpose(1, 2, 0).copy())
 
 
 class TestBasics:
@@ -84,7 +84,7 @@ class TestBasics:
         w = np.full((2, 2, 2), 0.25)
         SmoothedPairProbs(w)  # valid
         w[0, 0, 0] = 0.5
-        with pytest.raises(ValueError, match="sums to"):
+        with pytest.raises(ValueError, match="slice 0 sums to"):
             SmoothedPairProbs(w)
 
     def test_pair_probs_reject_non_finite_weights(self):
@@ -115,11 +115,11 @@ class TestHn:
         obs = ObservationSeries(np.array([0.0, 0.5, 0.9]), 0.1)
         a = transition_matrix_approx(g, obs.h)
         w = np.zeros((2, 2, 2))
-        w[:, 0, 0] = 1.0  # never uses the impossible 1 -> 2 move
+        w[0, 0] = 1.0  # never uses the impossible 1 -> 2 move
         val = H_n(CauchyTerms(theta, obs), a, SmoothedPairProbs(w))
         assert np.isfinite(val)
         w2 = np.zeros((2, 2, 2))
-        w2[:, 0, 1] = 1.0  # positive weight on a zero-probability move
+        w2[0, 1] = 1.0  # positive weight on a zero-probability move
         with pytest.raises(EvaluationError):
             H_n(CauchyTerms(theta, obs), a, SmoothedPairProbs(w2))
 

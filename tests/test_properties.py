@@ -78,7 +78,7 @@ def test_kernel_rows_are_distributions_up_to_rounding(gh):
 
 @st.composite
 def weights_without_stay_mass(draw):
-    """Pair weights (n, N, N) whose total puts no mass on some row's
+    """Pair weights (N, N, n) whose total puts no mass on some row's
     diagonal, and a generator to update with a step h it allows, as in EM,
     where the generator has just built its kernel at h."""
     g, h = draw(generator_and_step())
@@ -91,7 +91,7 @@ def weights_without_stay_mass(draw):
     w[:, row, row] = 0.0
     w[0, row, (row + 1) % n_states] += 1.0  # the row is live and must jump
     w /= w.sum(axis=(1, 2), keepdims=True)
-    return g, SmoothedPairProbs(w), h
+    return g, SmoothedPairProbs(w.transpose(1, 2, 0).copy()), h
 
 
 @PROPERTY_SETTINGS
@@ -109,10 +109,10 @@ def test_filter_carries_the_kernel_and_slices_are_distributions(inst):
     fs = forward_filter(CauchyTerms(theta, obs), g)
     assert np.array_equal(fs.kernel, transition_matrix_approx(g, obs.h))
     assert np.all(fs.filtered >= 0.0)
-    np.testing.assert_allclose(fs.filtered.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fs.filtered.sum(axis=0), 1.0, rtol=0, atol=1e-12)
     w = backward_smooth(fs).w
     assert np.all(w >= 0.0)
-    np.testing.assert_allclose(w.sum(axis=(1, 2)), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w.sum(axis=(0, 1)), 1.0, rtol=0, atol=1e-12)
 
 
 @PROPERTY_SETTINGS
@@ -121,7 +121,7 @@ def test_scans_match_the_loop(inst):
     theta, g, obs = inst
     fs = forward_filter(CauchyTerms(theta, obs), g)
     ref_filt, ref_w = loop_filter_smoother(
-        fs.kernel, CauchyTerms(theta, obs).density.T, fs.filtered[0]
+        fs.kernel, CauchyTerms(theta, obs).density, fs.filtered[:, 0]
     )
     np.testing.assert_allclose(fs.filtered, ref_filt, rtol=0, atol=1e-12)
     np.testing.assert_allclose(backward_smooth(fs).w, ref_w, rtol=0, atol=1e-12)

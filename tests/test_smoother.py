@@ -66,18 +66,18 @@ class TestForwardFilter:
         rng = np.random.default_rng(5)
         theta, g, obs = small_instance(rng, n=200)
         fs = forward_filter(CauchyTerms(theta, obs), g)
-        np.testing.assert_allclose(fs.filtered.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(fs.filtered.sum(axis=0), 1.0, atol=1e-12)
         assert np.all(fs.filtered >= 0.0) and np.all(fs.filtered <= 1.0)
-        pair = fs.kernel * fs.filtered[:-1, :, None]
-        marginal = pair.sum(axis=1)
-        np.testing.assert_allclose(pair.sum(axis=(1, 2)), 1.0, atol=1e-12)
-        np.testing.assert_allclose(pair.sum(axis=1), marginal, atol=1e-15)
+        pair = fs.kernel[:, :, None] * fs.filtered[:, None, :-1]
+        marginal = pair.sum(axis=0)
+        np.testing.assert_allclose(pair.sum(axis=(0, 1)), 1.0, atol=1e-12)
+        np.testing.assert_allclose(pair.sum(axis=0), marginal, atol=1e-15)
 
     def test_custom_initial_probs(self):
         rng = np.random.default_rng(6)
         theta, g, obs = small_instance(rng)
         fs = forward_filter(CauchyTerms(theta, obs), g, initial_probs=[1.0, 0.0])
-        np.testing.assert_array_equal(fs.filtered[0], [1.0, 0.0])
+        np.testing.assert_array_equal(fs.filtered[:, 0], [1.0, 0.0])
         with pytest.raises(ConfigError):
             forward_filter(CauchyTerms(theta, obs), g, initial_probs=[0.7, 0.7])
 
@@ -106,7 +106,7 @@ class TestBackwardSmooth:
         theta, g, obs = small_instance(rng, n=150)
         fs = forward_filter(CauchyTerms(theta, obs), g)
         w = backward_smooth(fs)
-        np.testing.assert_allclose(w.w.sum(axis=(1, 2)), 1.0, atol=1e-12)
+        np.testing.assert_allclose(w.w.sum(axis=(0, 1)), 1.0, atol=1e-12)
         assert np.all(w.w >= 0.0) and np.all(w.w <= 1.0)
 
     def test_terminal_marginal_is_filtered(self):
@@ -115,10 +115,10 @@ class TestBackwardSmooth:
         fs = forward_filter(CauchyTerms(theta, obs), g)
         w = backward_smooth(fs)
         sm = smoothed_marginals(fs, w)
-        np.testing.assert_allclose(sm[-1], fs.filtered[-1], atol=1e-12)
+        np.testing.assert_allclose(sm[:, -1], fs.filtered[:, -1], atol=1e-12)
         # marginalizing the pair weights over i reproduces the smoothed
         # marginal at the later time point
-        np.testing.assert_allclose(w.w.sum(axis=1), sm[1:], atol=1e-10)
+        np.testing.assert_allclose(w.w.sum(axis=0), sm[:, 1:], atol=1e-10)
 
     def test_matches_enumeration_exactly(self):
         # strongly informative instances, where Kim's pass is far off: the
@@ -154,7 +154,7 @@ class TestBackwardSmooth:
             obs.x, obs.h, theta.b, theta.lam, theta.delta, fs.kernel, np.full(2, 0.5)
         )
         _, kim_w = loop_filter_smoother(
-            fs.kernel, CauchyTerms(theta, obs).density.T, fs.filtered[0], kim=True
+            fs.kernel, CauchyTerms(theta, obs).density, fs.filtered[:, 0], kim=True
         )
         assert np.max(np.abs(kim_w - ref_pair)) < 1e-2
         np.testing.assert_allclose(w.w, ref_pair, rtol=0, atol=1e-12)
@@ -171,7 +171,7 @@ class TestBackwardSmooth:
             obs.x, obs.h, theta.b, theta.lam, theta.delta, fs.kernel, np.full(2, 0.5)
         )
         _, kim_w = loop_filter_smoother(
-            fs.kernel, CauchyTerms(theta, obs).density.T, fs.filtered[0], kim=True
+            fs.kernel, CauchyTerms(theta, obs).density, fs.filtered[:, 0], kim=True
         )
         assert np.max(np.abs(kim_w - ref_pair)) > 1e-2  # Kim is not exact in general
         assert np.max(np.abs(w.w - ref_pair)) < 1e-12
@@ -180,8 +180,8 @@ class TestBackwardSmooth:
 def assert_scan_matches_loop(theta, g, obs, initial_probs=None):
     fs = forward_filter(CauchyTerms(theta, obs), g, initial_probs)
     w = backward_smooth(fs)
-    dens = CauchyTerms(theta, obs).density.T
-    ref_filt, ref_w = loop_filter_smoother(fs.kernel, dens, fs.filtered[0])
+    dens = CauchyTerms(theta, obs).density
+    ref_filt, ref_w = loop_filter_smoother(fs.kernel, dens, fs.filtered[:, 0])
     np.testing.assert_allclose(fs.filtered, ref_filt, rtol=0, atol=SCAN_TOL)
     np.testing.assert_allclose(w.w, ref_w, rtol=0, atol=SCAN_TOL)
     return fs
@@ -218,10 +218,10 @@ class TestScanMatchesLoop:
         x.append(x[-1] + 0.1 * (1000.0 - x[-1]) + 1e-160)
         obs = ObservationSeries(np.array(x), 0.1)
         fs = assert_scan_matches_loop(theta, g, obs)
-        dens = CauchyTerms(theta, obs).density.T
-        unscaled = (dens[1][:, None] * fs.kernel * fs.filtered[1][:, None]).sum()
-        assert unscaled == 0.0 and dens[1].max() > 0.0
-        np.testing.assert_allclose(fs.filtered[2], [1e-13, 1.0], rtol=1e-12)
+        dens = CauchyTerms(theta, obs).density
+        unscaled = (dens[:, 1, None] * fs.kernel * fs.filtered[:, 1, None]).sum()
+        assert unscaled == 0.0 and dens[:, 1].max() > 0.0
+        np.testing.assert_allclose(fs.filtered[:, 2], [1e-13, 1.0], rtol=1e-12)
 
     @pytest.mark.parametrize(
         "start,n",
@@ -243,7 +243,7 @@ class TestScanMatchesLoop:
             g = validate_generator([[0.0, 0.0], [0.5, -0.5]])
         fs = assert_scan_matches_loop(theta, g, obs, start)
         if start == [1.0, 0.0]:
-            np.testing.assert_array_equal(fs.filtered[:, 1], 0.0)
+            np.testing.assert_array_equal(fs.filtered[1], 0.0)
 
     def test_zero_diagonal_kernel(self):
         # exit rate 1/h clamps the kernel diagonal to 0: regimes alternate
@@ -259,13 +259,13 @@ class TestScanMatchesLoop:
         assert_scan_matches_loop(theta, g, obs, [0.0, 0.0, 1.0])
 
     def test_backward_breakdown_reports_highest_index(self):
-        # filtered rows that jump between the states of an identity kernel
-        # (and identity steps) leave no predicted mass under the smoothed
-        # row at j = 3; the rows below it are then undefined, and the pass
-        # reports the highest failing step, where a loop counting down
-        # from n stops
-        filtered = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        steps = np.broadcast_to(np.eye(2), (4, 2, 2))
+        # filtered distributions that jump between the states of an identity
+        # kernel (and identity steps) leave no predicted mass under the
+        # smoothed distribution at j = 3; the ones before it are then
+        # undefined, and the pass reports the highest failing step, where a
+        # loop counting down from n stops
+        filtered = np.array([[1.0, 0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0, 1.0]])
+        steps = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, 4))
         with pytest.raises(NumericalFailure) as exc_info:
             backward_smooth(FilterState(filtered, np.eye(2), steps))
         assert exc_info.value.index == 3
@@ -294,10 +294,10 @@ class TestScanMasslessRows:
         v0 = np.eye(3)[start]
         with np.errstate(divide="ignore"):
             rows = _scan(mats, v0)
-        ref = loop_filter_smoother(a, d.T, v0)[0]
-        np.testing.assert_allclose(rows.T, ref, rtol=0, atol=SCAN_TOL)
+        ref = loop_filter_smoother(a, d, v0)[0]
+        np.testing.assert_allclose(rows, ref, rtol=0, atol=SCAN_TOL)
         if start == 0:  # the absorbing regime keeps all the mass
-            np.testing.assert_array_equal(rows.T, np.broadcast_to(v0, ref.shape))
+            np.testing.assert_array_equal(rows, np.broadcast_to(v0[:, None], ref.shape))
 
     def test_rows_after_the_mass_dies_are_zero(self):
         # started in the absorbing regime, all mass dies at step 995, the
@@ -306,10 +306,10 @@ class TestScanMasslessRows:
         mats, a, d = self.stack(dead_step=995)
         v0 = np.eye(3)[0]
         with pytest.raises(ArithmeticError):
-            loop_filter_smoother(a, d.T, v0)
+            loop_filter_smoother(a, d, v0)
         with np.errstate(divide="ignore", invalid="ignore"):
             rows = _scan(mats, v0)
-        np.testing.assert_array_equal(rows[:, :996].T, np.broadcast_to(v0, (996, 3)))
+        np.testing.assert_array_equal(rows[:, :996], np.broadcast_to(v0[:, None], (3, 996)))
         np.testing.assert_array_equal(rows[:, 996:], 0.0)
 
 
@@ -319,34 +319,34 @@ class TestSmoothedMarginals:
         theta, g, obs = small_instance(rng, n=80)
         fs = forward_filter(CauchyTerms(theta, obs), g)
         sm = smoothed_marginals(fs, backward_smooth(fs))
-        np.testing.assert_array_equal(sm[-1], fs.filtered[-1])
-        np.testing.assert_allclose(sm.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_array_equal(sm[:, -1], fs.filtered[:, -1])
+        np.testing.assert_allclose(sm.sum(axis=0), 1.0, atol=1e-12)
 
 
 class TestMemoryLayout:
     """The smoother keeps every per-observation array with the observation
-    axis last and contiguous; its public arrays are transposed views."""
+    axis last and contiguous, and hands out those arrays themselves."""
 
     def instance(self):
         theta, g, obs = small_instance(np.random.default_rng(21), n=500, m=3)
         fs = forward_filter(CauchyTerms(theta, obs), g)
         return theta, g, obs, fs, backward_smooth(fs)
 
-    def test_public_arrays_view_observation_innermost_arrays(self):
+    def test_public_arrays_are_c_contiguous_with_the_observation_axis_last(self):
         _, _, obs, fs, w = self.instance()
-        assert fs.filtered.shape == (obs.n + 1, 3)
-        assert fs.steps.shape == w.w.shape == (obs.n, 3, 3)
-        assert fs.filtered.T.flags.c_contiguous
-        assert fs.steps.transpose(1, 2, 0).flags.c_contiguous
-        assert w.w.transpose(1, 2, 0).flags.c_contiguous
+        sm = smoothed_marginals(fs, w)
+        assert fs.filtered.shape == sm.shape == (3, obs.n + 1)
+        assert fs.steps.shape == w.w.shape == (3, 3, obs.n)
+        for arr in (fs.filtered, fs.steps, w.w, sm):
+            assert arr.flags.c_contiguous and arr.flags.owndata  # not a view
 
-    def test_c_contiguous_inputs_give_the_same_results(self):
-        # callers may build their own (n, N, N) weights and (n+1, N) rows
+    def test_other_memory_layouts_give_the_same_results(self):
+        # callers may build their own weights and filter states in any layout
         theta, g, obs, fs, w = self.instance()
-        fs_c = FilterState(np.ascontiguousarray(fs.filtered), fs.kernel,
-                           np.ascontiguousarray(fs.steps))
-        w_c = SmoothedPairProbs(np.ascontiguousarray(w.w))
-        assert w_c.w.flags.c_contiguous and fs_c.steps.flags.c_contiguous
+        fs_c = FilterState(np.asfortranarray(fs.filtered), fs.kernel,
+                           np.asfortranarray(fs.steps))
+        w_c = SmoothedPairProbs(np.asfortranarray(w.w))
+        assert w_c.w.flags.f_contiguous and fs_c.steps.flags.f_contiguous
         terms = CauchyTerms(theta, obs)
         pairs = [
             (H_n(terms, fs.kernel, w_c), H_n(terms, fs.kernel, w)),
