@@ -37,7 +37,7 @@ from .likelihood import (
     grad_H,
     hessian_H,
 )
-from .nig import NigParams, cauchy_density, sample_nig
+from .nig import NigParams, sample_nig
 from .sde import SimulationConfig, euler_path, simulate_path
 from .smoother import (
     FilterState,
@@ -66,7 +66,6 @@ __all__ = [
     "SmoothedPairProbs",
     "Theta",
     "backward_smooth",
-    "cauchy_density",
     "em_fit",
     "euler_path",
     "first_order_step",

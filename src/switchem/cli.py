@@ -22,7 +22,8 @@ integer field ``str(v)``):
 
 Each config key has one JSON type: a number, an integer, a boolean, a
 string, a list of numbers, or (``simulation.q``) a list of such lists;
-``NaN``, ``Infinity`` and ``-Infinity`` are not JSON numbers.
+``NaN``, ``Infinity`` and ``-Infinity`` are not JSON numbers.  A key that
+no subcommand reads, at the root or in a section, exits 2, naming it.
 Seeds (``simulation.seed``, ``em.init_seed``, ``SWITCHEM_SEED``) are
 non-negative integers, and ``em.init_lambda_range`` and
 ``em.init_delta_range`` have lows >= 0.  ``null`` means the key is absent;
@@ -30,7 +31,8 @@ a value of another kind, or a number too large for a float (a literal such
 as ``1e400``, or an integer of over 308 digits) where a number or an
 integer other than a seed is expected, exits 2, naming the key.  So does a
 ``simulation.lambda`` with ``lambda * obs_step_h / fine_factor >= 2``, for
-which the Euler recursion diverges.
+which the Euler recursion diverges, and a fine grid of over
+``sde.MAX_FINE_STEPS`` (10^8) steps ``horizon_t / obs_step_h * fine_factor``.
 
 Exit codes: 0 success, 2 configuration or input-schema error, 3 numerical
 failure (for experiments: more than half of the replications failed; each
@@ -108,6 +110,13 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    for name, section in cfg.items():
+        if name not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {name}")
+        if isinstance(section, dict):  # _section rejects any other value
+            for key in section:
+                if key not in _CONFIG_KEYS[name]:
+                    raise ConfigError(f"unknown config key {name}.{key}")
     return cfg
 
 
@@ -159,6 +168,14 @@ _EM_KINDS = {
          "init_delta_range", "theta0", "initial_filter_probs"),
         "numbers",
     ),
+}
+
+# the keys some subcommand reads, per section; any other key exits 2
+_CONFIG_KEYS = {
+    "simulation": {"b", "lambda", "delta", "q", "seed", "a", "horizon_t", "obs_step_h",
+                   "x0", "fine_factor", "alpha0", "emit_chain_fine"},
+    "em": _EM_KINDS.keys(),
+    "experiment": {"replications", "emit_trace", "emit_probs"},
 }
 
 

@@ -4,24 +4,20 @@ The latent-regime objective evaluated at parameters theta given pairwise
 smoothed regime weights w computed at the previous iterate is
 
     H(theta; w) = sum_{j=1..n} sum_{i,k} w[i,k,j-1] *
-                  log( f(X_j | X_{j-1}, regime i; theta) * A[i,k] ),
+                  log( f(u_ij; s) * A[i,k] ),
 
-where f is the Cauchy density with location X_{j-1} + lam*(b_i - X_{j-1})*h
-and scale delta*h, and A is the one-step chain kernel.  The analytic
-gradient and Hessian are assembled from the named kernels K1..K9 below,
-which factor every derivative into (weight-independent) per-observation
-terms; each formula is cross-checked against finite differences in the
-test suite.
+where f(u; s) = s / (pi r), r = s^2 + u^2, is the Cauchy density at the Euler
+residual u = X_j - X_{j-1} - lam*(b_i - X_{j-1})*h with scale s = delta*h, and
+A is the one-step chain kernel.  H's derivatives are the chain rule: log f has
+slopes l_u = -2u/r, l_s = 1/s - 2s/r and curvatures l_uu = 2(u^2 - s^2)/r^2,
+l_us = 4us/r^2, l_ss = -1/s^2 - l_uu; the map has du/db_i = -lam*h, du/dlam =
+-(b_i - X_{j-1})*h, ds/ddelta = h and one second derivative d2u/db_i dlam = -h.
 
-One evaluation per iterate: :class:`CauchyTerms` holds the terms at one
-theta, each computed once.  From the residuals u and q = pi (s^2 + u^2),
-s = delta*h, it derives the density s / q, which the forward filter,
-:func:`grad_H` and :func:`hessian_H` read, and the log density
--log(q / s), which :func:`H_n` reads; K1, K3 and K4, which both
-derivatives read, follow on first use.  EM builds one per iterate, for
-H_n at the new iterate, and the next iteration's filter, H_n and
-derivatives reuse it.  The weight sums over the later regime and over the
-observations are likewise kept, on first use, on :class:`SmoothedPairProbs`.
+One evaluation per iterate: :class:`CauchyTerms` holds the residuals u, the
+density s / q and its log -log(q / s), q = pi r, each computed once, and on
+first use the slopes l_u and l_s.  EM builds one per iterate, which that
+iterate's filter, H_n and derivatives all read; the weight sums over the later
+regime and over the observations are likewise kept on :class:`SmoothedPairProbs`.
 
 Index convention: the observation axis is last.  Weight arrays have shape
 (N, N, n), and w[i, k, j-1] weights the pair (a_{t_{j-1}}, a_{t_j}) = (i, k),
@@ -145,9 +141,7 @@ class SmoothedPairProbs:
 
 @dataclass(frozen=True)
 class CauchyTerms:
-    """The per-observation terms at ``theta`` (see the module docstring),
-    each an (N, n) array whose column j-1 is observation j: the residuals
-    ``u``, the density K2 and its log, and, on first use, ``factors``."""
+    """The per-observation (N, n) terms at ``theta``; see the module docstring."""
 
     theta: Theta
     obs: ObservationSeries
@@ -166,24 +160,11 @@ class CauchyTerms:
             object.__setattr__(self, "log_density", -np.log(q / s))
 
     @cached_property
-    def factors(self) -> tuple[np.ndarray, ...]:
-        """(v, K1, K3, K4) with v = b_i - X_{j-1}."""
-        u, h, delta = self.u, self.obs.h, self.theta.delta
-        v = self.theta.b[:, None] - self.obs.x[:-1]
-        k1 = np.pi * u * u / (delta * delta * h) - h * np.pi
-        k3 = 2.0 * np.pi * u * v / delta
-        k4 = 2.0 * np.pi * u * self.theta.lam / delta
-        return v, k1, k3, k4
-
-
-def _check_pair_support(a: np.ndarray, pair_tot: np.ndarray) -> None:
-    bad = (a <= 0.0) & (pair_tot > 0.0)
-    if np.any(bad):
-        i, k = np.argwhere(bad)[0]
-        raise EvaluationError(
-            f"impossible transition has positive weight: A[{i + 1},{k + 1}] = "
-            f"{a[i, k]!r} but total weight {pair_tot[i, k]!r}"
-        )
+    def slopes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(l_u, l_s), the slopes of log f in the residual and the scale."""
+        u, s = self.u, self.theta.delta * self.obs.h
+        r = s * s + u * u
+        return -2.0 * u / r, 1.0 / s - 2.0 * s / r
 
 
 def H_n(terms: CauchyTerms, a: np.ndarray, w: SmoothedPairProbs) -> float:
@@ -196,7 +177,13 @@ def H_n(terms: CauchyTerms, a: np.ndarray, w: SmoothedPairProbs) -> float:
     positive weight is an evaluation error.
     """
     _check_dims(terms, w, *a.shape)
-    _check_pair_support(a, w.totals)
+    bad = (a <= 0.0) & (w.totals > 0.0)
+    if np.any(bad):
+        i, k = np.argwhere(bad)[0]
+        raise EvaluationError(
+            f"impossible transition has positive weight: A[{i + 1},{k + 1}] = "
+            f"{a[i, k]!r} but total weight {w.totals[i, k]!r}"
+        )
     log_a = np.where(w.totals > 0.0, np.log(np.where(a > 0.0, a, 1.0)), 0.0)
     return float(np.sum(w.marginals * terms.log_density) + np.sum(w.totals * log_a))
 
@@ -214,38 +201,33 @@ def _check_dims(terms: CauchyTerms, w: SmoothedPairProbs, *sizes: int) -> None:
 def grad_H(terms: CauchyTerms, w: SmoothedPairProbs) -> np.ndarray:
     """Analytic gradient of H in the coordinates (b(1..N), lam, delta)."""
     _check_dims(terms, w)
-    _, k1, k3, k4 = terms.factors
-    k2, wi = terms.density, w.marginals
-    d_b = np.sum(k2 * k4 * wi, axis=1)
-    d_lam = float(np.sum(k2 * k3 * wi))
-    d_delta = float(np.sum(k1 * k2 * wi))
+    h, wi = terms.obs.h, w.marginals
+    l_u, l_s = terms.slopes
+    wl_u = wi * l_u
+    v = terms.theta.b[:, None] - terms.obs.x[:-1]
+    d_b = -terms.theta.lam * h * np.sum(wl_u, axis=1)
+    d_lam = -h * float(np.sum(wl_u * v))
+    d_delta = h * float(np.sum(wi * l_s))
     return np.concatenate([d_b, [d_lam, d_delta]])
 
 
 def hessian_H(terms: CauchyTerms, w: SmoothedPairProbs) -> np.ndarray:
     """Analytic Hessian of H; the b-b off-diagonal block is exactly zero."""
     _check_dims(terms, w)
-    theta, u, k2, wi = terms.theta, terms.u, terms.density, w.marginals
-    v, k1, k3, k4 = terms.factors
-    h = terms.obs.h
-    delta = theta.delta
-    lam = theta.lam
-    k5 = -2.0 * np.pi * u * u / (delta**3 * h)
-    k6 = -2.0 * np.pi * h * v * v / delta
-    k7 = -2.0 * np.pi * u * v / (delta * delta)
-    k8 = -2.0 * np.pi * u * lam / (delta * delta)
-    k9 = 2.0 * np.pi * (u - lam * v * h) / delta
-    n_par = theta.n_states + 2
-    il, id_ = n_par - 2, n_par - 1
-    hess = np.zeros((n_par, n_par))
-    hess[id_, id_] = np.sum((k1 * k1 * k2 * k2 + k2 * k5) * wi)
-    hess[il, il] = np.sum((k2 * k2 * k3 * k3 + k2 * k6) * wi)
-    hess[il, id_] = hess[id_, il] = np.sum((k2 * k2 * k3 * k1 + k2 * k7) * wi)
-    bd = np.sum((k2 * k2 * k1 * k4 + k2 * k8) * wi, axis=1)
-    bl = np.sum((k2 * k2 * k3 * k4 + k2 * k9) * wi, axis=1)
-    bb = np.sum((k2 * k2 * k4 * k4 + k2 * (-2.0 * np.pi * h * lam * lam / delta)) * wi, axis=1)
-    ib = np.arange(theta.n_states)
-    hess[ib, id_] = hess[id_, ib] = bd
-    hess[ib, il] = hess[il, ib] = bl
-    hess[ib, ib] = bb
+    theta, u, h, wi = terms.theta, terms.u, terms.obs.h, w.marginals
+    s, m = theta.delta * h, theta.n_states
+    r2 = (s * s + u * u) ** 2
+    w_uu = wi * (2.0 * (u * u - s * s) / r2)
+    w_us = wi * (4.0 * u * s / r2)
+    v = theta.b[:, None] - terms.obs.x[:-1]
+    du_db = -theta.lam * h
+    hess = np.zeros((m + 2, m + 2))
+    ib = np.arange(m)  # coordinates b(1..N), then lam at m and delta at m + 1
+    hess[ib, ib] = du_db * du_db * np.sum(w_uu, axis=1)
+    hess[ib, m] = hess[m, ib] = (-du_db * h * np.sum(w_uu * v, axis=1)
+                                 - h * np.sum(wi * terms.slopes[0], axis=1))
+    hess[ib, m + 1] = hess[m + 1, ib] = du_db * h * np.sum(w_us, axis=1)
+    hess[m, m] = h * h * np.sum(w_uu * v * v)
+    hess[m, m + 1] = hess[m + 1, m] = -h * h * np.sum(w_us * v)
+    hess[m + 1, m + 1] = -h * h * (np.sum(wi) / (s * s) + np.sum(w_uu))  # l_ss = -1/s^2 - l_uu
     return hess

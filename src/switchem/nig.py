@@ -1,4 +1,4 @@
-"""Normal Inverse Gaussian (NIG) increment law: sampling, and its Cauchy limit.
+"""Normal Inverse Gaussian (NIG) increment law and its sampler.
 
 The symmetric centered law NIG(a, 0, s, 0) with tail parameter ``a`` and
 scale ``s`` has density
@@ -12,10 +12,10 @@ NIG(a, 0, delta, 0) follows NIG(a, 0, delta*t, 0) by convolution closure.
 The law is a normal variance-mean mixture: Z = sqrt(V) * N(0, 1) with V
 inverse Gaussian with mean s/a and shape s^2.  Rescaling by the scale
 parameter gives Z/(s) ~ NIG(a*s, 0, 1, 0), which converges to a standard
-Cauchy as a*s -> 0; this is the basis of the Cauchy quasi-likelihood, whose
-``CauchyTerms.density`` is :func:`cauchy_density` computed from terms it
-shares with the log density.  The estimator never evaluates f: the tests
-check the sampler and the Cauchy limit against it (``tests/oracles.py``,
+Cauchy as a*s -> 0; this is the basis of the Cauchy quasi-likelihood,
+whose density only ``CauchyTerms`` (``switchem.likelihood``) computes.  The
+estimator never evaluates f: the tests check the sampler and the Cauchy
+limit against it and against the Cauchy density (``tests/oracles.py``,
 acceptance criteria 5 and 6).
 """
 
@@ -66,8 +66,3 @@ def sample_nig(p: NigParams, count: int, rng: np.random.Generator) -> np.ndarray
     s = p.scale
     v = rng.wald(s / p.a, s * s, size=count)
     return np.sqrt(v) * rng.standard_normal(count)
-
-
-def cauchy_density(z, scale: float = 1.0):
-    """Centered Cauchy density scale / (pi (scale^2 + z^2)) at a float or array ``z``."""
-    return scale / (np.pi * (scale * scale + z * z))

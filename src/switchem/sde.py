@@ -34,6 +34,8 @@ from .likelihood import ObservationSeries, Theta
 from .nig import NigParams, sample_nig
 
 GRID_TOL = 1e-9
+# most fine grid steps; a simulation holds a few arrays of this length
+MAX_FINE_STEPS = 10**8
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,8 @@ class SimulationConfig:
 
     alpha0 defaults to the regime with the largest level b(i) (smallest
     label on ties).  ``fine_factor`` is the number of Euler substeps per
-    observation interval.
+    observation interval; the fine grid's ``n_obs * fine_factor`` steps
+    may not exceed ``MAX_FINE_STEPS``.
     """
 
     theta_true: Theta
@@ -74,6 +77,9 @@ class SimulationConfig:
             )
         if self.n_obs < 1:
             raise ConfigError(f"horizon_t / obs_step_h = {n!r} rounds to no step")
+        if self.n_obs * self.fine_factor > MAX_FINE_STEPS:
+            raise ConfigError(f"the fine grid has n_obs * fine_factor = {self.n_obs} * "
+                              f"{self.fine_factor} steps, more than {MAX_FINE_STEPS}")
         s = self.theta_true.delta * self.fine_step  # the NIG increments' scale
         if not (s / self.a_nuisance > 0.0 and s * s > 0.0):  # wald's mean and shape
             raise ConfigError(f"NIG increment scale delta * fine step = {s!r} underflows")

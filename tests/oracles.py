@@ -2,11 +2,12 @@
 
 Everything here is deliberately slow and direct: quadrature instead of
 special-function identities, exhaustive enumeration instead of recursions,
-finite differences instead of analytic derivatives.  The one exception is
-the NIG density, which the package never evaluates: :func:`nig_density`
-uses scipy's scaled K1 and is itself checked against the quadrature form
-:func:`nig_density_direct`.  Nothing in this module imports the package
-internals beyond plain data containers.
+finite differences instead of analytic derivatives.  The exceptions are
+the two closed-form densities.  :func:`nig_density`, which the package
+never evaluates, uses scipy's scaled K1 and is itself checked against the
+quadrature form :func:`nig_density_direct`; :func:`cauchy_density` is the
+formula the package computes only inside ``CauchyTerms``.  Nothing in this
+module imports the package internals beyond plain data containers.
 """
 
 import itertools
@@ -72,10 +73,14 @@ def nig_second_moment(a: float, s: float) -> float:
     return 2.0 * val
 
 
-def cauchy_density(x_next, x_prev, b_i, lam, delta, h):
-    u = x_next - x_prev - lam * (b_i - x_prev) * h
-    s = delta * h
-    return s / (math.pi * (s * s + u * u))
+def cauchy_density(z, scale: float = 1.0):
+    """Centered Cauchy density scale / (pi (scale^2 + z^2)) at a float or array ``z``."""
+    return scale / (np.pi * (scale * scale + z * z))
+
+
+def cauchy_transition_density(x_next, x_prev, b_i, lam, delta, h):
+    """The Euler transition density of regime i: Cauchy at the residual, scale delta*h."""
+    return cauchy_density(x_next - x_prev - lam * (b_i - x_prev) * h, delta * h)
 
 
 def enumerate_filter_smoother(x, h, b, lam, delta, a_kernel, p0):
@@ -95,7 +100,7 @@ def enumerate_filter_smoother(x, h, b, lam, delta, a_kernel, p0):
         w = p0[seq[0]]
         for j in range(1, upto + 1):
             w *= a_kernel[seq[j - 1], seq[j]]
-            w *= cauchy_density(x[j], x[j - 1], b[seq[j - 1]], lam, delta, h)
+            w *= cauchy_transition_density(x[j], x[j - 1], b[seq[j - 1]], lam, delta, h)
         return w
 
     filtered = np.zeros((m, n + 1))
@@ -226,7 +231,7 @@ def h_bruteforce(x, h, b, lam, delta, a_kernel, w):
                 wk = w[i, k, j - 1]
                 if wk == 0.0:
                     continue
-                f = cauchy_density(x[j], x[j - 1], b[i], lam, delta, h)
+                f = cauchy_transition_density(x[j], x[j - 1], b[i], lam, delta, h)
                 total += wk * math.log(f * a_kernel[i, k])
     return total
 

@@ -20,7 +20,6 @@ from switchem import (
     SimulationConfig,
     Theta,
     backward_smooth,
-    cauchy_density,
     em_fit,
     euler_path,
     forward_filter,
@@ -37,6 +36,7 @@ from switchem import (
 from switchem.cli import main as cli_main
 
 from oracles import (
+    cauchy_density,
     central_diff,
     central_diff_jacobian,
     enumerate_filter_smoother,

@@ -24,7 +24,7 @@ from switchem import (
     sort_regimes,
     validate_generator,
 )
-from switchem.cli import _CSV_BLOCK, _EM_KINDS, _csv_cells, _csv_text, main
+from switchem.cli import _CONFIG_KEYS, _CSV_BLOCK, _EM_KINDS, _csv_cells, _csv_text, main
 
 BASE_CONFIG = {
     "simulation": {
@@ -583,6 +583,26 @@ class TestConfigTypes:
         fields = {f.name for f in dataclasses.fields(EmConfig)}
         assert set(CONFIG_KEYS["em"]) == fields
 
+    def test_table_covers_every_key(self):
+        assert {s: set(keys) for s, keys in CONFIG_KEYS.items()} == {
+            s: set(keys) for s, keys in _CONFIG_KEYS.items()
+        }
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    @pytest.mark.parametrize(
+        "section,key",
+        [("em", "max_iter"), ("simulation", "fine_fatcor"), ("experiment", "replication"),
+         (None, "simulations")],
+    )
+    def test_unknown_key_exits_2(self, tmp_path, path_csv, capsys, command, section, key):
+        # a misspelt key used to be ignored, and the run went on with defaults
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        (cfg if section is None else cfg[section])[key] = 1
+        assert self.run(tmp_path, path_csv, command, cfg) == 2
+        name = key if section is None else f"{section}.{key}"
+        assert capsys.readouterr().err == f"error: unknown config key {name}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command,section,key,value", WRONG_TYPE_CASES)
     def test_wrong_kind_exits_2(self, tmp_path, path_csv, capsys, monkeypatch,
                                 command, section, key, value):
@@ -751,19 +771,24 @@ class TestInputRanges:
 
     @pytest.mark.parametrize("command", ["simulate", "experiment"])
     @pytest.mark.parametrize(
-        "horizon_t,obs_step_h,message",
+        "grid,message",
         [
             # about 1e-10 steps passes the integer-grid check but rounds to none
-            (1e-11, 0.1, "horizon_t / obs_step_h = 9.999999999999999e-11 rounds to no step"),
+            ({"horizon_t": 1e-11, "obs_step_h": 0.1},
+             "horizon_t / obs_step_h = 9.999999999999999e-11 rounds to no step"),
             # the sampler's inverse Gaussian shape (delta * 1e-301)^2 underflows to 0
-            (1e-300, 1e-300, "NIG increment scale delta * fine step = 1e-301 underflows"),
+            ({"horizon_t": 1e-300, "obs_step_h": 1e-300},
+             "NIG increment scale delta * fine step = 1e-301 underflows"),
+            # 500 observations of 10^9 substeps, refused before any allocation
+            ({"fine_factor": 10**9}, "the fine grid has n_obs * fine_factor = "
+             "500 * 1000000000 steps, more than 100000000"),
         ],
-        ids=["no-step", "underflowing-scale"],
+        ids=["no-step", "underflowing-scale", "over-the-step-bound"],
     )
     def test_grid_the_sampler_cannot_draw_exits_2(self, tmp_path, path_csv, capsys,
-                                                  command, horizon_t, obs_step_h, message):
+                                                  command, grid, message):
         cfg = json.loads(json.dumps(BASE_CONFIG))
-        cfg["simulation"].update(horizon_t=horizon_t, obs_step_h=obs_step_h)
+        cfg["simulation"].update(grid)
         assert self.run(tmp_path, path_csv, command, cfg) == 2
         self.assert_refused(capsys.readouterr(), tmp_path,
                             f"bad simulation section: {message}")

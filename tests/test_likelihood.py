@@ -10,14 +10,13 @@ from switchem import (
     ObservationSeries,
     SmoothedPairProbs,
     Theta,
-    cauchy_density,
     grad_H,
     hessian_H,
     transition_matrix_approx,
     validate_generator,
 )
 
-from oracles import central_diff, central_diff_jacobian, h_bruteforce
+from oracles import cauchy_density, central_diff, central_diff_jacobian, h_bruteforce
 
 
 def random_instance(rng, n=None, m=None):

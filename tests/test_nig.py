@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from switchem import NigParams, cauchy_density, sample_nig
+from switchem import NigParams, sample_nig
 
-from oracles import nig_density, nig_density_direct
+from oracles import cauchy_density, nig_density, nig_density_direct
 from test_acceptance import std_cauchy_limit_check
 
 

@@ -89,7 +89,8 @@ def weights_without_stay_mass(draw):
     w = w.reshape(n, n_states, n_states)
     row = draw(st.integers(0, n_states - 1))
     w[:, row, row] = 0.0
-    w[0, row, (row + 1) % n_states] += 1.0  # the row is live and must jump
+    # the row is live and must jump, and every slice has mass to normalize
+    w[:, row, (row + 1) % n_states] += 1.0
     w /= w.sum(axis=(1, 2), keepdims=True)
     return g, SmoothedPairProbs(w.transpose(1, 2, 0).copy()), h
 

@@ -12,6 +12,7 @@ from switchem import (
     simulate_path,
     validate_generator,
 )
+from switchem.sde import MAX_FINE_STEPS
 
 from test_acceptance import self_convergence_test
 
@@ -65,6 +66,27 @@ class TestSimulationConfig:
         obs, _, fine = simulate_path(cfg)
         assert obs.n == 10
         assert not np.any((fine.states[:-1] == 1) & (fine.states[1:] == 1))
+
+    @pytest.mark.parametrize(
+        "horizon_t,fine_factor,fits",
+        [
+            (50.0, MAX_FINE_STEPS // 500, True),
+            (50.0, MAX_FINE_STEPS // 500 + 1, False),
+            (50.0, 10**9, False),
+            (50.0, 10**18, False),
+            (1e12, 1, False),
+        ],
+    )
+    def test_fine_grid_bound(self, horizon_t, fine_factor, fits):
+        # checked at construction, which allocates nothing; n_obs = 500 at T = 50
+        theta = Theta(np.array([6.0, 3.0]), 2.0, 1.0)
+        g = validate_generator(BENCH_Q)
+        if fits:
+            cfg = SimulationConfig(theta, 0.3, g, horizon_t, 0.1, fine_factor=fine_factor)
+            assert cfg.n_obs * cfg.fine_factor == MAX_FINE_STEPS
+        else:
+            with pytest.raises(ConfigError, match=f"steps, more than {MAX_FINE_STEPS}$"):
+                SimulationConfig(theta, 0.3, g, horizon_t, 0.1, fine_factor=fine_factor)
 
     def test_dimension_mismatch(self):
         theta = Theta(np.array([6.0, 3.0, 1.0]), 2.0, 1.0)
