@@ -111,11 +111,11 @@ class SmoothedPairProbs:
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
         object.__setattr__(self, "w", w)
-        if w.ndim != 3 or w.shape[0] != w.shape[1] or w.shape[2] < 1:
+        if w.ndim != 3 or w.shape[0] != w.shape[1] or min(w.shape) < 1:
             raise ValueError(f"bad weight array shape {w.shape}")
-        if not np.all((w >= 0.0) & (w <= 1.0)):
+        if not (w.min() >= 0.0 and w.max() <= 1.0):  # a NaN weight makes both NaN
             raise ValueError("weights must lie in [0, 1]")
-        sums = w.sum(axis=(0, 1))
+        sums = self.marginals.sum(axis=0)
         if np.any(np.abs(sums - 1.0) > PAIR_SLICE_TOL):
             j = int(np.argmax(np.abs(sums - 1.0)))
             raise ValueError(f"pair slice {j} sums to {sums[j]!r}, not 1")

@@ -19,30 +19,37 @@ m_j[k] = sum_i P_j[i, k], let B_j[i, k] = P_j[i, k] / m_j[k]
 (0 where m_j[k] = 0).  The smoothed marginals satisfy s_{j-1} = B_j s_j
 from s_n = f_n, so s_{j-1} is proportional to B_j ... B_n f_n, and the
 pair weights are w[:, :, j-1] = B_j * s_j[None, :], each slice
-renormalized to sum to one.  (Kim's 1994 pass builds the pair from A
-alone, dropping the emission d_j, and is exact only when emissions depend
-on the later state.)
+renormalized to sum to one.  B_j is the backward Markov kernel of the
+posterior chain: each of its columns sums to one, or to zero where
+m_j[k] = 0.  (Kim's 1994 pass builds the pair from A alone, dropping the
+emission d_j, and is exact only when emissions depend on the later state.)
 
-Both products are computed by one recursive blocked scan (:func:`_scan`;
-Blelloch 1990).  The stack is cut into blocks of about cbrt(n) steps whose
+Both products are computed by recursive blocked scans (Blelloch 1990) of
+one layout.  The stack is cut into blocks of about cbrt(n) steps whose
 prefix products advance together in one buffer, each step written over
-its block entries and each row renormalized there to sum to one (a row
-without mass stays exactly zero); the step's row totals are kept, and
-after the loop their logs, summed along the block, give each row's log
-mass.  The block ends form a chain that is scanned the same way, until
-at most 8 ends are left to walk one by one.
-At n = 10^4 that is 22 + 7 + 3 + 1 + 7 sequential product steps and 4
-broadcasts, against 2 sqrt(n) = 200 steps for a two-level scan.  Carrying
-row scales in logs, and below the top level shifting each row's log
-weights by their own maximum, keeps a row that is improbable within a
-block (absorbing states, one-hot starts; thousands of nats below the
-others at the chain's block ends) from underflowing while the filter may
-still need it.
+its block entries; the block ends form a chain that is scanned the same
+way, until at most 8 ends are left to walk one by one, and each row then
+follows from its block's start.  At n = 10^4 that is 22 + 7 + 3 + 1 + 7
+sequential product steps and 4 broadcasts, against 2 sqrt(n) = 200 steps
+for a two-level scan.
+
+The filter's steps lose mass, so its scan (:func:`_scan`) renormalizes
+each row to sum to one after every step (a row without mass stays exactly
+zero) and keeps the step's row totals, whose logs, summed along the block
+after the loop, give each row's log mass.  Carrying row scales in logs,
+and below the top level shifting each row's log weights by their own
+maximum, keeps a row that is improbable within a block (absorbing states,
+one-hot starts; thousands of nats below the others at the chain's block
+ends) from underflowing while the filter may still need it.  The backward
+stack, the transposed B_j, has rows that each sum to one or to zero, so
+the rows of its products stay distributions, less the mass that lands on
+a zero row, and no scale can underflow: :func:`_kernel_scan` takes plain
+products and carries no log masses.
 
 Layout.  Every per-observation array is regime-first, with the
 observation axis last and contiguous: densities (N, n); steps, pairs and
 weights (N, N, n); filtered and smoothed distributions (N, n+1); the
-scan's blocks (block length, N, N, blocks).  Each numpy call then runs
+scans' blocks (block length, N, N, blocks).  Each numpy call then runs
 one long loop along the observations or blocks rather than n loops of
 length N.  Inside a block a matrix product is one broadcast product
 summed over N.  A sum or maximum over a regime axis is numpy's own
@@ -193,6 +200,29 @@ def _scan(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
     return _rows(prod, logm, v0, n)
 
 
+def _kernel_scan(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
+    """Rows v_j = v_0 P_0 ... P_{j-1}, P_j = mats[:, :, j], of an (N, N, n)
+    stack whose rows each sum to one or to zero, as the columns of an
+    (N, n+1) array; column 0 is ``v0``.  Blocked like :func:`_scan`, with
+    plain products: a product of such matrices keeps each row's mass, less
+    what lands on a zero row, so no row is rescaled.
+    """
+    n = mats.shape[-1]
+    out = np.empty((len(v0), n + 1))
+    out[:, 0] = v0
+    if n <= 8:
+        for j in range(n):
+            out[:, j + 1] = out[:, j] @ mats[:, :, j]
+        return out
+    prod = _blocks(mats)
+    for t in range(1, len(prod)):
+        (prod[t - 1][:, :, None] * prod[t]).sum(axis=1, out=prod[t])
+    starts = _kernel_scan(prod[-1], v0)[:, :-1]
+    rows = (starts[:, None] * prod).sum(axis=1)
+    out[:, 1:] = rows.transpose(1, 2, 0).reshape(len(v0), -1)[:, :n]
+    return out
+
+
 def forward_filter(terms: CauchyTerms, g: GeneratorMatrix, initial_probs=None) -> FilterState:
     """Run the forward recursion at ``terms.theta``; raises
     :class:`NumericalFailure` with the failing observation index if a
@@ -231,10 +261,9 @@ def backward_smooth(fs: FilterState) -> SmoothedPairProbs:
     pair = fs.steps * fs.filtered[:, None, :-1]
     pm = pair.sum(axis=0)
     back = np.divide(pair, np.maximum(pm, _TINY), out=pair)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        smoothed = _scan(back[:, :, ::-1].swapaxes(0, 1), fs.filtered[:, -1])[:, ::-1]
-        w = back * smoothed[:, 1:]
-        z = w.reshape(-1, fs.n).sum(axis=0)
+    smoothed = _kernel_scan(back[:, :, ::-1].swapaxes(0, 1), fs.filtered[:, -1])[:, ::-1]
+    w = back * smoothed[:, 1:]
+    z = w.reshape(-1, fs.n).sum(axis=0)
     bad = ~(np.isfinite(z) & (z > 0.0))
     if bad.any():
         j = fs.n - int(np.argmax(bad[::-1]))

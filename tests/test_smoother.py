@@ -23,7 +23,7 @@ from switchem import (
     update_generator,
     validate_generator,
 )
-from switchem.smoother import _scan
+from switchem.smoother import _kernel_scan, _scan
 
 from oracles import enumerate_filter_smoother, loop_filter_smoother
 
@@ -199,8 +199,10 @@ class TestScanMatchesLoop:
 
     def test_random_instances(self):
         rng = np.random.default_rng(30)
-        # the last case has fit-long's size: four blocked levels (22, 8, 4
-        # and 2 steps a block) before the last 8 block ends are walked
+        # the last case has fit-long's size: the filter's ``_scan`` and the
+        # backward pass's ``_kernel_scan`` both cut it into four blocked
+        # levels (22, 8, 4 and 2 steps a block) before the last 8 block ends
+        # are walked
         sizes = [(m, n) for m in range(2, 6) for n in (1, 2, 37, 500, 2000)] + [(2, 10_000)]
         for m, n in sizes:
             theta, g, obs = small_instance(rng, n=n, m=m)
@@ -272,7 +274,8 @@ class TestScanMatchesLoop:
 
 
 class TestScanMasslessRows:
-    """``_scan`` keeps every row without mass exactly zero, at every level."""
+    """The filter's ``_scan`` keeps every row without mass exactly zero, at
+    every level."""
 
     N_STEPS = 2000  # 154 blocks of 13, whose ends are scanned in blocks of 5, then 3, then 2
 
@@ -311,6 +314,45 @@ class TestScanMasslessRows:
             rows = _scan(mats, v0)
         np.testing.assert_array_equal(rows[:, :996], np.broadcast_to(v0[:, None], (3, 996)))
         np.testing.assert_array_equal(rows[:, 996:], 0.0)
+
+
+def loop_rows(mats, v0):
+    """The rows v_0 P_0 ... P_{j-1} of ``_kernel_scan``, one product a step."""
+    rows = [v0]
+    for j in range(mats.shape[-1]):
+        rows.append(rows[-1] @ mats[:, :, j])
+    return np.array(rows).T
+
+
+class TestKernelScan:
+    """The backward pass's ``_kernel_scan`` of stacks whose rows each sum to
+    one or to zero matches the step-by-step loop, without rescaling."""
+
+    # n <= 8 is walked; n = 9 is cut into one blocked level, 37 into two
+    # and 2000 and 10^4 into four before at most 8 block ends are walked
+    @pytest.mark.parametrize("n", [1, 8, 9, 37, 2000, 10_000])
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_matches_loop_on_random_stacks(self, m, n):
+        rng = np.random.default_rng(35 + 7 * m + n)
+        mats = rng.uniform(size=(m, m, n)) ** 4
+        mats /= mats.sum(axis=1, keepdims=True)
+        dead = max(1, n // 1000)  # all-zero rows, each taking part of the mass
+        mats[rng.integers(m, size=dead), :, rng.integers(n, size=dead)] = 0.0
+        v0 = rng.dirichlet(np.ones(m))
+        ref = loop_rows(mats, v0)
+        np.testing.assert_allclose(_kernel_scan(mats, v0), ref, rtol=0, atol=SCAN_TOL)
+
+    def test_mass_on_a_dead_row_is_lost_not_rescaled(self):
+        # row 3 is zero at three steps, and every row sends it 0.3 of its
+        # mass the step before, so the row sums fall to 0.7^3 at the end:
+        # the scan must give the loop's sums, not rows renormalized to one
+        step = np.array([[0.5, 0.2, 0.3], [0.1, 0.6, 0.3], [0.4, 0.3, 0.3]])
+        mats = np.repeat(step[:, :, None], 2000, axis=2)
+        mats[2, :, [5, 700, 1500]] = 0.0
+        v0 = np.array([0.2, 0.3, 0.5])
+        ref = loop_rows(mats, v0).sum(axis=0)
+        np.testing.assert_allclose(ref[-1], 0.7 ** 3, rtol=1e-12)
+        np.testing.assert_allclose(_kernel_scan(mats, v0).sum(axis=0), ref, rtol=0, atol=SCAN_TOL)
 
 
 class TestSmoothedMarginals:
