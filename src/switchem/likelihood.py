@@ -13,9 +13,9 @@ slopes l_u = -2u/r, l_s = 1/s - 2s/r and curvatures l_uu = 2(u^2 - s^2)/r^2,
 l_us = 4us/r^2, l_ss = -1/s^2 - l_uu; the map has du/db_i = -lam*h, du/dlam =
 -(b_i - X_{j-1})*h, ds/ddelta = h and one second derivative d2u/db_i dlam = -h.
 
-One evaluation per iterate: :class:`CauchyTerms` holds the residuals u, the
-density s / q and its log -log(q / s), q = pi r, each computed once, and on
-first use the slopes l_u and l_s.  EM builds one per iterate, which that
+One evaluation per iterate: :class:`CauchyTerms` holds the residuals u and
+r, the density s / q and its log -log(q / s), q = pi r, each computed once,
+and on first use the slopes l_u and l_s.  EM builds one per iterate, which that
 iterate's filter, H_n and derivatives all read; the weight sums over the later
 regime and over the observations are likewise kept on :class:`SmoothedPairProbs`.
 
@@ -146,6 +146,7 @@ class CauchyTerms:
     theta: Theta
     obs: ObservationSeries
     u: np.ndarray = field(init=False, repr=False)
+    r: np.ndarray = field(init=False, repr=False)
     density: np.ndarray = field(init=False, repr=False)
     log_density: np.ndarray = field(init=False, repr=False)
 
@@ -153,8 +154,10 @@ class CauchyTerms:
         xp = self.obs.x[:-1]
         u = self.obs.x[1:] - xp - self.theta.lam * (self.theta.b[:, None] - xp) * self.obs.h
         s = self.theta.delta * self.obs.h
-        q = np.pi * (s * s + u * u)
+        r = s * s + u * u
+        q = np.pi * r
         object.__setattr__(self, "u", u)
+        object.__setattr__(self, "r", r)
         object.__setattr__(self, "density", s / q)
         with np.errstate(over="ignore"):  # where the density underflows, -log gives -inf
             object.__setattr__(self, "log_density", -np.log(q / s))
@@ -162,8 +165,7 @@ class CauchyTerms:
     @cached_property
     def slopes(self) -> tuple[np.ndarray, np.ndarray]:
         """(l_u, l_s), the slopes of log f in the residual and the scale."""
-        u, s = self.u, self.theta.delta * self.obs.h
-        r = s * s + u * u
+        u, s, r = self.u, self.theta.delta * self.obs.h, self.r
         return -2.0 * u / r, 1.0 / s - 2.0 * s / r
 
 

@@ -24,27 +24,32 @@ posterior chain: each of its columns sums to one, or to zero where
 m_j[k] = 0.  (Kim's 1994 pass builds the pair from A alone, dropping the
 emission d_j, and is exact only when emissions depend on the later state.)
 
-Both products are computed by recursive blocked scans (Blelloch 1990) of
-one layout.  The stack is cut into blocks of about cbrt(n) steps whose
-prefix products advance together in one buffer, each step written over
-its block entries; the block ends form a chain that is scanned the same
-way, until at most 8 ends are left to walk one by one, and each row then
-follows from its block's start.  At n = 10^4 that is 22 + 7 + 3 + 1 + 7
-sequential product steps and 4 broadcasts, against 2 sqrt(n) = 200 steps
-for a two-level scan.
+Both products are computed by blocked scans (Blelloch 1990) of one
+layout.  The stack is cut into blocks of about cbrt(n) steps whose prefix
+products advance together in one buffer, each step written over its block
+entries.  The ends of all blocks but the last are then chained by doubling
+(Hillis & Steele 1986): at strides 1, 2, 4, ... every end is combined with
+the one a stride before it, all in one vectorized product, until each holds
+the product of the ends up to it.  Each row then follows from its block's
+start.  At n = 10^4 that is 22 in-block steps, 9 doubling rounds over 454
+ends and 2 broadcasts, against 2 sqrt(n) = 200 steps for a two-level scan.
+The doubling runs over the block ends only: a doubling scan over all n
+observations needs log2(n) rounds of n-wide products and loses to the
+blocks.
 
 The filter's steps lose mass, so its scan (:func:`_scan`) renormalizes
 each row to sum to one after every step (a row without mass stays exactly
 zero) and keeps the step's row totals, whose logs, summed along the block
-after the loop, give each row's log mass.  Carrying row scales in logs,
-and below the top level shifting each row's log weights by their own
-maximum, keeps a row that is improbable within a block (absorbing states,
-one-hot starts; thousands of nats below the others at the chain's block
-ends) from underflowing while the filter may still need it.  The backward
-stack, the transposed B_j, has rows that each sum to one or to zero, so
-the rows of its products stay distributions, less the mass that lands on
-a zero row, and no scale can underflow: :func:`_kernel_scan` takes plain
-products and carries no log masses.
+after the loop, give each row's log mass.  The doubling rounds combine
+ends with :func:`_mix`, which carries the rows' scales in logs and shifts
+each row's log weights by their own maximum; this keeps a row that is
+improbable within a block (absorbing states, one-hot starts; thousands of
+nats below the others at the block ends) from underflowing while the
+filter may still need it.  The backward stack, the transposed B_j, has
+rows that each sum to one or to zero, so the rows of its products stay
+distributions, less the mass that lands on a zero row, and no scale can
+underflow: :func:`_kernel_scan` takes plain products and carries no log
+masses.
 
 Layout.  Every per-observation array is regime-first, with the
 observation axis last and contiguous: densities (N, n); steps, pairs and
@@ -146,35 +151,10 @@ def _blocks(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rows(prod: np.ndarray, logm: np.ndarray, v0: np.ndarray, n: int) -> np.ndarray:
-    """Rows v0 P_0 ... P_{j-1}, j = 0..n, normalized, as the columns of an
-    (N, n+1) array, of a stack P in blocks whose within-block prefix
-    products are ``prod`` (rows normalized) with row log masses ``logm``:
-    the block ends are chained by :func:`_starts`, then every prefix row
-    follows from its block's start."""
-    rows = _mix(_starts(prod[-1], logm[-1], v0), prod, logm)[0]
-    out = np.empty((len(v0), n + 1))
-    out[:, 0] = v0
-    out[:, 1:] = rows.transpose(1, 2, 0).reshape(len(v0), -1)[:, :n]
-    return out
-
-
-def _starts(s: np.ndarray, r: np.ndarray, v0: np.ndarray) -> np.ndarray:
-    """Rows v0 E_0 ... E_{b-1}, b = 0..c-1, normalized, as the columns of an
-    (N, c) array, of a chain of c elements E_b = diag(exp(r[:, b])) s[:, :, b]:
-    walked one element at a time up to 8 elements, scanned in blocks like
-    the stack itself beyond."""
-    c = s.shape[-1]
-    if c <= 8:
-        out = [v0[:, None]]
-        for b in range(c - 1):
-            out.append(_mix(out[-1], s[..., b:b + 1], r[:, b:b + 1])[0])
-        return np.hstack(out)
-    prod, logm = _blocks(s), _blocks(r)
-    for t in range(1, len(prod)):
-        prod[t], inc = _mix(prod[t - 1], prod[t], logm[t])
-        logm[t] = logm[t - 1] + inc
-    return _rows(prod, logm, v0, c - 1)
+def _unblock(rows: np.ndarray, v0: np.ndarray, n: int) -> np.ndarray:
+    """``v0`` and the first n of the (block length, N, blocks) rows of a
+    blocked scan, in order, as the columns of an (N, n+1) array."""
+    return np.hstack((v0[:, None], rows.transpose(1, 2, 0).reshape(len(v0), -1)[:, :n]))
 
 
 def _scan(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
@@ -184,7 +164,9 @@ def _scan(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
 
     The prefix products inside every block advance together in place, each
     step a broadcast product summed over N; the logs of the row totals,
-    summed along the block after the loop, are the rows' log masses.
+    summed along the block after the loop, are the rows' log masses.  The
+    block ends are chained by doubling with :func:`_mix`: after stride d,
+    end b holds the product of ends max(0, b - 2d + 1) .. b.
     """
     n = mats.shape[-1]
     prod = _blocks(mats)
@@ -194,33 +176,35 @@ def _scan(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
             (prod[t - 1][:, :, None] * prod[t]).sum(axis=1, out=prod[t])
         tot = prod[t].sum(axis=1, out=logm[t])
         prod[t] /= np.maximum(tot, _TINY)[:, None]
-    np.log(logm, out=logm)
-    for t in range(1, len(logm)):
-        logm[t] += logm[t - 1]
-    return _rows(prod, logm, v0, n)
+    np.cumsum(np.log(logm, out=logm), axis=0, out=logm)
+    s, r = prod[-1, ..., :-1].copy(), logm[-1, :, :-1].copy()
+    d = 1
+    while d < s.shape[-1]:
+        s[..., d:], inc = _mix(s[..., :-d], s[..., d:], r[:, d:])
+        r[:, d:] = r[:, :-d] + inc
+        d *= 2
+    starts = np.hstack((v0[:, None], _mix(v0[:, None], s, r)[0]))
+    return _unblock(_mix(starts, prod, logm)[0], v0, n)
 
 
 def _kernel_scan(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
     """Rows v_j = v_0 P_0 ... P_{j-1}, P_j = mats[:, :, j], of an (N, N, n)
     stack whose rows each sum to one or to zero, as the columns of an
-    (N, n+1) array; column 0 is ``v0``.  Blocked like :func:`_scan`, with
-    plain products: a product of such matrices keeps each row's mass, less
-    what lands on a zero row, so no row is rescaled.
+    (N, n+1) array; column 0 is ``v0``.  Blocked and doubled like
+    :func:`_scan`, with plain products: a product of such matrices keeps
+    each row's mass, less what lands on a zero row, so no row is rescaled.
     """
     n = mats.shape[-1]
-    out = np.empty((len(v0), n + 1))
-    out[:, 0] = v0
-    if n <= 8:
-        for j in range(n):
-            out[:, j + 1] = out[:, j] @ mats[:, :, j]
-        return out
     prod = _blocks(mats)
     for t in range(1, len(prod)):
         (prod[t - 1][:, :, None] * prod[t]).sum(axis=1, out=prod[t])
-    starts = _kernel_scan(prod[-1], v0)[:, :-1]
-    rows = (starts[:, None] * prod).sum(axis=1)
-    out[:, 1:] = rows.transpose(1, 2, 0).reshape(len(v0), -1)[:, :n]
-    return out
+    s = prod[-1, ..., :-1].copy()
+    d = 1
+    while d < s.shape[-1]:
+        s[..., d:] = (s[:, :, None, :-d] * s[:, :, d:]).sum(axis=1)
+        d *= 2
+    starts = np.hstack((v0[:, None], (v0[:, None, None] * s).sum(axis=0)))
+    return _unblock((starts[:, None] * prod).sum(axis=1), v0, n)
 
 
 def forward_filter(terms: CauchyTerms, g: GeneratorMatrix, initial_probs=None) -> FilterState:

@@ -23,7 +23,7 @@ from switchem import (
     update_generator,
     validate_generator,
 )
-from switchem.smoother import _kernel_scan, _scan
+from switchem.smoother import _blocks, _kernel_scan, _scan
 
 from oracles import enumerate_filter_smoother, loop_filter_smoother
 
@@ -200,9 +200,8 @@ class TestScanMatchesLoop:
     def test_random_instances(self):
         rng = np.random.default_rng(30)
         # the last case has fit-long's size: the filter's ``_scan`` and the
-        # backward pass's ``_kernel_scan`` both cut it into four blocked
-        # levels (22, 8, 4 and 2 steps a block) before the last 8 block ends
-        # are walked
+        # backward pass's ``_kernel_scan`` both cut it into 455 blocks of 22
+        # steps and chain the first 454 block ends in 9 doubling rounds
         sizes = [(m, n) for m in range(2, 6) for n in (1, 2, 37, 500, 2000)] + [(2, 10_000)]
         for m, n in sizes:
             theta, g, obs = small_instance(rng, n=n, m=m)
@@ -234,10 +233,10 @@ class TestScanMatchesLoop:
         # regime 1 absorbs, and its level is so far from the path that
         # each step favours regime 2 by a factor near 1e8: started in
         # regime 1 the filter must stay there, although over one block of
-        # the scan (13 steps at n = 2000) that row of the product falls
-        # hundreds of orders of magnitude below the other; at the block
-        # ends of the chain below (5 top-level blocks at n = 2000, 8 at
-        # n = 10^4) it lies 1000 to 2900 nats below, past any shared scale
+        # the scan (13 steps at n = 2000, 22 at n = 10^4) that row of the
+        # product falls 200 to 430 nats below the other, and the doubling
+        # rounds that chain the block ends widen the gap to tens of
+        # thousands of nats, past any shared scale
         obs = two_regime_path(n, seed=31)
         theta = Theta(np.array([1e4, 3.0]), 2.0, 1.0)
         with warnings.catch_warnings():
@@ -277,7 +276,7 @@ class TestScanMasslessRows:
     """The filter's ``_scan`` keeps every row without mass exactly zero, at
     every level."""
 
-    N_STEPS = 2000  # 154 blocks of 13, whose ends are scanned in blocks of 5, then 3, then 2
+    N_STEPS = 2000  # 154 blocks of 13, the first 153 ends chained in 8 doubling rounds
 
     def stack(self, dead_step=None):
         # regime 1 absorbs; regime 2 emits nothing at every 7th step, so the
@@ -304,7 +303,7 @@ class TestScanMasslessRows:
 
     def test_rows_after_the_mass_dies_are_zero(self):
         # started in the absorbing regime, all mass dies at step 995, the
-        # eighth of its top-level block: the loop stops there, and every
+        # eighth of its block: the loop stops there, and every
         # later row of the scan must be exactly zero
         mats, a, d = self.stack(dead_step=995)
         v0 = np.eye(3)[0]
@@ -328,8 +327,9 @@ class TestKernelScan:
     """The backward pass's ``_kernel_scan`` of stacks whose rows each sum to
     one or to zero matches the step-by-step loop, without rescaling."""
 
-    # n <= 8 is walked; n = 9 is cut into one blocked level, 37 into two
-    # and 2000 and 10^4 into four before at most 8 block ends are walked
+    # n = 1 is one block with no end to chain; 8, 9, 37, 2000 and 10^4
+    # chain 3, 4, 12, 153 and 454 block ends in 2, 2, 4, 8 and 9 doubling
+    # rounds
     @pytest.mark.parametrize("n", [1, 8, 9, 37, 2000, 10_000])
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_matches_loop_on_random_stacks(self, m, n):
@@ -353,6 +353,52 @@ class TestKernelScan:
         ref = loop_rows(mats, v0).sum(axis=0)
         np.testing.assert_allclose(ref[-1], 0.7 ** 3, rtol=1e-12)
         np.testing.assert_allclose(_kernel_scan(mats, v0).sum(axis=0), ref, rtol=0, atol=SCAN_TOL)
+
+
+class TestDoubling:
+    """Both scans chain their block ends by doubling: the rows match the
+    step-by-step loops whatever the number of rounds, and the filter's rows
+    keep their own scales at every round."""
+
+    # n and the c - 1 block ends the scans chain: none, one, and both sides
+    # of 2, 4, 8 and 16, then fit-long's 454
+    @pytest.mark.parametrize(
+        "n,chained",
+        [(1, 0), (2, 1), (3, 2), (9, 4), (11, 5), (25, 8), (28, 9), (65, 16), (69, 17),
+         (10_000, 454)],
+    )
+    def test_both_scans_match_their_loops(self, n, chained):
+        assert _blocks(np.empty((1, n))).shape[-1] - 1 == chained
+        rng = np.random.default_rng(40 + n)
+        a = rng.dirichlet(np.ones(3), size=3)
+        d = rng.uniform(size=(3, n)) ** 4
+        v0 = rng.dirichlet(np.ones(3))
+        with np.errstate(divide="ignore"):  # the padding of the last block has no mass
+            rows = _scan(d[:, None, :] * a[:, :, None], v0)
+        np.testing.assert_allclose(rows, loop_filter_smoother(a, d, v0)[0], rtol=0, atol=SCAN_TOL)
+        back = rng.uniform(size=(3, 3, n)) ** 4
+        back /= back.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(_kernel_scan(back, v0), loop_rows(back, v0),
+                                   rtol=0, atol=SCAN_TOL)
+
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_one_hot_start_on_an_absorbing_regime(self, start):
+        # regime 1 absorbs and emits about e^-100 times what regime 2 does,
+        # so the block products' row that starts in regime 1 lies more than
+        # 745 nats below the other at every block end (e^-745 is below the
+        # smallest double), and further below at every doubling round;
+        # started there, the filter must stay there exactly
+        n = 2000
+        d = np.random.default_rng(42).uniform(0.1, 1.0, (2, n))
+        d[0] *= np.exp(-100.0)
+        a = np.array([[1.0, 0.0], [0.3, 0.7]])
+        assert len(_blocks(d)) * np.log(d[1] * a[1, 1] / d[0]).min() > 745.0
+        v0 = np.eye(2)[start]
+        with np.errstate(divide="ignore"):
+            rows = _scan(d[:, None, :] * a[:, :, None], v0)
+        np.testing.assert_allclose(rows, loop_filter_smoother(a, d, v0)[0], rtol=0, atol=SCAN_TOL)
+        if start == 0:
+            np.testing.assert_array_equal(rows, np.broadcast_to(v0[:, None], (2, n + 1)))
 
 
 class TestSmoothedMarginals:
