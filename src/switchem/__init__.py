@@ -20,6 +20,7 @@ from .em import (
     EmResult,
     IterationRecord,
     em_fit,
+    em_steps,
     first_order_step,
     newton_step,
     quadratic_error,
@@ -67,6 +68,7 @@ __all__ = [
     "Theta",
     "backward_smooth",
     "em_fit",
+    "em_steps",
     "euler_path",
     "first_order_step",
     "forward_filter",

@@ -37,7 +37,7 @@ from .likelihood import (
     grad_H,
     hessian_H,
 )
-from .smoother import _initial_probs, backward_smooth, forward_filter
+from .smoother import FilterState, _initial_probs, backward_smooth, forward_filter
 
 TERMINATION_CHOICES = ("D1", "D2", "D3")
 M_STEP_CHOICES = ("first_order", "newton")
@@ -155,7 +155,8 @@ class IterationRecord:
     ``h_before`` is H(theta_m; theta_m) and ``h_after`` H(theta_{m+1};
     theta_m), both under the weights smoothed at theta_m, so
     h_after < h_before marks an ascent violation.  ``elapsed_ms`` is the
-    iteration's wall time, E-step and M-step together.
+    iteration's own M-step wall time plus its 1/R share of the E-step pass
+    it shared with R fits run in lockstep (the whole pass for a fit alone).
     """
 
     iteration: int
@@ -274,15 +275,14 @@ def update_generator(
     return GeneratorMatrix(q)
 
 
-def em_fit(
-    obs: ObservationSeries, g: GeneratorMatrix, cfg: EmConfig | None = None
-) -> EmResult:
-    """Run the EM loop from ``cfg.initial_theta``; returns an :class:`EmResult`.
-
-    The start is ``cfg.theta0`` when set, else a draw seeded by
-    ``cfg.init_seed``; either way its size is checked against the N states
-    of ``g``.  Numerical breakdown does not raise: the result carries
-    status 'numerical_failure', the last good iterate, and a message.
+def em_steps(obs: ObservationSeries, g: GeneratorMatrix, cfg: EmConfig | None = None):
+    """The EM loop of :func:`em_fit` as a step sequence, so that many fits
+    can share their E-steps: a generator that yields each iteration's E-step
+    request (terms, generator, initial filter probabilities), is then sent
+    its (FilterState, SmoothedPairProbs, E-step ms) or has the request's
+    exception thrown in, and returns the :class:`EmResult`.  A
+    NumericalFailure ends the fit as in :func:`em_fit`; any other exception
+    propagates.
     """
     if cfg is None:
         cfg = EmConfig()
@@ -290,13 +290,11 @@ def em_fit(
     boxes = cfg.theta_boxes(g.n_states)
     gen = g
     trace: list[IterationRecord] = []
-    init_probs = cfg.initial_filter_probs
     terms = CauchyTerms(theta, obs)
     for m in range(1, cfg.max_iters + 1):
-        t_start = time.perf_counter()
         try:
-            fs = forward_filter(terms, gen, init_probs)
-            w = backward_smooth(fs)
+            fs, w, estep_ms = yield terms, gen, cfg.initial_filter_probs
+            t_start = time.perf_counter()
             h_before = H_n(terms, fs.kernel, w)
             grad = grad_H(terms, w)
             fallback = False
@@ -329,13 +327,101 @@ def em_fit(
                 stat,
                 bool(h_after < h_before),
                 fallback,
-                (time.perf_counter() - t_start) * 1e3,
+                estep_ms + (time.perf_counter() - t_start) * 1e3,
             )
         )
         theta, terms = theta_new, new
         if stat <= cfg.epsilon:
             return EmResult(theta, gen, trace, "converged", m)
     return EmResult(theta, gen, trace, "max_iters_reached", cfg.max_iters)
+
+
+def _estep(requests: list) -> list:
+    """The E-steps of the ``requests`` (terms, generator, initial
+    probabilities) in one stacked pass: per request, its (FilterState,
+    SmoothedPairProbs), or the exception it raises on its own.
+
+    No sum of the pass mixes replications, and with fewer than 8 regimes
+    each replication gets the bytes of its pass alone (see the smoother's
+    *Layout*).  A replication that breaks down is taken out and the pass
+    is run again on the others; a breakdown ends a fit, so a fit's passes
+    repeat at most once per failed replication.  Any other error is found
+    out by running each request alone.  A batch of one runs unstacked, on
+    the arrays of a single problem.
+    """
+    out = [None] * len(requests)
+    live = list(range(len(requests)))
+    while live:
+        try:
+            if len(live) == 1:
+                fs = forward_filter(*requests[live[0]])
+                pairs = [(fs, backward_smooth(fs))]
+            else:
+                fs = forward_filter(*zip(*(requests[i] for i in live)))
+                pairs = zip(map(FilterState, fs.filtered, fs.kernel, fs.steps),
+                            backward_smooth(fs))
+        except NumericalFailure as exc:
+            out[live.pop(exc.replication or 0)] = exc
+        except Exception as exc:  # one request's own error, such as a bad kernel step
+            if len(live) == 1:
+                out[live.pop()] = exc
+            else:
+                for i in live:
+                    out[i] = _estep([requests[i]])[0]
+                return out
+        else:
+            for i, pair in zip(live, pairs):
+                out[i] = pair
+            return out
+    return out
+
+
+def _lockstep(steps: list) -> list:
+    """Run step sequences such as :func:`em_steps` in lockstep and return
+    each one's return value.  Every round stacks the pending E-step requests
+    of all live sequences into one :func:`_estep`, then resumes each with
+    its outcome and its 1/R share of the pass's time, or throws its E-step's
+    exception into it; a sequence leaves the round it returns in.  An
+    exception a sequence raises propagates.
+    """
+    results = [None] * len(steps)
+    pending = {}
+
+    def resume(i, advance, value):
+        try:
+            pending[i] = advance(value)
+        except StopIteration as stop:
+            pending.pop(i, None)
+            results[i] = stop.value
+
+    for i, seq in enumerate(steps):
+        resume(i, seq.send, None)
+    while pending:
+        live = list(pending)
+        t_start = time.perf_counter()
+        outcomes = _estep([pending[i] for i in live])
+        share_ms = (time.perf_counter() - t_start) * 1e3 / len(live)
+        for i, outcome in zip(live, outcomes):
+            if isinstance(outcome, Exception):
+                resume(i, steps[i].throw, outcome)
+            else:
+                resume(i, steps[i].send, (*outcome, share_ms))
+    return results
+
+
+def em_fit(
+    obs: ObservationSeries, g: GeneratorMatrix, cfg: EmConfig | None = None
+) -> EmResult:
+    """Run the EM loop from ``cfg.initial_theta``; returns an :class:`EmResult`.
+
+    The start is ``cfg.theta0`` when set, else a draw seeded by
+    ``cfg.init_seed``; either way its size is checked against the N states
+    of ``g``.  Numerical breakdown does not raise: the result carries
+    status 'numerical_failure', the last good iterate, and a message.  This
+    is :func:`em_steps` run alone; fits with fewer than 8 regimes run in
+    lockstep share their E-step passes and give the same results.
+    """
+    return _lockstep([em_steps(obs, g, cfg)])[0]
 
 
 def sort_regimes(theta: Theta) -> Theta:

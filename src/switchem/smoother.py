@@ -54,7 +54,8 @@ masses.
 Layout.  Every per-observation array is regime-first, with the
 observation axis last and contiguous: densities (N, n); steps, pairs and
 weights (N, N, n); filtered and smoothed distributions (N, n+1); the
-scans' blocks (block length, N, N, blocks).  Each numpy call then runs
+scans' blocks (block length, N, N, blocks); a batch adds a replication
+axis (next paragraph).  Each numpy call then runs
 one long loop along the observations or blocks rather than n loops of
 length N.  Inside a block a matrix product is one broadcast product
 summed over N.  A sum or maximum over a regime axis is numpy's own
@@ -63,6 +64,17 @@ whole slices, each one pass along the observations or blocks.  On
 (455, 2, 2) top-level blocks at n = 10^4 a step takes about half as long
 as a batched ``@``; at N = 3, n = 10^3 it takes longer, but the rest of
 the pass gains more.
+
+A batch of R problems sharing N and n (the replications of an experiment)
+runs as one pass with a leading replication axis, e.g. steps (R, N, N, n),
+whose slice r is replication r's C-contiguous (N, N, n) array.  Each
+replication keeps its own block layout: the blocks are (block length, N,
+N, blocks * R), block-major, so the in-block steps run along the blocks of
+all replications at once and the doubling rounds chain ends R entries
+apart.  No sum mixes replications, and numpy adds up to 7 terms in order
+along whichever axis it runs, so with N < 8 a replication's bytes do not
+depend on its batch.  (From 8 terms on numpy sums pairwise along an
+array's innermost axis, and stacking can change which axis that is.)
 
 Each observation's densities d_j are scaled by their maximum before the
 forward scan, so observations whose densities underflow jointly still
@@ -99,7 +111,8 @@ class FilterState:
     steps[:, :, j-1] = M_j = diag(d_j) A, the scaled step of observation j,
     shape (N, N, n), so that ``steps[:, :, j-1] * filtered[:, j-1, None]``
     is proportional to P(a_{t_{j-1}} = i, a_{t_j} = k | X_{0..j}).  The
-    M-step evaluates H under the same kernel.
+    M-step evaluates H under the same kernel.  The state of a batch holds
+    these arrays stacked on a leading replication axis.
     """
 
     filtered: np.ndarray
@@ -108,7 +121,7 @@ class FilterState:
 
     @property
     def n(self) -> int:
-        return self.filtered.shape[1] - 1
+        return self.filtered.shape[-1] - 1
 
 
 def _initial_probs(n_states: int, initial) -> np.ndarray:
@@ -136,40 +149,63 @@ def _mix(v: np.ndarray, s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _blocks(x: np.ndarray) -> np.ndarray:
-    """A copy of the stack x of c elements along its last axis, cut into
-    blocks of about cbrt(c) and laid out as (block length, ..., blocks).
-    The last block is padded with zeros, which reach no returned row: only
-    prefixes end in them, and the last block's end is never chained on."""
-    c = x.shape[-1]
+    """A copy of the stacks x[0], ..., x[R-1] of c elements along their
+    last axis, each cut into blocks of about cbrt(c), laid out as (block
+    length, ..., blocks * R): entry b * R + r of the last axis is block b of
+    stack r.  The last blocks are padded with zeros, which reach no
+    returned row: only prefixes end in them, and a last block's end is
+    never chained on."""
+    reps, c, k = x.shape[0], x.shape[-1], x.ndim - 1
     bl = max(1, round(c ** (1 / 3)))
     full = c // bl
-    out = np.empty((bl,) + x.shape[:-1] + (-(-c // bl),))
-    np.moveaxis(out[..., :full], 0, -1)[...] = x[..., :full * bl].reshape(*x.shape[:-1], full, bl)
-    if full < out.shape[-1]:
-        out[:c - full * bl, ..., full] = np.moveaxis(x[..., full * bl:], -1, 0)
-        out[c - full * bl:, ..., full] = 0.0
-    return out
+    out = np.empty((bl,) + x.shape[1:-1] + (-(-c // bl), reps))
+    mid = range(1, k)  # the axes between the stack's and its elements'
+    blocks = x[..., :full * bl].reshape(*x.shape[:-1], full, bl)
+    out[..., :full, :] = blocks.transpose(k + 1, *mid, k, 0)
+    if full < out.shape[-2]:
+        out[:c - full * bl, ..., full, :] = x[..., full * bl:].transpose(k, *mid, 0)
+        out[c - full * bl:, ..., full, :] = 0.0
+    return out.reshape(*out.shape[:-2], -1)
 
 
 def _unblock(rows: np.ndarray, v0: np.ndarray, n: int) -> np.ndarray:
-    """``v0`` and the first n of the (block length, N, blocks) rows of a
-    blocked scan, in order, as the columns of an (N, n+1) array."""
-    return np.hstack((v0[:, None], rows.transpose(1, 2, 0).reshape(len(v0), -1)[:, :n]))
+    """``v0`` (..., N) and the first n of the (block length, N, blocks * R)
+    rows of a blocked scan, in order, as an (..., N, n+1) array."""
+    bl, m = rows.shape[:2]
+    body = rows.reshape(bl, m, -1, v0.size // m).transpose(3, 1, 2, 0)
+    return np.concatenate((v0[..., None], body.reshape(*v0.shape, -1)[..., :n]), axis=-1)
+
+
+def _blocked(mats: np.ndarray, v0: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """The blocks (see :func:`_blocks`) of one stack ``mats`` or of a batch,
+    the batch size R, and ``v0`` as (N, R) columns."""
+    x = mats.reshape(-1, *mats.shape[-3:])
+    return _blocks(x), len(x), v0.reshape(len(x), -1).T
+
+
+def _per_end(v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The (N, R) columns ``v`` for each block end of ``s``: repeated for a
+    batch, while one column broadcasts as it is."""
+    reps = v.shape[1]
+    if reps == 1:
+        return v
+    return np.repeat(v[:, None], s.shape[-1] // reps, axis=1).reshape(len(v), -1)
 
 
 def _scan(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
-    """Rows v_j = v_0 M_0 ... M_{j-1}, M_j = mats[:, :, j], of an (N, N, n)
+    """Rows v_j = v_0 M_0 ... M_{j-1}, M_j = mats[..., j], of an (N, N, n)
     nonnegative stack, each normalized to sum to one, as the columns of an
-    (N, n+1) array; column 0 is ``v0``.
+    (N, n+1) array; column 0 is ``v0``.  A batch, mats (R, N, N, n) and v0
+    (R, N), gives (R, N, n+1): the scan of each stack from its own v0.
 
     The prefix products inside every block advance together in place, each
     step a broadcast product summed over N; the logs of the row totals,
     summed along the block after the loop, are the rows' log masses.  The
     block ends are chained by doubling with :func:`_mix`: after stride d,
-    end b holds the product of ends max(0, b - 2d + 1) .. b.
+    end b holds the product of ends max(0, b - 2d + 1) .. b of its stack.
     """
     n = mats.shape[-1]
-    prod = _blocks(mats)
+    prod, reps, v = _blocked(mats, v0)
     logm = np.empty_like(prod[:, 0])
     for t in range(len(prod)):
         if t:
@@ -177,85 +213,105 @@ def _scan(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
         tot = prod[t].sum(axis=1, out=logm[t])
         prod[t] /= np.maximum(tot, _TINY)[:, None]
     np.cumsum(np.log(logm, out=logm), axis=0, out=logm)
-    s, r = prod[-1, ..., :-1].copy(), logm[-1, :, :-1].copy()
-    d = 1
+    s, r = prod[-1, ..., :-reps].copy(), logm[-1, :, :-reps].copy()
+    d = reps  # one block apart in every stack
     while d < s.shape[-1]:
         s[..., d:], inc = _mix(s[..., :-d], s[..., d:], r[:, d:])
         r[:, d:] = r[:, :-d] + inc
         d *= 2
-    starts = np.hstack((v0[:, None], _mix(v0[:, None], s, r)[0]))
+    starts = np.hstack((v, _mix(_per_end(v, s), s, r)[0]))
     return _unblock(_mix(starts, prod, logm)[0], v0, n)
 
 
 def _kernel_scan(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
-    """Rows v_j = v_0 P_0 ... P_{j-1}, P_j = mats[:, :, j], of an (N, N, n)
+    """Rows v_j = v_0 P_0 ... P_{j-1}, P_j = mats[..., j], of an (N, N, n)
     stack whose rows each sum to one or to zero, as the columns of an
-    (N, n+1) array; column 0 is ``v0``.  Blocked and doubled like
+    (N, n+1) array; column 0 is ``v0``.  Batched, blocked and doubled like
     :func:`_scan`, with plain products: a product of such matrices keeps
     each row's mass, less what lands on a zero row, so no row is rescaled.
     """
     n = mats.shape[-1]
-    prod = _blocks(mats)
+    prod, reps, v = _blocked(mats, v0)
     for t in range(1, len(prod)):
         (prod[t - 1][:, :, None] * prod[t]).sum(axis=1, out=prod[t])
-    s = prod[-1, ..., :-1].copy()
-    d = 1
+    s = prod[-1, ..., :-reps].copy()
+    d = reps
     while d < s.shape[-1]:
         s[..., d:] = (s[:, :, None, :-d] * s[:, :, d:]).sum(axis=1)
         d *= 2
-    starts = np.hstack((v0[:, None], (v0[:, None, None] * s).sum(axis=0)))
+    starts = np.hstack((v, (_per_end(v, s)[:, None] * s).sum(axis=0)))
     return _unblock((starts[:, None] * prod).sum(axis=1), v0, n)
 
 
-def forward_filter(terms: CauchyTerms, g: GeneratorMatrix, initial_probs=None) -> FilterState:
-    """Run the forward recursion at ``terms.theta``; raises
-    :class:`NumericalFailure` with the failing observation index if a
-    normalizer is non-positive or non-finite.
-    """
+def _filter_inputs(terms: CauchyTerms, g: GeneratorMatrix, initial_probs):
+    """The densities, the kernel and the start of one problem."""
     if terms.theta.n_states != g.n_states:
         raise ConfigError(
             f"theta has {terms.theta.n_states} regimes, generator {g.n_states} states"
         )
     a = transition_matrix_approx(g, terms.obs.h)
-    d = terms.density
+    return terms.density, a, _initial_probs(g.n_states, initial_probs)
+
+
+def forward_filter(terms, g, initial_probs=None) -> FilterState:
+    """Run the forward recursion at ``terms.theta``; raises
+    :class:`NumericalFailure` with the failing observation index if a
+    normalizer is non-positive or non-finite.
+
+    A batch is three equal-length sequences (terms, generators, initial
+    probabilities or None) of problems sharing N and n.  Their arrays are
+    stacked on a leading replication axis, and a breakdown is that of the
+    first failing replication, which the exception's ``replication`` names.
+    """
+    if isinstance(terms, CauchyTerms):
+        d, a, v0 = _filter_inputs(terms, g, initial_probs)
+    else:
+        d, a, v0 = map(np.stack, zip(*map(_filter_inputs, terms, g, initial_probs)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        dm = d.max(axis=0)
+        dm = d.max(axis=-2, keepdims=True)
         d = np.where((dm > 0.0) & np.isfinite(dm), d / dm, d)
-        steps = d[:, None, :] * a[:, :, None]
-        filtered = _scan(steps, _initial_probs(g.n_states, initial_probs))
+        steps = d[..., None, :] * a[..., None]
+        filtered = _scan(steps, v0)
         # sum_{i,k} filtered[i, j-1] * steps[i, k, j-1], without the N x N x n product
-        mass = (filtered[:, :-1] * d * a.sum(axis=1)[:, None]).sum(axis=0)
+        mass = (filtered[..., :-1] * d * a.sum(axis=-1)[..., None]).sum(axis=-2)
     bad = ~(np.isfinite(mass) & (mass > 0.0))
     if bad.any():
-        j = int(np.argmax(bad)) + 1
+        first = int(np.argmax(bad))  # the first failing step of the first failing replication
+        rep, j = divmod(first, bad.shape[-1])
         raise NumericalFailure(
-            f"forward filter normalizer {mass[j - 1]!r} at observation {j}", index=j
+            f"forward filter normalizer {mass.flat[first]!r} at observation {j + 1}",
+            index=j + 1, replication=rep if mass.ndim > 1 else None,
         )
     return FilterState(filtered, a, steps)
 
 
-def backward_smooth(fs: FilterState) -> SmoothedPairProbs:
+def backward_smooth(fs: FilterState) -> SmoothedPairProbs | list[SmoothedPairProbs]:
     """Backward pass producing the pairwise weights w[i, k, j-1] of the
-    pair (t_{j-1}, t_j), shape (N, N, n).
+    pair (t_{j-1}, t_j), shape (N, N, n); for a batched ``fs``, a list of
+    them, one per replication.
 
     The pass needs only the filter state: each pair is rebuilt from the
     scaled step and the filtered distribution as the forward pass built it.
-    Smoothed marginals are recoverable via :func:`smoothed_marginals`.
+    Smoothed marginals are recoverable via :func:`smoothed_marginals`.  A
+    breakdown of a batch is that of its first failing replication, which
+    the exception's ``replication`` names.
     """
-    pair = fs.steps * fs.filtered[:, None, :-1]
-    pm = pair.sum(axis=0)
-    back = np.divide(pair, np.maximum(pm, _TINY), out=pair)
-    smoothed = _kernel_scan(back[:, :, ::-1].swapaxes(0, 1), fs.filtered[:, -1])[:, ::-1]
-    w = back * smoothed[:, 1:]
-    z = w.reshape(-1, fs.n).sum(axis=0)
+    pair = fs.steps * fs.filtered[..., None, :-1]
+    pm = pair.sum(axis=-3)
+    back = np.divide(pair, np.maximum(pm, _TINY)[..., None, :, :], out=pair)
+    smoothed = _kernel_scan(back[..., ::-1].swapaxes(-3, -2), fs.filtered[..., -1])[..., ::-1]
+    w = back * smoothed[..., None, :, 1:]
+    z = w.reshape(*w.shape[:-3], -1, fs.n).sum(axis=-2)
     bad = ~(np.isfinite(z) & (z > 0.0))
     if bad.any():
-        j = fs.n - int(np.argmax(bad[::-1]))
+        rep, last = divmod(int(np.argmax(bad[..., ::-1])), fs.n)
+        j = fs.n - last  # the highest failing step of the first failing replication
         raise NumericalFailure(
-            f"backward smoother slice sum {z[j - 1]!r} at observation {j}", index=j
+            f"backward smoother slice sum {z[..., j - 1].flat[rep]!r} at observation {j}",
+            index=j, replication=rep if z.ndim > 1 else None,
         )
-    w /= z
-    return SmoothedPairProbs(w)
+    w /= z[..., None, None, :]
+    return SmoothedPairProbs(w) if w.ndim == 3 else list(map(SmoothedPairProbs, w))
 
 
 def smoothed_marginals(fs: FilterState, w: SmoothedPairProbs) -> np.ndarray:

@@ -18,6 +18,7 @@ from switchem import (
     Theta,
     backward_smooth,
     em_fit,
+    em_steps,
     forward_filter,
     simulate_path,
     smoothed_marginals,
@@ -265,6 +266,24 @@ class TestExperiment:
         assert read(a / "summary.csv") == read(b / "summary.csv")
         assert read(a / "rep_0002_trace.csv") == read(b / "rep_0002_trace.csv")
 
+    def test_batches_do_not_change_output(self, tmp_path):
+        # at n = 500 a batch holds up to 10 replications: --jobs 1, 2 and 3
+        # fit these 7 as one batch, as 3 + 4 and as 2 + 2 + 3
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["experiment"]["replications"] = 7
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        outs = [tmp_path / f"j{jobs}" for jobs in (1, 2, 3)]
+        for jobs, out in enumerate(outs, 1):
+            assert main(["experiment", "--config", str(p), "--out", str(out),
+                         "--jobs", str(jobs), "--stable-output"]) == 0
+        names = sorted(f.name for f in outs[0].iterdir())
+        assert len(names) == 8  # summary.csv and 7 traces
+        for out in outs[1:]:
+            assert sorted(f.name for f in out.iterdir()) == names
+            for name in names:
+                assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
+
     def test_all_failures_exit_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("SWITCHEM_SEED", raising=False)
         # starting the path at 1e200 overflows every squared residual in
@@ -315,14 +334,18 @@ class TestExperiment:
     def test_unexpected_error_keeps_the_other_rows(self, tmp_path, capsys, monkeypatch,
                                                    reps, rc):
         monkeypatch.delenv("SWITCHEM_SEED", raising=False)
-        real = em_fit
+        real = em_steps
 
         def fail_seed_43(obs, g, cfg):
+            # replication 1 fails in its first M-step, after the E-step
+            # pass it shares with the rest of its batch
+            steps = real(obs, g, cfg)
             if cfg.init_seed == (43, 1):
+                yield next(steps)
                 raise RuntimeError("worker lost its state")
-            return real(obs, g, cfg)
+            return (yield from steps)
 
-        monkeypatch.setattr("switchem.cli.em_fit", fail_seed_43)
+        monkeypatch.setattr("switchem.cli.em_steps", fail_seed_43)
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["experiment"] = {"replications": reps}
         p = tmp_path / "cfg.json"

@@ -8,11 +8,14 @@ from switchem import (
     ConfigError,
     EmConfig,
     H_n,
+    NumericalFailure,
+    ObservationSeries,
     SimulationConfig,
     SmoothedPairProbs,
     Theta,
     backward_smooth,
     em_fit,
+    em_steps,
     first_order_step,
     forward_filter,
     grad_H,
@@ -26,6 +29,8 @@ from switchem import (
     update_generator,
     validate_generator,
 )
+
+from switchem.em import _estep, _lockstep
 
 from oracles import loop_update_rates
 
@@ -224,6 +229,101 @@ class TestEmFit:
             )
             theta, gen = new, update_generator(gen, w, obs.h)
         np.testing.assert_array_equal(res.generator.q, gen.q)
+
+
+class TestLockstep:
+    """Fits run in lockstep share each round's E-step pass and give exactly
+    what each gives alone."""
+
+    @staticmethod
+    def paths(count=5, n=300):
+        theta = Theta(np.array([6.0, 3.0, 0.0]), 2.0, 1.0)
+        g = validate_generator([[-0.02, 0.01, 0.01], [0.01, -0.02, 0.01],
+                                [0.01, 0.01, -0.02]])
+        return g, [simulate_path(SimulationConfig(theta, 0.3, g, n * 0.1, 0.1, seed=60 + r))[0]
+                   for r in range(count)]
+
+    @staticmethod
+    def assert_same(got, want):
+        assert (got.status, got.iterations, got.message) == (
+            want.status, want.iterations, want.message)
+        np.testing.assert_array_equal(got.theta.to_vector(), want.theta.to_vector())
+        np.testing.assert_array_equal(got.generator.q, want.generator.q)
+        assert len(got.trace) == len(want.trace)
+        fields = ("iteration", "h_before", "h_after", "stat", "ascent_violation",
+                  "used_fallback")
+        for a, b in zip(got.trace, want.trace):
+            assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+            np.testing.assert_array_equal(a.theta, b.theta)
+            assert a.elapsed_ms > 0.0
+
+    # first-order fits converge after 4 or 5 iterations, but the third
+    # stops at its max_iters of 3; Newton fits converge after 3 or 4, one
+    # fallback each, but the fourth falls back at every iteration up to 20
+    @pytest.mark.parametrize("m_step,rho,epsilon,max_iters", [
+        ("first_order", 3e-4, 0.05, [40, 40, 3, 40, 40]),
+        ("newton", 1e-4, 0.01, [20] * 5),
+    ])
+    def test_each_fit_gets_its_result_alone(self, m_step, rho, epsilon, max_iters):
+        g, paths = self.paths()
+        cfgs = [EmConfig(epsilon=epsilon, rho=rho, max_iters=k, m_step=m_step, update_q=True,
+                         theta0=(5.0, 2.5, 0.5, 1.0, 0.5)) for k in max_iters]
+        alone = [em_fit(obs, g, cfg) for obs, cfg in zip(paths, cfgs)]
+        assert len({res.iterations for res in alone}) > 2
+        assert {res.status for res in alone} == {"converged", "max_iters_reached"}
+        got = _lockstep([em_steps(obs, g, cfg) for obs, cfg in zip(paths, cfgs)])
+        for res, want in zip(got, alone):
+            self.assert_same(res, want)
+
+    def test_a_numerical_failure_ends_only_its_fit(self):
+        # observation 50 of the second path overflows every squared residual
+        g, paths = self.paths(count=3)
+        x = paths[1].x.copy()
+        x[50] = 1e200
+        paths[1] = ObservationSeries(x, paths[1].h)
+        cfg = EmConfig(epsilon=0.05, m_step="newton", update_q=True, theta0=(5.0, 2.5, 0.5, 1.0, 0.5))
+        with np.errstate(over="ignore"):
+            alone = [em_fit(obs, g, cfg) for obs in paths]
+            got = _lockstep([em_steps(obs, g, cfg) for obs in paths])
+        assert alone[1].status == "numerical_failure" and alone[1].iterations == 0
+        assert "forward filter normalizer" in alone[1].message
+        for res, want in zip(got, alone):
+            self.assert_same(res, want)
+
+    def test_the_stacked_estep_reports_a_breakdown_as_it_is_alone(self):
+        g, paths = self.paths(count=4)
+        x = paths[2].x.copy()
+        x[7] = 1e200
+        theta = Theta(np.array([5.0, 2.5, 0.5]), 1.0, 0.5)
+        with np.errstate(over="ignore"):
+            paths[2] = ObservationSeries(x, paths[2].h)
+            requests = [(CauchyTerms(theta, obs), g, None) for obs in paths]
+            got = _estep(requests)
+            alone = [_estep([request])[0] for request in requests]
+        assert isinstance(got[2], NumericalFailure) and isinstance(alone[2], NumericalFailure)
+        assert (got[2].index, str(got[2])) == (alone[2].index, str(alone[2])) == (
+            7, str(alone[2]))
+        for r in (0, 1, 3):
+            (fs, w), (ref_fs, ref_w) = got[r], alone[r]
+            np.testing.assert_array_equal(fs.filtered, ref_fs.filtered)
+            np.testing.assert_array_equal(w.w, ref_w.w)
+
+    def test_the_stacked_estep_keeps_any_other_error_to_its_request(self):
+        # a generator whose exit rate 20 exceeds 1/h = 10 has no kernel at h
+        g, paths = self.paths(count=3)
+        fast = validate_generator([[-20.0, 10.0, 10.0], [0.01, -0.02, 0.01],
+                                   [0.01, 0.01, -0.02]])
+        theta = Theta(np.array([5.0, 2.5, 0.5]), 1.0, 0.5)
+        requests = [(CauchyTerms(theta, obs), gen, None)
+                    for obs, gen in zip(paths, [g, fast, g])]
+        got = _estep(requests)
+        with pytest.raises(ConfigError) as alone:
+            forward_filter(*requests[1])
+        assert isinstance(got[1], ConfigError) and str(got[1]) == str(alone.value)
+        for r in (0, 2):
+            (fs, w), (ref_fs, ref_w) = got[r], _estep([requests[r]])[0]
+            np.testing.assert_array_equal(fs.filtered, ref_fs.filtered)
+            np.testing.assert_array_equal(w.w, ref_w.w)
 
 
 class TestUpdateGenerator:

@@ -445,3 +445,74 @@ class TestMemoryLayout:
         ]
         for got, ref in pairs:
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+class TestBatch:
+    """A batch, stacked on a leading replication axis, gives every
+    replication the bytes of its pass alone: each keeps its own block
+    layout, and no sum mixes replications."""
+
+    @staticmethod
+    def problems(m, n, count=6):
+        # one kernel per replication, as generator updates give them
+        rng = np.random.default_rng(50 + 10 * m + n)
+        probs = [small_instance(rng, n=n, m=m) for _ in range(count)]
+        obs = probs[0][2]
+        inits = [None, rng.dirichlet(np.ones(m))] * (count // 2)
+        return [(CauchyTerms(theta, ObservationSeries(p_obs.x, obs.h)), g, init)
+                for (theta, g, p_obs), init in zip(probs, inits)]
+
+    @staticmethod
+    def alone(request):
+        fs = forward_filter(*request)
+        return fs, backward_smooth(fs)
+
+    # n = 1 is one block; 8, 37 and 1000 chain 3, 12 and 99 block ends
+    @pytest.mark.parametrize("n", [1, 8, 37, 1000])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("per_batch", [6, 3, 2, 1])
+    def test_each_replication_gets_its_bytes_alone(self, m, n, per_batch):
+        requests = self.problems(m, n)
+        for start in range(0, len(requests), per_batch):
+            batch = requests[start:start + per_batch]
+            fs = forward_filter(*zip(*batch))
+            ws = backward_smooth(fs)
+            assert fs.filtered.shape == (len(batch), m, n + 1) and len(ws) == len(batch)
+            for r, request in enumerate(batch):
+                ref_fs, ref_w = self.alone(request)
+                for got, want in [(fs.filtered[r], ref_fs.filtered), (fs.kernel[r], ref_fs.kernel),
+                                  (fs.steps[r], ref_fs.steps), (ws[r].w, ref_w.w)]:
+                    np.testing.assert_array_equal(got, want)
+                assert ws[r].w.flags.c_contiguous
+
+    def test_a_forward_breakdown_names_its_replication(self):
+        # as in TestForwardFilter.test_breakdown_reports_index, observation 2
+        # of replication 1 overflows every squared residual
+        requests = self.problems(2, 5, count=3)
+        terms, g, init = requests[1]
+        x = terms.obs.x.copy()
+        x[2] = 1e200
+        with np.errstate(over="ignore"):
+            requests[1] = (CauchyTerms(terms.theta, ObservationSeries(x, terms.obs.h)), g, init)
+            with pytest.raises(NumericalFailure) as alone:
+                forward_filter(*requests[1])
+            with pytest.raises(NumericalFailure) as batched:
+                forward_filter(*zip(*requests))
+        assert (alone.value.index, alone.value.replication) == (2, None)
+        assert (batched.value.index, batched.value.replication) == (2, 1)
+        assert str(batched.value) == str(alone.value)
+
+    def test_a_backward_breakdown_names_its_replication(self):
+        # replication 1 is the state of
+        # TestScanMatchesLoop.test_backward_breakdown_reports_highest_index
+        good = np.array([[1.0, 0.5, 0.5, 0.5, 0.5], [0.0, 0.5, 0.5, 0.5, 0.5]])
+        bad = np.array([[1.0, 0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0, 1.0]])
+        steps = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, 4))
+        fs = FilterState(np.stack([good, bad, good]), np.stack([np.eye(2)] * 3),
+                         np.stack([steps] * 3))
+        with pytest.raises(NumericalFailure) as alone:
+            backward_smooth(FilterState(bad, np.eye(2), steps))
+        with pytest.raises(NumericalFailure) as batched:
+            backward_smooth(fs)
+        assert (batched.value.index, batched.value.replication) == (3, 1)
+        assert str(batched.value) == str(alone.value)
