@@ -37,7 +37,7 @@ from .likelihood import (
     grad_H,
     hessian_H,
 )
-from .smoother import FilterState, _initial_probs, backward_smooth, forward_filter
+from .smoother import _batch_passes, _initial_probs, backward_smooth, forward_filter
 
 TERMINATION_CHOICES = ("D1", "D2", "D3")
 M_STEP_CHOICES = ("first_order", "newton")
@@ -346,8 +346,8 @@ def _estep(requests: list) -> list:
     *Layout*).  A replication that breaks down is taken out and the pass
     is run again on the others; a breakdown ends a fit, so a fit's passes
     repeat at most once per failed replication.  Any other error is found
-    out by running each request alone.  A batch of one runs unstacked, on
-    the arrays of a single problem.
+    out by running each request alone.  A lone request runs
+    :func:`forward_filter` and :func:`backward_smooth` as they are.
     """
     out = [None] * len(requests)
     live = list(range(len(requests)))
@@ -357,9 +357,7 @@ def _estep(requests: list) -> list:
                 fs = forward_filter(*requests[live[0]])
                 pairs = [(fs, backward_smooth(fs))]
             else:
-                fs = forward_filter(*zip(*(requests[i] for i in live)))
-                pairs = zip(map(FilterState, fs.filtered, fs.kernel, fs.steps),
-                            backward_smooth(fs))
+                pairs = _batch_passes([requests[i] for i in live])
         except NumericalFailure as exc:
             out[live.pop(exc.replication or 0)] = exc
         except Exception as exc:  # one request's own error, such as a bad kernel step

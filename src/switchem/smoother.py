@@ -65,8 +65,9 @@ whole slices, each one pass along the observations or blocks.  On
 as a batched ``@``; at N = 3, n = 10^3 it takes longer, but the rest of
 the pass gains more.
 
-A batch of R problems sharing N and n (the replications of an experiment)
-runs as one pass with a leading replication axis, e.g. steps (R, N, N, n),
+A batch of R problems sharing N and n (the replications of an experiment,
+:func:`_batch_passes`; the public passes take one problem) runs as one
+pass with a leading replication axis, e.g. steps (R, N, N, n),
 whose slice r is replication r's C-contiguous (N, N, n) array.  Each
 replication keeps its own block layout: the blocks are (block length, N,
 N, blocks * R), block-major, so the in-block steps run along the blocks of
@@ -183,15 +184,6 @@ def _blocked(mats: np.ndarray, v0: np.ndarray) -> tuple[np.ndarray, int, np.ndar
     return _blocks(x), len(x), v0.reshape(len(x), -1).T
 
 
-def _per_end(v: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The (N, R) columns ``v`` for each block end of ``s``: repeated for a
-    batch, while one column broadcasts as it is."""
-    reps = v.shape[1]
-    if reps == 1:
-        return v
-    return np.repeat(v[:, None], s.shape[-1] // reps, axis=1).reshape(len(v), -1)
-
-
 def _scan(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
     """Rows v_j = v_0 M_0 ... M_{j-1}, M_j = mats[..., j], of an (N, N, n)
     nonnegative stack, each normalized to sum to one, as the columns of an
@@ -219,7 +211,7 @@ def _scan(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
         s[..., d:], inc = _mix(s[..., :-d], s[..., d:], r[:, d:])
         r[:, d:] = r[:, :-d] + inc
         d *= 2
-    starts = np.hstack((v, _mix(_per_end(v, s), s, r)[0]))
+    starts = np.hstack((v, _mix(np.tile(v, s.shape[-1] // reps), s, r)[0]))
     return _unblock(_mix(starts, prod, logm)[0], v0, n)
 
 
@@ -239,7 +231,7 @@ def _kernel_scan(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
     while d < s.shape[-1]:
         s[..., d:] = (s[:, :, None, :-d] * s[:, :, d:]).sum(axis=1)
         d *= 2
-    starts = np.hstack((v, (_per_end(v, s)[:, None] * s).sum(axis=0)))
+    starts = np.hstack((v, (np.tile(v, s.shape[-1] // reps)[:, None] * s).sum(axis=0)))
     return _unblock((starts[:, None] * prod).sum(axis=1), v0, n)
 
 
@@ -253,20 +245,11 @@ def _filter_inputs(terms: CauchyTerms, g: GeneratorMatrix, initial_probs):
     return terms.density, a, _initial_probs(g.n_states, initial_probs)
 
 
-def forward_filter(terms, g, initial_probs=None) -> FilterState:
-    """Run the forward recursion at ``terms.theta``; raises
-    :class:`NumericalFailure` with the failing observation index if a
-    normalizer is non-positive or non-finite.
-
-    A batch is three equal-length sequences (terms, generators, initial
-    probabilities or None) of problems sharing N and n.  Their arrays are
-    stacked on a leading replication axis, and a breakdown is that of the
-    first failing replication, which the exception's ``replication`` names.
-    """
-    if isinstance(terms, CauchyTerms):
-        d, a, v0 = _filter_inputs(terms, g, initial_probs)
-    else:
-        d, a, v0 = map(np.stack, zip(*map(_filter_inputs, terms, g, initial_probs)))
+def _forward(d: np.ndarray, a: np.ndarray, v0: np.ndarray) -> FilterState:
+    """The forward pass from the densities, the kernel and the start of one
+    problem, or of a batch stacked on a leading replication axis; a
+    breakdown of a batch is that of its first failing replication, which
+    the exception's ``replication`` names."""
     with np.errstate(divide="ignore", invalid="ignore"):
         dm = d.max(axis=-2, keepdims=True)
         d = np.where((dm > 0.0) & np.isfinite(dm), d / dm, d)
@@ -285,17 +268,18 @@ def forward_filter(terms, g, initial_probs=None) -> FilterState:
     return FilterState(filtered, a, steps)
 
 
-def backward_smooth(fs: FilterState) -> SmoothedPairProbs | list[SmoothedPairProbs]:
-    """Backward pass producing the pairwise weights w[i, k, j-1] of the
-    pair (t_{j-1}, t_j), shape (N, N, n); for a batched ``fs``, a list of
-    them, one per replication.
-
-    The pass needs only the filter state: each pair is rebuilt from the
-    scaled step and the filtered distribution as the forward pass built it.
-    Smoothed marginals are recoverable via :func:`smoothed_marginals`.  A
-    breakdown of a batch is that of its first failing replication, which
-    the exception's ``replication`` names.
+def forward_filter(terms: CauchyTerms, g: GeneratorMatrix, initial_probs=None) -> FilterState:
+    """Run the forward recursion at ``terms.theta``; raises
+    :class:`NumericalFailure` with the failing observation index if a
+    normalizer is non-positive or non-finite.
     """
+    return _forward(*_filter_inputs(terms, g, initial_probs))
+
+
+def _backward(fs: FilterState) -> np.ndarray:
+    """The pair weights of one filter state, or of a batch stacked on a
+    leading replication axis; a breakdown of a batch is that of its first
+    failing replication, which the exception's ``replication`` names."""
     pair = fs.steps * fs.filtered[..., None, :-1]
     pm = pair.sum(axis=-3)
     back = np.divide(pair, np.maximum(pm, _TINY)[..., None, :, :], out=pair)
@@ -311,7 +295,31 @@ def backward_smooth(fs: FilterState) -> SmoothedPairProbs | list[SmoothedPairPro
             index=j, replication=rep if z.ndim > 1 else None,
         )
     w /= z[..., None, None, :]
-    return SmoothedPairProbs(w) if w.ndim == 3 else list(map(SmoothedPairProbs, w))
+    return w
+
+
+def backward_smooth(fs: FilterState) -> SmoothedPairProbs:
+    """Backward pass producing the pairwise weights w[i, k, j-1] of the
+    pair (t_{j-1}, t_j), shape (N, N, n).
+
+    The pass needs only the filter state: each pair is rebuilt from the
+    scaled step and the filtered distribution as the forward pass built it.
+    Smoothed marginals are recoverable via :func:`smoothed_marginals`.
+    """
+    return SmoothedPairProbs(_backward(fs))
+
+
+def _batch_passes(requests: list) -> list[tuple[FilterState, SmoothedPairProbs]]:
+    """The forward and backward passes of the ``requests`` (terms,
+    generator, initial probabilities), which share N and n, as one pass on
+    arrays stacked on a leading replication axis (see *Layout*): per
+    request, its (FilterState, SmoothedPairProbs).  A breakdown is that of
+    the first failing replication, which the exception's ``replication``
+    names.
+    """
+    fs = _forward(*map(np.stack, zip(*(_filter_inputs(*q) for q in requests))))
+    return [(FilterState(*arrays), SmoothedPairProbs(w))
+            for *arrays, w in zip(fs.filtered, fs.kernel, fs.steps, _backward(fs))]
 
 
 def smoothed_marginals(fs: FilterState, w: SmoothedPairProbs) -> np.ndarray:

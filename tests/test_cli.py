@@ -25,7 +25,9 @@ from switchem import (
     sort_regimes,
     validate_generator,
 )
-from switchem.cli import _CONFIG_KEYS, _CSV_BLOCK, _EM_KINDS, _csv_cells, _csv_text, main
+from switchem.cli import (
+    _CONFIG_KEYS, _CSV_BLOCK, _EM_KINDS, _csv_cells, _csv_text, _run_batch, main,
+)
 
 BASE_CONFIG = {
     "simulation": {
@@ -283,6 +285,32 @@ class TestExperiment:
             assert sorted(f.name for f in out.iterdir()) == names
             for name in names:
                 assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
+
+    # a batch holds up to 100 replications at n = 50, but stacking 8 or
+    # more regimes can move bytes (TestBatch.test_eight_regimes_can_move_bytes
+    # in tests/test_smoother.py), so from 8 on every replication is its own batch
+    @pytest.mark.parametrize("regimes,sizes", [(7, [3]), (8, [1, 1, 1])])
+    def test_eight_regimes_are_never_stacked(self, tmp_path, monkeypatch, regimes, sizes):
+        real = _run_batch
+        seen = []
+
+        def record(tasks):
+            seen.append(len(tasks))
+            return real(tasks)
+
+        monkeypatch.setattr("switchem.cli._run_batch", record)
+        q = np.full((regimes, regimes), 0.01)
+        np.fill_diagonal(q, -0.01 * (regimes - 1))
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["simulation"].update(b=np.linspace(8.0, 1.0, regimes).tolist(), q=q.tolist(),
+                                 horizon_t=5.0)
+        cfg["em"]["max_iters"] = 2
+        cfg["experiment"]["replications"] = 3
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(p), "--out", str(tmp_path / "o"),
+                     "--jobs", "1"]) == 0
+        assert seen == sizes
 
     def test_all_failures_exit_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("SWITCHEM_SEED", raising=False)

@@ -23,7 +23,7 @@ from switchem import (
     update_generator,
     validate_generator,
 )
-from switchem.smoother import _blocks, _kernel_scan, _scan
+from switchem.smoother import _backward, _batch_passes, _blocks, _kernel_scan, _scan
 
 from oracles import enumerate_filter_smoother, loop_filter_smoother
 
@@ -467,23 +467,45 @@ class TestBatch:
         fs = forward_filter(*request)
         return fs, backward_smooth(fs)
 
+    def assert_bytes_alone(self, requests, per_batch):
+        for start in range(0, len(requests), per_batch):
+            batch = requests[start:start + per_batch]
+            pairs = _batch_passes(batch)
+            assert len(pairs) == len(batch)
+            for (fs, w), request in zip(pairs, batch):
+                ref_fs, ref_w = self.alone(request)
+                for got, want in [(fs.filtered, ref_fs.filtered), (fs.kernel, ref_fs.kernel),
+                                  (fs.steps, ref_fs.steps), (w.w, ref_w.w)]:
+                    np.testing.assert_array_equal(got, want)
+                assert w.w.flags.c_contiguous
+
     # n = 1 is one block; 8, 37 and 1000 chain 3, 12 and 99 block ends
     @pytest.mark.parametrize("n", [1, 8, 37, 1000])
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("per_batch", [6, 3, 2, 1])
     def test_each_replication_gets_its_bytes_alone(self, m, n, per_batch):
-        requests = self.problems(m, n)
-        for start in range(0, len(requests), per_batch):
-            batch = requests[start:start + per_batch]
-            fs = forward_filter(*zip(*batch))
-            ws = backward_smooth(fs)
-            assert fs.filtered.shape == (len(batch), m, n + 1) and len(ws) == len(batch)
-            for r, request in enumerate(batch):
-                ref_fs, ref_w = self.alone(request)
-                for got, want in [(fs.filtered[r], ref_fs.filtered), (fs.kernel[r], ref_fs.kernel),
-                                  (fs.steps[r], ref_fs.steps), (ws[r].w, ref_w.w)]:
-                    np.testing.assert_array_equal(got, want)
-                assert ws[r].w.flags.c_contiguous
+        self.assert_bytes_alone(self.problems(m, n), per_batch)
+
+    # 7 regimes, the most the experiment stacks: numpy still adds the 7
+    # terms of a regime sum in order, also where a lone pass of one block
+    # (n = 1) or of one block of 2 steps (n = 5) has no other axis to run along
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_seven_regimes_get_their_bytes_alone(self, n):
+        # rates scaled down so that every exit rate stays below 1/h
+        requests = [(terms, validate_generator(g.q / 7), init)
+                    for terms, g, init in self.problems(7, n)]
+        self.assert_bytes_alone(requests, 6)
+
+    def test_eight_regimes_can_move_bytes(self):
+        # why an experiment stacks no more than 7 regimes: numpy adds 8 or
+        # more terms pairwise along an array's innermost axis, which is the
+        # regime axis of a lone one-block pass but the replication axis of
+        # a stack
+        requests = [(terms, validate_generator(g.q / 8), init)
+                    for terms, g, init in self.problems(8, 1)]
+        moved = [not np.array_equal(fs.filtered, self.alone(request)[0].filtered)
+                 for (fs, _), request in zip(_batch_passes(requests), requests)]
+        assert any(moved)
 
     def test_a_forward_breakdown_names_its_replication(self):
         # as in TestForwardFilter.test_breakdown_reports_index, observation 2
@@ -497,7 +519,7 @@ class TestBatch:
             with pytest.raises(NumericalFailure) as alone:
                 forward_filter(*requests[1])
             with pytest.raises(NumericalFailure) as batched:
-                forward_filter(*zip(*requests))
+                _batch_passes(requests)
         assert (alone.value.index, alone.value.replication) == (2, None)
         assert (batched.value.index, batched.value.replication) == (2, 1)
         assert str(batched.value) == str(alone.value)
@@ -513,6 +535,6 @@ class TestBatch:
         with pytest.raises(NumericalFailure) as alone:
             backward_smooth(FilterState(bad, np.eye(2), steps))
         with pytest.raises(NumericalFailure) as batched:
-            backward_smooth(fs)
+            _backward(fs)
         assert (batched.value.index, batched.value.replication) == (3, 1)
         assert str(batched.value) == str(alone.value)
