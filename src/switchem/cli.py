@@ -47,14 +47,14 @@ starting point is ``em.theta0`` when given.  Otherwise ``fit`` draws it from
 r of ``experiment`` draws it from ``[seed_base + r, 1]``, as
 ``em.init_seed`` applies to ``fit`` only.
 
-An experiment fits its replications in lockstep batches (``_BATCH_OBS``),
-never fewer than ``--jobs`` (0 = every core in the process's CPU affinity
-set, or on the host where there is no such set), which is capped at the
-batch count.  A replication's results do not depend on its batch, so
-``--stable-output``, which zeroes the elapsed-time fields, makes outputs
-bit-identical across runs and across ``--jobs`` values.  A trace's
-``elapsed_ms`` is the iteration's M-step time plus its share of the
-E-step pass of its batch.
+An experiment deals its replications into ``--jobs`` lockstep batches (0 =
+every core in the process's CPU affinity set, or on the host where there
+is no such set), capped at the replication count; each batch's EM rounds
+stack their E-steps in passes (``em._estep``).  A replication's results do
+not depend on its batch, so ``--stable-output``, which zeroes the
+elapsed-time fields, makes outputs bit-identical across runs and across
+``--jobs`` values.  A trace's ``elapsed_ms`` is the iteration's M-step time
+plus its share of its round's E-step passes.
 """
 
 from __future__ import annotations
@@ -547,17 +547,6 @@ def _run_batch(tasks) -> list[dict]:
     return _lockstep([_replication(*task) for task in tasks])
 
 
-# An experiment fits its replications in lockstep batches of at most this
-# many stacked observations (replications * n).  Stacking pays where
-# numpy's per-call cost outweighs its arithmetic.  On a 2-core VM (numpy
-# 2.4.6) the E-step of 5 replications at N = 3, n = 10^3 ran about 1.6x as
-# fast stacked as one at a time, and the 20 replications of the
-# experiment-short benchmark, in 4 batches of 5, ran 1.19x as many
-# replications a second.  At N = 2 two stacked replications ran about 1.3x
-# as fast at n = 2500, and no faster at n = 10^4.
-_BATCH_OBS = 5000
-
-
 def cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
     sc, _ = _parse_simulation(cfg)
@@ -573,19 +562,14 @@ def cmd_experiment(args) -> int:
         raise ConfigError(f"--jobs must be >= 0, got {args.jobs}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # never fewer batches than workers, and a fork pool starts all its
-    # workers at once, so never more workers than batches
+    # one batch per worker, and a fork pool starts all its workers at once,
+    # so never more workers than replications
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(args.jobs or cores or 1, reps)
-    # numpy adds up to 7 terms in order along any axis, but 8 or more
-    # pairwise along an array's innermost axis, which stacking can change:
-    # with 8 or more regimes every replication is its own batch
-    size = max(1, _BATCH_OBS // sc.n_obs) if sc.generator.n_states < 8 else 1
-    count = max(jobs, -(-reps // size))
     tasks = [
         (sc, em_cfg, r, sc.seed + r, args.stable_output) for r in range(1, reps + 1)
     ]
-    batches = [tasks[k * reps // count:(k + 1) * reps // count] for k in range(count)]
+    batches = [tasks[k * reps // jobs:(k + 1) * reps // jobs] for k in range(jobs)]
     if jobs > 1:
         # imported here: simulate and fit never start a pool.  numpy loads
         # numpy.random on first use; loading it before the fork lets the

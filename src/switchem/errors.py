@@ -13,12 +13,9 @@ class NumericalFailure(RuntimeError):
     """A recursion broke down numerically.
 
     ``index`` identifies the observation index (or EM iteration) at which
-    the failure occurred; for a pass over a batch of problems,
-    ``replication`` is the position of the failing one in the batch.
+    the failure occurred.
     """
 
-    def __init__(self, message: str, index: int | None = None,
-                 replication: int | None = None):
+    def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
-        self.replication = replication

@@ -17,7 +17,7 @@ The Euler recursion is affine in X, so :func:`euler_path` runs it as a
 blocked scan in about 2 sqrt(n) vectorized steps rather than one Python
 step per grid point.  It keeps the two-level form, blocks of about
 sqrt(n) steps and then one step per block boundary, where the smoother's
-scan recurses on its block boundaries.  Acceptance criterion 7
+scans chain their block ends by doubling.  Acceptance criterion 7
 (``tests/test_acceptance.py``) checks the scheme's strong order 1 by
 coupling successive refinements of :func:`euler_path`.
 """

@@ -247,9 +247,8 @@ def _filter_inputs(terms: CauchyTerms, g: GeneratorMatrix, initial_probs):
 
 def _forward(d: np.ndarray, a: np.ndarray, v0: np.ndarray) -> FilterState:
     """The forward pass from the densities, the kernel and the start of one
-    problem, or of a batch stacked on a leading replication axis; a
-    breakdown of a batch is that of its first failing replication, which
-    the exception's ``replication`` names."""
+    problem, or of a batch stacked on a leading replication axis; a batch
+    raises the breakdown of its first failing replication."""
     with np.errstate(divide="ignore", invalid="ignore"):
         dm = d.max(axis=-2, keepdims=True)
         d = np.where((dm > 0.0) & np.isfinite(dm), d / dm, d)
@@ -259,12 +258,10 @@ def _forward(d: np.ndarray, a: np.ndarray, v0: np.ndarray) -> FilterState:
         mass = (filtered[..., :-1] * d * a.sum(axis=-1)[..., None]).sum(axis=-2)
     bad = ~(np.isfinite(mass) & (mass > 0.0))
     if bad.any():
-        first = int(np.argmax(bad))  # the first failing step of the first failing replication
-        rep, j = divmod(first, bad.shape[-1])
+        first = int(np.argmax(bad))
+        j = first % bad.shape[-1] + 1
         raise NumericalFailure(
-            f"forward filter normalizer {mass.flat[first]!r} at observation {j + 1}",
-            index=j + 1, replication=rep if mass.ndim > 1 else None,
-        )
+            f"forward filter normalizer {mass.flat[first]!r} at observation {j}", index=j)
     return FilterState(filtered, a, steps)
 
 
@@ -278,8 +275,8 @@ def forward_filter(terms: CauchyTerms, g: GeneratorMatrix, initial_probs=None) -
 
 def _backward(fs: FilterState) -> np.ndarray:
     """The pair weights of one filter state, or of a batch stacked on a
-    leading replication axis; a breakdown of a batch is that of its first
-    failing replication, which the exception's ``replication`` names."""
+    leading replication axis; a batch raises the breakdown of its first
+    failing replication."""
     pair = fs.steps * fs.filtered[..., None, :-1]
     pm = pair.sum(axis=-3)
     back = np.divide(pair, np.maximum(pm, _TINY)[..., None, :, :], out=pair)
@@ -288,12 +285,10 @@ def _backward(fs: FilterState) -> np.ndarray:
     z = w.reshape(*w.shape[:-3], -1, fs.n).sum(axis=-2)
     bad = ~(np.isfinite(z) & (z > 0.0))
     if bad.any():
-        rep, last = divmod(int(np.argmax(bad[..., ::-1])), fs.n)
-        j = fs.n - last  # the highest failing step of the first failing replication
+        last = int(np.argmax(bad[..., ::-1]))  # counted from the end
+        j = fs.n - last % fs.n
         raise NumericalFailure(
-            f"backward smoother slice sum {z[..., j - 1].flat[rep]!r} at observation {j}",
-            index=j, replication=rep if z.ndim > 1 else None,
-        )
+            f"backward smoother slice sum {z[..., ::-1].flat[last]!r} at observation {j}", index=j)
     w /= z[..., None, None, :]
     return w
 
@@ -313,9 +308,8 @@ def _batch_passes(requests: list) -> list[tuple[FilterState, SmoothedPairProbs]]
     """The forward and backward passes of the ``requests`` (terms,
     generator, initial probabilities), which share N and n, as one pass on
     arrays stacked on a leading replication axis (see *Layout*): per
-    request, its (FilterState, SmoothedPairProbs).  A breakdown is that of
-    the first failing replication, which the exception's ``replication``
-    names.
+    request, its (FilterState, SmoothedPairProbs).  Any breakdown raises
+    :class:`NumericalFailure`; the caller finds its request.
     """
     fs = _forward(*map(np.stack, zip(*(_filter_inputs(*q) for q in requests))))
     return [(FilterState(*arrays), SmoothedPairProbs(w))

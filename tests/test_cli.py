@@ -25,8 +25,9 @@ from switchem import (
     sort_regimes,
     validate_generator,
 )
+import switchem.em
 from switchem.cli import (
-    _CONFIG_KEYS, _CSV_BLOCK, _EM_KINDS, _csv_cells, _csv_text, _run_batch, main,
+    _CONFIG_KEYS, _CSV_BLOCK, _EM_KINDS, _csv_cells, _csv_text, main,
 )
 
 BASE_CONFIG = {
@@ -269,7 +270,7 @@ class TestExperiment:
         assert read(a / "rep_0002_trace.csv") == read(b / "rep_0002_trace.csv")
 
     def test_batches_do_not_change_output(self, tmp_path):
-        # at n = 500 a batch holds up to 10 replications: --jobs 1, 2 and 3
+        # at n = 500 a pass stacks up to 10 replications: --jobs 1, 2 and 3
         # fit these 7 as one batch, as 3 + 4 and as 2 + 2 + 3
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["experiment"]["replications"] = 7
@@ -286,19 +287,19 @@ class TestExperiment:
             for name in names:
                 assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
 
-    # a batch holds up to 100 replications at n = 50, but stacking 8 or
+    # a pass stacks up to 100 replications at n = 50, but stacking 8 or
     # more regimes can move bytes (TestBatch.test_eight_regimes_can_move_bytes
-    # in tests/test_smoother.py), so from 8 on every replication is its own batch
-    @pytest.mark.parametrize("regimes,sizes", [(7, [3]), (8, [1, 1, 1])])
-    def test_eight_regimes_are_never_stacked(self, tmp_path, monkeypatch, regimes, sizes):
-        real = _run_batch
+    # in tests/test_smoother.py), so from 8 on every replication runs alone
+    @pytest.mark.parametrize("regimes,stacked", [(7, {3}), (8, set())])
+    def test_eight_regimes_are_never_stacked(self, tmp_path, monkeypatch, regimes, stacked):
+        real = switchem.em._batch_passes
         seen = []
 
-        def record(tasks):
-            seen.append(len(tasks))
-            return real(tasks)
+        def record(requests):
+            seen.append(len(requests))
+            return real(requests)
 
-        monkeypatch.setattr("switchem.cli._run_batch", record)
+        monkeypatch.setattr("switchem.em._batch_passes", record)
         q = np.full((regimes, regimes), 0.01)
         np.fill_diagonal(q, -0.01 * (regimes - 1))
         cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -310,7 +311,7 @@ class TestExperiment:
         p.write_text(json.dumps(cfg))
         assert main(["experiment", "--config", str(p), "--out", str(tmp_path / "o"),
                      "--jobs", "1"]) == 0
-        assert seen == sizes
+        assert set(seen) == stacked
 
     def test_all_failures_exit_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("SWITCHEM_SEED", raising=False)

@@ -30,7 +30,8 @@ from switchem import (
     validate_generator,
 )
 
-from switchem.em import _estep, _lockstep
+import switchem.em
+from switchem.em import _alone, _estep, _lockstep
 
 from oracles import loop_update_rates
 
@@ -290,20 +291,24 @@ class TestLockstep:
         for res, want in zip(got, alone):
             self.assert_same(res, want)
 
-    def test_the_stacked_estep_reports_a_breakdown_as_it_is_alone(self):
+    # one broken replication of four in a stacked pass, or two
+    @pytest.mark.parametrize("broken", [(2,), (0, 3)])
+    def test_the_stacked_estep_reports_a_breakdown_as_it_is_alone(self, broken):
         g, paths = self.paths(count=4)
-        x = paths[2].x.copy()
-        x[7] = 1e200
         theta = Theta(np.array([5.0, 2.5, 0.5]), 1.0, 0.5)
         with np.errstate(over="ignore"):
-            paths[2] = ObservationSeries(x, paths[2].h)
+            for r in broken:
+                x = paths[r].x.copy()
+                x[7] = 1e200
+                paths[r] = ObservationSeries(x, paths[r].h)
             requests = [(CauchyTerms(theta, obs), g, None) for obs in paths]
             got = _estep(requests)
             alone = [_estep([request])[0] for request in requests]
-        assert isinstance(got[2], NumericalFailure) and isinstance(alone[2], NumericalFailure)
-        assert (got[2].index, str(got[2])) == (alone[2].index, str(alone[2])) == (
-            7, str(alone[2]))
-        for r in (0, 1, 3):
+        for r in broken:
+            assert isinstance(got[r], NumericalFailure) and isinstance(alone[r], NumericalFailure)
+            assert (got[r].index, str(got[r])) == (alone[r].index, str(alone[r])) == (
+                7, str(alone[r]))
+        for r in set(range(4)) - set(broken):
             (fs, w), (ref_fs, ref_w) = got[r], alone[r]
             np.testing.assert_array_equal(fs.filtered, ref_fs.filtered)
             np.testing.assert_array_equal(w.w, ref_w.w)
@@ -324,6 +329,28 @@ class TestLockstep:
             (fs, w), (ref_fs, ref_w) = got[r], _estep([requests[r]])[0]
             np.testing.assert_array_equal(fs.filtered, ref_fs.filtered)
             np.testing.assert_array_equal(w.w, ref_w.w)
+
+
+    # a pass stacks at most 5000 observations: 5 of n = 1000, 2 of n = 2500,
+    # and from n = 2501 on every request runs alone
+    @pytest.mark.parametrize("n,passes", [(1000, [5, 5, 2]), (2500, [2] * 6),
+                                          (2501, []), (5000, [])])
+    def test_a_round_stacks_passes_of_at_most_5000_observations(self, monkeypatch, n, passes):
+        real, seen = switchem.em._batch_passes, []
+
+        def record(requests):
+            seen.append(len(requests))
+            return real(requests)
+
+        monkeypatch.setattr("switchem.em._batch_passes", record)
+        g, paths = self.paths(count=1, n=n)
+        request = (CauchyTerms(Theta(np.array([5.0, 2.5, 0.5]), 1.0, 0.5), paths[0]), g, None)
+        got = _estep([request] * 12)
+        assert seen == passes
+        want_fs, want_w = _alone(request)
+        for fs, w in got:
+            np.testing.assert_array_equal(fs.filtered, want_fs.filtered)
+            np.testing.assert_array_equal(w.w, want_w.w)
 
 
 class TestUpdateGenerator:
