@@ -47,14 +47,14 @@ starting point is ``em.theta0`` when given.  Otherwise ``fit`` draws it from
 r of ``experiment`` draws it from ``[seed_base + r, 1]``, as
 ``em.init_seed`` applies to ``fit`` only.
 
-An experiment deals its replications into ``--jobs`` lockstep batches (0 =
-every core in the process's CPU affinity set, or on the host where there
-is no such set), capped at the replication count; each batch's EM rounds
-stack their E-steps in passes (``em._estep``).  A replication's results do
-not depend on its batch, so ``--stable-output``, which zeroes the
-elapsed-time fields, makes outputs bit-identical across runs and across
-``--jobs`` values.  A trace's ``elapsed_ms`` is the iteration's M-step time
-plus its share of its round's E-step passes.
+An experiment fits its replications on ``--jobs`` workers (0 = every
+core in the process's CPU affinity set, or on the host where there is no
+such set), capped at the replication count.  A worker claims the next
+replication whenever its lockstep (``em._lockstep``) has room for another.
+Results do not depend on the worker or lockstep, so ``--stable-output``,
+which zeroes the elapsed-time fields, makes outputs bit-identical across
+runs and ``--jobs`` values.  A trace's ``elapsed_ms`` is the iteration's
+M-step time plus its share of its round's E-step pass.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -542,9 +543,26 @@ def _replication(base, em_cfg, rep, seed, stable):
     return row
 
 
-def _run_batch(tasks) -> list[dict]:
-    """Worker entry point: fit a batch of replications in lockstep."""
-    return _lockstep([_replication(*task) for task in tasks])
+_claims = None  # in a pool worker: the indices of the replications it claims
+
+
+def _share_claims(counter, reps: int) -> None:
+    """Pool initializer: claim, one at a time, the next of the ``reps``
+    replications that no worker of the pool has claimed."""
+
+    def claim():
+        with counter.get_lock():
+            counter.value += 1
+            return counter.value - 1
+
+    global _claims
+    _claims = itertools.takewhile(lambda k: k < reps, iter(claim, None))
+
+
+def _run_worker(tasks) -> list[dict]:
+    """Worker entry point: fit in lockstep the replications of ``tasks`` it
+    claims, each as soon as its lockstep has room for another."""
+    return _lockstep(_replication(*tasks[k]) for k in _claims)
 
 
 def cmd_experiment(args) -> int:
@@ -562,27 +580,26 @@ def cmd_experiment(args) -> int:
         raise ConfigError(f"--jobs must be >= 0, got {args.jobs}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # one batch per worker, and a fork pool starts all its workers at once,
-    # so never more workers than replications
+    # a fork pool starts all its workers at once, so never more workers
+    # than replications
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(args.jobs or cores or 1, reps)
-    tasks = [
-        (sc, em_cfg, r, sc.seed + r, args.stable_output) for r in range(1, reps + 1)
-    ]
-    batches = [tasks[k * reps // jobs:(k + 1) * reps // jobs] for k in range(jobs)]
+    tasks = [(sc, em_cfg, r, sc.seed + r, args.stable_output) for r in range(1, reps + 1)]
     if jobs > 1:
         # imported here: simulate and fit never start a pool.  numpy loads
         # numpy.random on first use; loading it before the fork lets the
         # workers inherit it instead of each importing it again per pool
         import concurrent.futures
+        import multiprocessing
 
         import numpy.random
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(_run_batch, batches))
+        claims = dict(initializer=_share_claims, initargs=(multiprocessing.Value("q", 0), reps))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, **claims) as pool:
+            done = pool.map(_run_worker, [tasks] * jobs)
+            rows = sorted((row for batch in done for row in batch), key=lambda row: row["rep"])
     else:
-        done = map(_run_batch, batches)
-    rows = [row for batch in done for row in batch]
+        rows = _lockstep(_replication(*task) for task in tasks)
 
     n = sc.theta_true.n_states
     header = [

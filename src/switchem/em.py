@@ -156,7 +156,7 @@ class IterationRecord:
     theta_m), both under the weights smoothed at theta_m, so
     h_after < h_before marks an ascent violation.  ``elapsed_ms`` is the
     iteration's own M-step wall time plus its 1/R share of the E-step
-    passes of its round with R fits run in lockstep (all of them alone).
+    pass of its round with R fits live in lockstep (all of it alone).
     """
 
     iteration: int
@@ -336,61 +336,56 @@ def em_steps(obs: ObservationSeries, g: GeneratorMatrix, cfg: EmConfig | None = 
     return EmResult(theta, gen, trace, "max_iters_reached", cfg.max_iters)
 
 
-# A lockstep round stacks the E-steps of at most this many observations
-# (fits * n) into one pass.  Stacking pays where numpy's per-call cost
-# outweighs its arithmetic.  On a 2-core VM (numpy 2.4.6) the E-step of 5
-# replications at N = 3, n = 10^3 ran about 1.6x as fast stacked as one at
-# a time, and the 20 replications of the experiment-short benchmark, in
-# passes of 5, ran 1.19x as many replications a second.  At N = 2 two
-# stacked replications ran about 1.3x as fast at n = 2500, and no faster
-# at n = 10^4.
+# A stacked E-step pass holds at most this many observations (fits * n).
+# Stacking pays where numpy's per-call cost outweighs its arithmetic.  On a
+# 2-core VM (numpy 2.4.6) the E-step of 5 replications at N = 3, n = 10^3
+# ran about 1.6x as fast stacked as one at a time, and the 20 replications
+# of the experiment-short benchmark, in passes of 5, ran 1.19x as many
+# replications a second.  At N = 2 two stacked replications ran about 1.3x
+# as fast at n = 2500, and no faster at n = 10^4.
 _STACK_OBS = 5000
 
 
-def _alone(request):
-    """The E-step of one request (terms, generator, initial probabilities)
-    by the public passes: its (FilterState, SmoothedPairProbs), or the
-    exception it raises."""
-    try:
-        fs = forward_filter(*request)
-        return fs, backward_smooth(fs)
-    except Exception as exc:
-        return exc
+def _stack_size(request) -> int:
+    """How many E-step requests like ``request`` one stacked pass holds; 8
+    or more regimes, whose bytes stacking can move (see the smoother's
+    *Layout*), run alone."""
+    terms, g, _ = request
+    return max(1, _STACK_OBS // terms.obs.n) if g.n_states < 8 else 1
 
 
 def _estep(requests: list) -> list:
-    """What :func:`_alone` gives for each of the ``requests``, which share
-    N and n, from consecutive stacked passes of at most ``_STACK_OBS``
-    observations.  Only fewer than 8 regimes are stacked: then each request
-    gets the bytes of its pass alone (see the smoother's *Layout*).  When a
-    stacked pass raises, each of its requests is run again alone, so every
-    error goes to its own request as it is raised alone.
+    """The E-step of each of the ``requests`` (terms, generator, initial
+    probabilities): its (FilterState, SmoothedPairProbs) or the exception it
+    raises.  Several, which share N and n and fit one pass, run as one
+    stacked pass with each one's bytes alone; one, or each of several whose
+    pass raised, runs the public passes, and so raises its own error.
     """
-    terms, g, _ = requests[0]
-    size = max(1, _STACK_OBS // terms.obs.n) if g.n_states < 8 else 1
-    out = []
-    for k in range(0, len(requests), size):
-        chunk = requests[k:k + size]
-        if len(chunk) == 1:
-            out.append(_alone(chunk[0]))
-            continue
+    if len(requests) > 1:
         try:
-            out += _batch_passes(chunk)
+            return _batch_passes(requests)
         except Exception:  # one of them broke down; find it and its error alone
-            out += map(_alone, chunk)
+            pass
+    out = []
+    for request in requests:
+        try:
+            fs = forward_filter(*request)
+            out.append((fs, backward_smooth(fs)))
+        except Exception as exc:
+            out.append(exc)
     return out
 
 
-def _lockstep(steps: list) -> list:
-    """Run step sequences such as :func:`em_steps` in lockstep and return
-    each one's return value.  Every round stacks the pending E-step requests
-    of all R live sequences into one :func:`_estep`, then resumes each with
-    its outcome and its 1/R share of the round's E-step time, or throws its
-    E-step's exception into it; a sequence leaves the round it returns in.  An
-    exception a sequence raises propagates.
+def _lockstep(steps) -> list:
+    """Run step sequences such as :func:`em_steps`, whose requests share N
+    and n, in lockstep and return their return values in order.  A sequence
+    is drawn from ``steps`` only while the live ones leave room in one
+    stacked pass (:func:`_stack_size`).  Each round runs the pending
+    requests of its R live sequences as one :func:`_estep`, then resumes
+    each with its outcome and its 1/R share of the round's E-step time, or
+    throws its exception into it.  An exception a sequence raises propagates.
     """
-    results = [None] * len(steps)
-    pending = {}
+    steps, seqs, results, pending = iter(steps), [], {}, {}
 
     def resume(i, advance, value):
         try:
@@ -399,19 +394,24 @@ def _lockstep(steps: list) -> list:
             pending.pop(i, None)
             results[i] = stop.value
 
-    for i, seq in enumerate(steps):
-        resume(i, seq.send, None)
-    while pending:
+    while True:
+        while not pending or len(pending) < _stack_size(next(iter(pending.values()))):
+            seq = next(steps, None)
+            if seq is None:
+                break
+            seqs.append(seq)
+            resume(len(seqs) - 1, seq.send, None)
+        if not pending:
+            return [results[i] for i in range(len(seqs))]
         live = list(pending)
         t_start = time.perf_counter()
         outcomes = _estep([pending[i] for i in live])
         share_ms = (time.perf_counter() - t_start) * 1e3 / len(live)
         for i, outcome in zip(live, outcomes):
             if isinstance(outcome, Exception):
-                resume(i, steps[i].throw, outcome)
+                resume(i, seqs[i].throw, outcome)
             else:
-                resume(i, steps[i].send, (*outcome, share_ms))
-    return results
+                resume(i, seqs[i].send, (*outcome, share_ms))
 
 
 def em_fit(

@@ -247,8 +247,9 @@ def _filter_inputs(terms: CauchyTerms, g: GeneratorMatrix, initial_probs):
 
 def _forward(d: np.ndarray, a: np.ndarray, v0: np.ndarray) -> FilterState:
     """The forward pass from the densities, the kernel and the start of one
-    problem, or of a batch stacked on a leading replication axis; a batch
-    raises the breakdown of its first failing replication."""
+    problem, or of a batch stacked on a leading replication axis.  Any
+    breakdown raises :class:`NumericalFailure`; its index and message
+    locate it in a single problem only."""
     with np.errstate(divide="ignore", invalid="ignore"):
         dm = d.max(axis=-2, keepdims=True)
         d = np.where((dm > 0.0) & np.isfinite(dm), d / dm, d)
@@ -258,10 +259,9 @@ def _forward(d: np.ndarray, a: np.ndarray, v0: np.ndarray) -> FilterState:
         mass = (filtered[..., :-1] * d * a.sum(axis=-1)[..., None]).sum(axis=-2)
     bad = ~(np.isfinite(mass) & (mass > 0.0))
     if bad.any():
-        first = int(np.argmax(bad))
-        j = first % bad.shape[-1] + 1
+        j = int(np.argmax(bad)) + 1
         raise NumericalFailure(
-            f"forward filter normalizer {mass.flat[first]!r} at observation {j}", index=j)
+            f"forward filter normalizer {mass.flat[j - 1]!r} at observation {j}", index=j)
     return FilterState(filtered, a, steps)
 
 
@@ -275,8 +275,9 @@ def forward_filter(terms: CauchyTerms, g: GeneratorMatrix, initial_probs=None) -
 
 def _backward(fs: FilterState) -> np.ndarray:
     """The pair weights of one filter state, or of a batch stacked on a
-    leading replication axis; a batch raises the breakdown of its first
-    failing replication."""
+    leading replication axis.  Any breakdown raises
+    :class:`NumericalFailure`; its index and message locate it in a single
+    problem only."""
     pair = fs.steps * fs.filtered[..., None, :-1]
     pm = pair.sum(axis=-3)
     back = np.divide(pair, np.maximum(pm, _TINY)[..., None, :, :], out=pair)
@@ -285,10 +286,9 @@ def _backward(fs: FilterState) -> np.ndarray:
     z = w.reshape(*w.shape[:-3], -1, fs.n).sum(axis=-2)
     bad = ~(np.isfinite(z) & (z > 0.0))
     if bad.any():
-        last = int(np.argmax(bad[..., ::-1]))  # counted from the end
-        j = fs.n - last % fs.n
+        j = fs.n - int(np.argmax(bad[..., ::-1]))  # the last one
         raise NumericalFailure(
-            f"backward smoother slice sum {z[..., ::-1].flat[last]!r} at observation {j}", index=j)
+            f"backward smoother slice sum {z.flat[j - 1]!r} at observation {j}", index=j)
     w /= z[..., None, None, :]
     return w
 

@@ -25,10 +25,17 @@ from switchem import (
     sort_regimes,
     validate_generator,
 )
+import switchem.cli
 import switchem.em
 from switchem.cli import (
     _CONFIG_KEYS, _CSV_BLOCK, _EM_KINDS, _csv_cells, _csv_text, main,
 )
+
+def _worker_claims(_):
+    """The replication indices a pool worker claims (a module-level
+    function, so that the pool can send it to its workers)."""
+    return list(switchem.cli._claims)
+
 
 BASE_CONFIG = {
     "simulation": {
@@ -270,8 +277,9 @@ class TestExperiment:
         assert read(a / "rep_0002_trace.csv") == read(b / "rep_0002_trace.csv")
 
     def test_batches_do_not_change_output(self, tmp_path):
-        # at n = 500 a pass stacks up to 10 replications: --jobs 1, 2 and 3
-        # fit these 7 as one batch, as 3 + 4 and as 2 + 2 + 3
+        # at n = 500 a pass stacks up to 10 replications: --jobs 1 fits
+        # these 7 in one lockstep, --jobs 2 and 3 in workers that each
+        # claim whichever replications they reach first
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["experiment"]["replications"] = 7
         p = tmp_path / "cfg.json"
@@ -399,8 +407,9 @@ class TestExperiment:
         seen = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 seen.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -412,6 +421,7 @@ class TestExperiment:
                 return map(fn, tasks)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("switchem.cli._claims", None)
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["experiment"] = {"replications": reps}
         p = tmp_path / "pool.json"
@@ -431,6 +441,19 @@ class TestExperiment:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert self.run_with_recorded_pool(tmp_path, monkeypatch, 0, 2) == []
+
+    def test_workers_claim_each_replication_once(self):
+        # 4 workers draw 20000 claims from one shared counter at once; a
+        # lost update would hand an index to two of them
+        import concurrent.futures
+        import multiprocessing
+
+        reps = 20000
+        claims = dict(initializer=switchem.cli._share_claims,
+                      initargs=(multiprocessing.Value("q", 0), reps))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=4, **claims) as pool:
+            got = [k for part in pool.map(_worker_claims, range(4), timeout=120) for k in part]
+        assert sorted(got) == list(range(reps))
 
     def test_kernel_diagonal_at_zero_does_not_abort(self, tmp_path):
         # from its random start, seed 1046 drives a generator row to

@@ -31,7 +31,7 @@ from switchem import (
 )
 
 import switchem.em
-from switchem.em import _alone, _estep, _lockstep
+from switchem.em import _estep, _lockstep
 
 from oracles import loop_update_rates
 
@@ -331,11 +331,17 @@ class TestLockstep:
             np.testing.assert_array_equal(w.w, ref_w.w)
 
 
-    # a pass stacks at most 5000 observations: 5 of n = 1000, 2 of n = 2500,
-    # and from n = 2501 on every request runs alone
-    @pytest.mark.parametrize("n,passes", [(1000, [5, 5, 2]), (2500, [2] * 6),
-                                          (2501, []), (5000, [])])
-    def test_a_round_stacks_passes_of_at_most_5000_observations(self, monkeypatch, n, passes):
+    # a pass stacks at most 5000 observations: 5 fits of n = 1000, 2 of
+    # n = 2500, and from n = 2501 on every E-step runs alone.  A fit starts
+    # only while the live ones leave room in the pass: 12 fits of one round
+    # run passes of 5, 5 and 2, and when the first of 7 fits runs 3 rounds,
+    # the other 6 one, the two left start as the first 4 return
+    @pytest.mark.parametrize("n,rounds,passes", [
+        (1000, [1] * 12, [5, 5, 2]), (1000, [3] + [1] * 6, [5, 3]),
+        (2500, [1] * 12, [2] * 6), (2501, [1] * 12, []), (5000, [1] * 12, []),
+    ])
+    def test_a_round_stacks_passes_of_at_most_5000_observations(self, monkeypatch, n,
+                                                                rounds, passes):
         real, seen = switchem.em._batch_passes, []
 
         def record(requests):
@@ -345,12 +351,17 @@ class TestLockstep:
         monkeypatch.setattr("switchem.em._batch_passes", record)
         g, paths = self.paths(count=1, n=n)
         request = (CauchyTerms(Theta(np.array([5.0, 2.5, 0.5]), 1.0, 0.5), paths[0]), g, None)
-        got = _estep([request] * 12)
+        want_fs, want_w = _estep([request])[0]
+
+        def fit(count):
+            for _ in range(count):
+                fs, w, _ = yield request
+                np.testing.assert_array_equal(fs.filtered, want_fs.filtered)
+                np.testing.assert_array_equal(w.w, want_w.w)
+            return count
+
+        assert _lockstep(fit(count) for count in rounds) == rounds
         assert seen == passes
-        want_fs, want_w = _alone(request)
-        for fs, w in got:
-            np.testing.assert_array_equal(fs.filtered, want_fs.filtered)
-            np.testing.assert_array_equal(w.w, want_w.w)
 
 
 class TestUpdateGenerator:
