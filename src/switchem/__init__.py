@@ -20,7 +20,6 @@ from .em import (
     EmResult,
     IterationRecord,
     em_fit,
-    em_steps,
     first_order_step,
     newton_step,
     quadratic_error,
@@ -68,7 +67,6 @@ __all__ = [
     "Theta",
     "backward_smooth",
     "em_fit",
-    "em_steps",
     "euler_path",
     "first_order_step",
     "forward_filter",

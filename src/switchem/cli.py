@@ -49,12 +49,12 @@ r of ``experiment`` draws it from ``[seed_base + r, 1]``, as
 
 An experiment fits its replications on ``--jobs`` workers (0 = every
 core in the process's CPU affinity set, or on the host where there is no
-such set), capped at the replication count.  A worker claims the next
-replication whenever its lockstep (``em._lockstep``) has room for another.
-Results do not depend on the worker or lockstep, so ``--stable-output``,
-which zeroes the elapsed-time fields, makes outputs bit-identical across
-runs and ``--jobs`` values.  A trace's ``elapsed_ms`` is the iteration's
-M-step time plus its share of its round's E-step pass.
+such set), capped at the replication count.  A worker fits one
+replication at a time and, when it is free, claims the next one that no
+worker has claimed.  Results do not depend on the worker, so
+``--stable-output``, which zeroes the elapsed-time fields, makes outputs
+bit-identical across runs and ``--jobs`` values.  A trace's
+``elapsed_ms`` is the iteration's own wall time, E-step and M-step.
 """
 
 from __future__ import annotations
@@ -78,9 +78,7 @@ from .ctmc import GeneratorMatrix, validate_generator
 from .em import (
     EmConfig,
     EmResult,
-    _lockstep,
     em_fit,
-    em_steps,
     quadratic_error,
     sort_regimes,
 )
@@ -515,17 +513,16 @@ def cmd_fit(args) -> int:
     return EXIT_NUMERICAL if result.status == "numerical_failure" else EXIT_OK
 
 
-def _replication(base, em_cfg, rep, seed, stable):
-    """Step sequence (see :func:`em.em_steps`) of one replication: simulate
-    its path with its derived seed, fit it, and return its summary row."""
+def _replication(base, em_cfg, rep, seed, stable) -> dict:
+    """Simulate one replication's path with its derived seed, fit it, and
+    return its summary row."""
     sc = dataclasses.replace(base, seed=seed)
     row = {"rep": rep, "seed": seed, "estimate": None, "qe": None, "iters": 0,
            "status": "numerical_failure", "trace": b""}
     try:
         obs, _, _ = simulate_path(sc)
         # independent starting point per replication; em.init_seed is ignored
-        cfg = dataclasses.replace(em_cfg, init_seed=(seed, 1))
-        result = yield from em_steps(obs, sc.generator, cfg)
+        result = em_fit(obs, sc.generator, dataclasses.replace(em_cfg, init_seed=(seed, 1)))
         if result.status == "numerical_failure":
             raise NumericalFailure(result.message)
         est = sort_regimes(result.theta)
@@ -560,9 +557,9 @@ def _share_claims(counter, reps: int) -> None:
 
 
 def _run_worker(tasks) -> list[dict]:
-    """Worker entry point: fit in lockstep the replications of ``tasks`` it
-    claims, each as soon as its lockstep has room for another."""
-    return _lockstep(_replication(*tasks[k]) for k in _claims)
+    """Worker entry point: fit, one at a time, the replications of
+    ``tasks`` it claims."""
+    return [_replication(*tasks[k]) for k in _claims]
 
 
 def cmd_experiment(args) -> int:
@@ -599,7 +596,7 @@ def cmd_experiment(args) -> int:
             done = pool.map(_run_worker, [tasks] * jobs)
             rows = sorted((row for batch in done for row in batch), key=lambda row: row["rep"])
     else:
-        rows = _lockstep(_replication(*task) for task in tasks)
+        rows = [_replication(*task) for task in tasks]
 
     n = sc.theta_true.n_states
     header = [

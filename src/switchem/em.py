@@ -37,7 +37,7 @@ from .likelihood import (
     grad_H,
     hessian_H,
 )
-from .smoother import _batch_passes, _initial_probs, backward_smooth, forward_filter
+from .smoother import _initial_probs, backward_smooth, forward_filter
 
 TERMINATION_CHOICES = ("D1", "D2", "D3")
 M_STEP_CHOICES = ("first_order", "newton")
@@ -155,8 +155,7 @@ class IterationRecord:
     ``h_before`` is H(theta_m; theta_m) and ``h_after`` H(theta_{m+1};
     theta_m), both under the weights smoothed at theta_m, so
     h_after < h_before marks an ascent violation.  ``elapsed_ms`` is the
-    iteration's own M-step wall time plus its 1/R share of the E-step
-    pass of its round with R fits live in lockstep (all of it alone).
+    iteration's wall time, E-step and M-step together.
     """
 
     iteration: int
@@ -275,14 +274,15 @@ def update_generator(
     return GeneratorMatrix(q)
 
 
-def em_steps(obs: ObservationSeries, g: GeneratorMatrix, cfg: EmConfig | None = None):
-    """The EM loop of :func:`em_fit` as a step sequence, so that many fits
-    can share their E-steps: a generator that yields each iteration's E-step
-    request (terms, generator, initial filter probabilities), is then sent
-    its (FilterState, SmoothedPairProbs, E-step ms) or has the request's
-    exception thrown in, and returns the :class:`EmResult`.  A
-    NumericalFailure ends the fit as in :func:`em_fit`; any other exception
-    propagates.
+def em_fit(
+    obs: ObservationSeries, g: GeneratorMatrix, cfg: EmConfig | None = None
+) -> EmResult:
+    """Run the EM loop from ``cfg.initial_theta``; returns an :class:`EmResult`.
+
+    The start is ``cfg.theta0`` when set, else a draw seeded by
+    ``cfg.init_seed``; either way its size is checked against the N states
+    of ``g``.  Numerical breakdown does not raise: the result carries
+    status 'numerical_failure', the last good iterate, and a message.
     """
     if cfg is None:
         cfg = EmConfig()
@@ -292,9 +292,10 @@ def em_steps(obs: ObservationSeries, g: GeneratorMatrix, cfg: EmConfig | None = 
     trace: list[IterationRecord] = []
     terms = CauchyTerms(theta, obs)
     for m in range(1, cfg.max_iters + 1):
+        t_start = time.perf_counter()
         try:
-            fs, w, estep_ms = yield terms, gen, cfg.initial_filter_probs
-            t_start = time.perf_counter()
+            fs = forward_filter(terms, gen, cfg.initial_filter_probs)
+            w = backward_smooth(fs)
             h_before = H_n(terms, fs.kernel, w)
             grad = grad_H(terms, w)
             fallback = False
@@ -327,106 +328,13 @@ def em_steps(obs: ObservationSeries, g: GeneratorMatrix, cfg: EmConfig | None = 
                 stat,
                 bool(h_after < h_before),
                 fallback,
-                estep_ms + (time.perf_counter() - t_start) * 1e3,
+                (time.perf_counter() - t_start) * 1e3,
             )
         )
         theta, terms = theta_new, new
         if stat <= cfg.epsilon:
             return EmResult(theta, gen, trace, "converged", m)
     return EmResult(theta, gen, trace, "max_iters_reached", cfg.max_iters)
-
-
-# A stacked E-step pass holds at most this many observations (fits * n).
-# Stacking pays where numpy's per-call cost outweighs its arithmetic.  On a
-# 2-core VM (numpy 2.4.6) the E-step of 5 replications at N = 3, n = 10^3
-# ran about 1.6x as fast stacked as one at a time, and the 20 replications
-# of the experiment-short benchmark, in passes of 5, ran 1.19x as many
-# replications a second.  At N = 2 two stacked replications ran about 1.3x
-# as fast at n = 2500, and no faster at n = 10^4.
-_STACK_OBS = 5000
-
-
-def _stack_size(request) -> int:
-    """How many E-step requests like ``request`` one stacked pass holds; 8
-    or more regimes, whose bytes stacking can move (see the smoother's
-    *Layout*), run alone."""
-    terms, g, _ = request
-    return max(1, _STACK_OBS // terms.obs.n) if g.n_states < 8 else 1
-
-
-def _estep(requests: list) -> list:
-    """The E-step of each of the ``requests`` (terms, generator, initial
-    probabilities): its (FilterState, SmoothedPairProbs) or the exception it
-    raises.  Several, which share N and n and fit one pass, run as one
-    stacked pass with each one's bytes alone; one, or each of several whose
-    pass raised, runs the public passes, and so raises its own error.
-    """
-    if len(requests) > 1:
-        try:
-            return _batch_passes(requests)
-        except Exception:  # one of them broke down; find it and its error alone
-            pass
-    out = []
-    for request in requests:
-        try:
-            fs = forward_filter(*request)
-            out.append((fs, backward_smooth(fs)))
-        except Exception as exc:
-            out.append(exc)
-    return out
-
-
-def _lockstep(steps) -> list:
-    """Run step sequences such as :func:`em_steps`, whose requests share N
-    and n, in lockstep and return their return values in order.  A sequence
-    is drawn from ``steps`` only while the live ones leave room in one
-    stacked pass (:func:`_stack_size`).  Each round runs the pending
-    requests of its R live sequences as one :func:`_estep`, then resumes
-    each with its outcome and its 1/R share of the round's E-step time, or
-    throws its exception into it.  An exception a sequence raises propagates.
-    """
-    steps, seqs, results, pending = iter(steps), [], {}, {}
-
-    def resume(i, advance, value):
-        try:
-            pending[i] = advance(value)
-        except StopIteration as stop:
-            pending.pop(i, None)
-            results[i] = stop.value
-
-    while True:
-        while not pending or len(pending) < _stack_size(next(iter(pending.values()))):
-            seq = next(steps, None)
-            if seq is None:
-                break
-            seqs.append(seq)
-            resume(len(seqs) - 1, seq.send, None)
-        if not pending:
-            return [results[i] for i in range(len(seqs))]
-        live = list(pending)
-        t_start = time.perf_counter()
-        outcomes = _estep([pending[i] for i in live])
-        share_ms = (time.perf_counter() - t_start) * 1e3 / len(live)
-        for i, outcome in zip(live, outcomes):
-            if isinstance(outcome, Exception):
-                resume(i, seqs[i].throw, outcome)
-            else:
-                resume(i, seqs[i].send, (*outcome, share_ms))
-
-
-def em_fit(
-    obs: ObservationSeries, g: GeneratorMatrix, cfg: EmConfig | None = None
-) -> EmResult:
-    """Run the EM loop from ``cfg.initial_theta``; returns an :class:`EmResult`.
-
-    The start is ``cfg.theta0`` when set, else a draw seeded by
-    ``cfg.init_seed``; either way its size is checked against the N states
-    of ``g``.  Numerical breakdown does not raise: the result carries
-    status 'numerical_failure', the last good iterate, and a message.  This
-    is :func:`em_steps` run alone; fits with fewer than 8 regimes run in
-    lockstep share their E-step passes and give the same results.
-    """
-    return _lockstep([em_steps(obs, g, cfg)])[0]
 
 
 def sort_regimes(theta: Theta) -> Theta:

@@ -18,7 +18,6 @@ from switchem import (
     Theta,
     backward_smooth,
     em_fit,
-    em_steps,
     forward_filter,
     simulate_path,
     smoothed_marginals,
@@ -26,7 +25,6 @@ from switchem import (
     validate_generator,
 )
 import switchem.cli
-import switchem.em
 from switchem.cli import (
     _CONFIG_KEYS, _CSV_BLOCK, _EM_KINDS, _csv_cells, _csv_text, main,
 )
@@ -276,10 +274,9 @@ class TestExperiment:
         assert read(a / "summary.csv") == read(b / "summary.csv")
         assert read(a / "rep_0002_trace.csv") == read(b / "rep_0002_trace.csv")
 
-    def test_batches_do_not_change_output(self, tmp_path):
-        # at n = 500 a pass stacks up to 10 replications: --jobs 1 fits
-        # these 7 in one lockstep, --jobs 2 and 3 in workers that each
-        # claim whichever replications they reach first
+    def test_worker_claims_do_not_change_output(self, tmp_path):
+        # --jobs 1 fits these 7 replications in order, --jobs 2 and 3 in
+        # workers that each claim whichever replications they reach first
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["experiment"]["replications"] = 7
         p = tmp_path / "cfg.json"
@@ -294,32 +291,6 @@ class TestExperiment:
             assert sorted(f.name for f in out.iterdir()) == names
             for name in names:
                 assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
-
-    # a pass stacks up to 100 replications at n = 50, but stacking 8 or
-    # more regimes can move bytes (TestBatch.test_eight_regimes_can_move_bytes
-    # in tests/test_smoother.py), so from 8 on every replication runs alone
-    @pytest.mark.parametrize("regimes,stacked", [(7, {3}), (8, set())])
-    def test_eight_regimes_are_never_stacked(self, tmp_path, monkeypatch, regimes, stacked):
-        real = switchem.em._batch_passes
-        seen = []
-
-        def record(requests):
-            seen.append(len(requests))
-            return real(requests)
-
-        monkeypatch.setattr("switchem.em._batch_passes", record)
-        q = np.full((regimes, regimes), 0.01)
-        np.fill_diagonal(q, -0.01 * (regimes - 1))
-        cfg = json.loads(json.dumps(BASE_CONFIG))
-        cfg["simulation"].update(b=np.linspace(8.0, 1.0, regimes).tolist(), q=q.tolist(),
-                                 horizon_t=5.0)
-        cfg["em"]["max_iters"] = 2
-        cfg["experiment"]["replications"] = 3
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(cfg))
-        assert main(["experiment", "--config", str(p), "--out", str(tmp_path / "o"),
-                     "--jobs", "1"]) == 0
-        assert set(seen) == stacked
 
     def test_all_failures_exit_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("SWITCHEM_SEED", raising=False)
@@ -371,18 +342,14 @@ class TestExperiment:
     def test_unexpected_error_keeps_the_other_rows(self, tmp_path, capsys, monkeypatch,
                                                    reps, rc):
         monkeypatch.delenv("SWITCHEM_SEED", raising=False)
-        real = em_steps
+        real = em_fit
 
         def fail_seed_43(obs, g, cfg):
-            # replication 1 fails in its first M-step, after the E-step
-            # pass it shares with the rest of its batch
-            steps = real(obs, g, cfg)
             if cfg.init_seed == (43, 1):
-                yield next(steps)
                 raise RuntimeError("worker lost its state")
-            return (yield from steps)
+            return real(obs, g, cfg)
 
-        monkeypatch.setattr("switchem.cli.em_steps", fail_seed_43)
+        monkeypatch.setattr("switchem.cli.em_fit", fail_seed_43)
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["experiment"] = {"replications": reps}
         p = tmp_path / "cfg.json"
@@ -441,6 +408,21 @@ class TestExperiment:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert self.run_with_recorded_pool(tmp_path, monkeypatch, 0, 2) == []
+
+    # the benchmark's tracer times an experiment's fits by their em_fit
+    # calls, in-process and in pool workers alike
+    @pytest.mark.parametrize("jobs,workers", [(1, []), (3, [3])])
+    def test_each_replication_is_one_em_fit(self, tmp_path, monkeypatch, jobs, workers):
+        monkeypatch.delenv("SWITCHEM_SEED", raising=False)
+        starts = []
+
+        def record(obs, g, cfg):
+            starts.append(cfg.init_seed)
+            return em_fit(obs, g, cfg)
+
+        monkeypatch.setattr("switchem.cli.em_fit", record)
+        assert self.run_with_recorded_pool(tmp_path, monkeypatch, jobs, 3) == workers
+        assert sorted(starts) == [(43, 1), (44, 1), (45, 1)]
 
     def test_workers_claim_each_replication_once(self):
         # 4 workers draw 20000 claims from one shared counter at once; a

@@ -8,14 +8,12 @@ from switchem import (
     ConfigError,
     EmConfig,
     H_n,
-    NumericalFailure,
     ObservationSeries,
     SimulationConfig,
     SmoothedPairProbs,
     Theta,
     backward_smooth,
     em_fit,
-    em_steps,
     first_order_step,
     forward_filter,
     grad_H,
@@ -29,9 +27,6 @@ from switchem import (
     update_generator,
     validate_generator,
 )
-
-import switchem.em
-from switchem.em import _estep, _lockstep
 
 from oracles import loop_update_rates
 
@@ -158,6 +153,15 @@ class TestTerminationStat:
         assert v == pytest.approx(np.sqrt(2.0))
 
 
+def three_regime_paths(count):
+    """``count`` paths of n = 300 under one 3-regime generator."""
+    theta = Theta(np.array([6.0, 3.0, 0.0]), 2.0, 1.0)
+    g = validate_generator([[-0.02, 0.01, 0.01], [0.01, -0.02, 0.01],
+                            [0.01, 0.01, -0.02]])
+    return g, [simulate_path(SimulationConfig(theta, 0.3, g, 300 * 0.1, 0.1, seed=60 + r))[0]
+               for r in range(count)]
+
+
 class TestEmFit:
     def test_recovers_parameters_roughly(self, short_path):
         theta_true, g, obs = short_path
@@ -231,137 +235,37 @@ class TestEmFit:
             theta, gen = new, update_generator(gen, w, obs.h)
         np.testing.assert_array_equal(res.generator.q, gen.q)
 
-
-class TestLockstep:
-    """Fits run in lockstep share each round's E-step pass and give exactly
-    what each gives alone."""
-
-    @staticmethod
-    def paths(count=5, n=300):
-        theta = Theta(np.array([6.0, 3.0, 0.0]), 2.0, 1.0)
-        g = validate_generator([[-0.02, 0.01, 0.01], [0.01, -0.02, 0.01],
-                                [0.01, 0.01, -0.02]])
-        return g, [simulate_path(SimulationConfig(theta, 0.3, g, n * 0.1, 0.1, seed=60 + r))[0]
-                   for r in range(count)]
-
-    @staticmethod
-    def assert_same(got, want):
-        assert (got.status, got.iterations, got.message) == (
-            want.status, want.iterations, want.message)
-        np.testing.assert_array_equal(got.theta.to_vector(), want.theta.to_vector())
-        np.testing.assert_array_equal(got.generator.q, want.generator.q)
-        assert len(got.trace) == len(want.trace)
-        fields = ("iteration", "h_before", "h_after", "stat", "ascent_violation",
-                  "used_fallback")
-        for a, b in zip(got.trace, want.trace):
-            assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
-            np.testing.assert_array_equal(a.theta, b.theta)
-            assert a.elapsed_ms > 0.0
-
     # first-order fits converge after 4 or 5 iterations, but the third
     # stops at its max_iters of 3; Newton fits converge after 3 or 4, one
     # fallback each, but the fourth falls back at every iteration up to 20
-    @pytest.mark.parametrize("m_step,rho,epsilon,max_iters", [
-        ("first_order", 3e-4, 0.05, [40, 40, 3, 40, 40]),
-        ("newton", 1e-4, 0.01, [20] * 5),
+    @pytest.mark.parametrize("m_step,rho,epsilon,max_iters,stopped", [
+        ("first_order", 3e-4, 0.05, [40, 40, 3, 40, 40], 2),
+        ("newton", 1e-4, 0.01, [20] * 5, 3),
     ])
-    def test_each_fit_gets_its_result_alone(self, m_step, rho, epsilon, max_iters):
-        g, paths = self.paths()
+    def test_each_fit_ends_as_its_own_config_says(self, m_step, rho, epsilon, max_iters,
+                                                  stopped):
+        g, paths = three_regime_paths(5)
         cfgs = [EmConfig(epsilon=epsilon, rho=rho, max_iters=k, m_step=m_step, update_q=True,
                          theta0=(5.0, 2.5, 0.5, 1.0, 0.5)) for k in max_iters]
-        alone = [em_fit(obs, g, cfg) for obs, cfg in zip(paths, cfgs)]
-        assert len({res.iterations for res in alone}) > 2
-        assert {res.status for res in alone} == {"converged", "max_iters_reached"}
-        got = _lockstep([em_steps(obs, g, cfg) for obs, cfg in zip(paths, cfgs)])
-        for res, want in zip(got, alone):
-            self.assert_same(res, want)
+        got = [em_fit(obs, g, cfg) for obs, cfg in zip(paths, cfgs)]
+        assert len({res.iterations for res in got}) > 2
+        assert [res.status for res in got] == [
+            "max_iters_reached" if r == stopped else "converged" for r in range(5)]
+        for res in got:
+            assert all(rec.elapsed_ms > 0.0 for rec in res.trace)
 
     def test_a_numerical_failure_ends_only_its_fit(self):
         # observation 50 of the second path overflows every squared residual
-        g, paths = self.paths(count=3)
+        g, paths = three_regime_paths(3)
         x = paths[1].x.copy()
         x[50] = 1e200
         paths[1] = ObservationSeries(x, paths[1].h)
         cfg = EmConfig(epsilon=0.05, m_step="newton", update_q=True, theta0=(5.0, 2.5, 0.5, 1.0, 0.5))
         with np.errstate(over="ignore"):
-            alone = [em_fit(obs, g, cfg) for obs in paths]
-            got = _lockstep([em_steps(obs, g, cfg) for obs in paths])
-        assert alone[1].status == "numerical_failure" and alone[1].iterations == 0
-        assert "forward filter normalizer" in alone[1].message
-        for res, want in zip(got, alone):
-            self.assert_same(res, want)
-
-    # one broken replication of four in a stacked pass, or two
-    @pytest.mark.parametrize("broken", [(2,), (0, 3)])
-    def test_the_stacked_estep_reports_a_breakdown_as_it_is_alone(self, broken):
-        g, paths = self.paths(count=4)
-        theta = Theta(np.array([5.0, 2.5, 0.5]), 1.0, 0.5)
-        with np.errstate(over="ignore"):
-            for r in broken:
-                x = paths[r].x.copy()
-                x[7] = 1e200
-                paths[r] = ObservationSeries(x, paths[r].h)
-            requests = [(CauchyTerms(theta, obs), g, None) for obs in paths]
-            got = _estep(requests)
-            alone = [_estep([request])[0] for request in requests]
-        for r in broken:
-            assert isinstance(got[r], NumericalFailure) and isinstance(alone[r], NumericalFailure)
-            assert (got[r].index, str(got[r])) == (alone[r].index, str(alone[r])) == (
-                7, str(alone[r]))
-        for r in set(range(4)) - set(broken):
-            (fs, w), (ref_fs, ref_w) = got[r], alone[r]
-            np.testing.assert_array_equal(fs.filtered, ref_fs.filtered)
-            np.testing.assert_array_equal(w.w, ref_w.w)
-
-    def test_the_stacked_estep_keeps_any_other_error_to_its_request(self):
-        # a generator whose exit rate 20 exceeds 1/h = 10 has no kernel at h
-        g, paths = self.paths(count=3)
-        fast = validate_generator([[-20.0, 10.0, 10.0], [0.01, -0.02, 0.01],
-                                   [0.01, 0.01, -0.02]])
-        theta = Theta(np.array([5.0, 2.5, 0.5]), 1.0, 0.5)
-        requests = [(CauchyTerms(theta, obs), gen, None)
-                    for obs, gen in zip(paths, [g, fast, g])]
-        got = _estep(requests)
-        with pytest.raises(ConfigError) as alone:
-            forward_filter(*requests[1])
-        assert isinstance(got[1], ConfigError) and str(got[1]) == str(alone.value)
-        for r in (0, 2):
-            (fs, w), (ref_fs, ref_w) = got[r], _estep([requests[r]])[0]
-            np.testing.assert_array_equal(fs.filtered, ref_fs.filtered)
-            np.testing.assert_array_equal(w.w, ref_w.w)
-
-
-    # a pass stacks at most 5000 observations: 5 fits of n = 1000, 2 of
-    # n = 2500, and from n = 2501 on every E-step runs alone.  A fit starts
-    # only while the live ones leave room in the pass: 12 fits of one round
-    # run passes of 5, 5 and 2, and when the first of 7 fits runs 3 rounds,
-    # the other 6 one, the two left start as the first 4 return
-    @pytest.mark.parametrize("n,rounds,passes", [
-        (1000, [1] * 12, [5, 5, 2]), (1000, [3] + [1] * 6, [5, 3]),
-        (2500, [1] * 12, [2] * 6), (2501, [1] * 12, []), (5000, [1] * 12, []),
-    ])
-    def test_a_round_stacks_passes_of_at_most_5000_observations(self, monkeypatch, n,
-                                                                rounds, passes):
-        real, seen = switchem.em._batch_passes, []
-
-        def record(requests):
-            seen.append(len(requests))
-            return real(requests)
-
-        monkeypatch.setattr("switchem.em._batch_passes", record)
-        g, paths = self.paths(count=1, n=n)
-        request = (CauchyTerms(Theta(np.array([5.0, 2.5, 0.5]), 1.0, 0.5), paths[0]), g, None)
-        want_fs, want_w = _estep([request])[0]
-
-        def fit(count):
-            for _ in range(count):
-                fs, w, _ = yield request
-                np.testing.assert_array_equal(fs.filtered, want_fs.filtered)
-                np.testing.assert_array_equal(w.w, want_w.w)
-            return count
-
-        assert _lockstep(fit(count) for count in rounds) == rounds
-        assert seen == passes
+            got = [em_fit(obs, g, cfg) for obs in paths]
+        assert got[1].status == "numerical_failure" and got[1].iterations == 0
+        assert "forward filter normalizer" in got[1].message
+        assert [res.status for res in (got[0], got[2])] == ["converged"] * 2
 
 
 class TestUpdateGenerator:

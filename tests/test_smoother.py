@@ -23,7 +23,7 @@ from switchem import (
     update_generator,
     validate_generator,
 )
-from switchem.smoother import _backward, _batch_passes, _blocks, _kernel_scan, _scan
+from switchem.smoother import _blocks, _kernel_scan, _scan
 
 from oracles import enumerate_filter_smoother, loop_filter_smoother
 
@@ -445,87 +445,3 @@ class TestMemoryLayout:
         ]
         for got, ref in pairs:
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
-
-
-class TestBatch:
-    """A batch, stacked on a leading replication axis, gives every
-    replication the bytes of its pass alone: each keeps its own block
-    layout, and no sum mixes replications."""
-
-    @staticmethod
-    def problems(m, n, count=6):
-        # one kernel per replication, as generator updates give them
-        rng = np.random.default_rng(50 + 10 * m + n)
-        probs = [small_instance(rng, n=n, m=m) for _ in range(count)]
-        obs = probs[0][2]
-        inits = [None, rng.dirichlet(np.ones(m))] * (count // 2)
-        return [(CauchyTerms(theta, ObservationSeries(p_obs.x, obs.h)), g, init)
-                for (theta, g, p_obs), init in zip(probs, inits)]
-
-    @staticmethod
-    def alone(request):
-        fs = forward_filter(*request)
-        return fs, backward_smooth(fs)
-
-    def assert_bytes_alone(self, requests, per_batch):
-        for start in range(0, len(requests), per_batch):
-            batch = requests[start:start + per_batch]
-            pairs = _batch_passes(batch)
-            assert len(pairs) == len(batch)
-            for (fs, w), request in zip(pairs, batch):
-                ref_fs, ref_w = self.alone(request)
-                for got, want in [(fs.filtered, ref_fs.filtered), (fs.kernel, ref_fs.kernel),
-                                  (fs.steps, ref_fs.steps), (w.w, ref_w.w)]:
-                    np.testing.assert_array_equal(got, want)
-                assert w.w.flags.c_contiguous
-
-    # n = 1 is one block; 8, 37 and 1000 chain 3, 12 and 99 block ends
-    @pytest.mark.parametrize("n", [1, 8, 37, 1000])
-    @pytest.mark.parametrize("m", [2, 3])
-    @pytest.mark.parametrize("per_batch", [6, 3, 2, 1])
-    def test_each_replication_gets_its_bytes_alone(self, m, n, per_batch):
-        self.assert_bytes_alone(self.problems(m, n), per_batch)
-
-    # 7 regimes, the most the experiment stacks: numpy still adds the 7
-    # terms of a regime sum in order, also where a lone pass of one block
-    # (n = 1) or of one block of 2 steps (n = 5) has no other axis to run along
-    @pytest.mark.parametrize("n", [1, 5])
-    def test_seven_regimes_get_their_bytes_alone(self, n):
-        # rates scaled down so that every exit rate stays below 1/h
-        requests = [(terms, validate_generator(g.q / 7), init)
-                    for terms, g, init in self.problems(7, n)]
-        self.assert_bytes_alone(requests, 6)
-
-    def test_eight_regimes_can_move_bytes(self):
-        # why an experiment stacks no more than 7 regimes: numpy adds 8 or
-        # more terms pairwise along an array's innermost axis, which is the
-        # regime axis of a lone one-block pass but the replication axis of
-        # a stack
-        requests = [(terms, validate_generator(g.q / 8), init)
-                    for terms, g, init in self.problems(8, 1)]
-        moved = [not np.array_equal(fs.filtered, self.alone(request)[0].filtered)
-                 for (fs, _), request in zip(_batch_passes(requests), requests)]
-        assert any(moved)
-
-    def test_a_stacked_forward_pass_raises_when_one_replication_breaks_down(self):
-        # as in TestForwardFilter.test_breakdown_reports_index, observation 2
-        # of replication 1 overflows every squared residual
-        requests = self.problems(2, 5, count=3)
-        terms, g, init = requests[1]
-        x = terms.obs.x.copy()
-        x[2] = 1e200
-        with np.errstate(over="ignore"):
-            requests[1] = (CauchyTerms(terms.theta, ObservationSeries(x, terms.obs.h)), g, init)
-            with pytest.raises(NumericalFailure):
-                _batch_passes(requests)
-
-    def test_a_stacked_backward_pass_raises_when_one_replication_breaks_down(self):
-        # replication 1 is the state of
-        # TestScanMatchesLoop.test_backward_breakdown_reports_highest_index
-        good = np.array([[1.0, 0.5, 0.5, 0.5, 0.5], [0.0, 0.5, 0.5, 0.5, 0.5]])
-        bad = np.array([[1.0, 0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0, 1.0]])
-        steps = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, 4))
-        fs = FilterState(np.stack([good, bad, good]), np.stack([np.eye(2)] * 3),
-                         np.stack([steps] * 3))
-        with pytest.raises(NumericalFailure):
-            _backward(fs)
