@@ -267,6 +267,26 @@ class TestEmFit:
         assert "forward filter normalizer" in got[1].message
         assert [res.status for res in (got[0], got[2])] == ["converged"] * 2
 
+    @pytest.mark.parametrize("m_step", ["first_order", "newton"])
+    def test_any_other_error_is_raised_as_the_filter_raises_it(self, m_step):
+        # a generator whose exit rate 20 exceeds 1/h = 10 has no kernel at h:
+        # that is no numerical breakdown, so the fit raises instead of
+        # returning a status, and the fits around it are untouched
+        g, paths = three_regime_paths(3)
+        fast = validate_generator([[-20.0, 10.0, 10.0], [0.01, -0.02, 0.01],
+                                   [0.01, 0.01, -0.02]])
+        cfg = EmConfig(epsilon=0.05, m_step=m_step, update_q=True,
+                       theta0=(5.0, 2.5, 0.5, 1.0, 0.5))
+        before = em_fit(paths[0], g, cfg)
+        with pytest.raises(ConfigError) as alone:
+            forward_filter(CauchyTerms(cfg.initial_theta(3), paths[1]), fast)
+        with pytest.raises(ConfigError) as fitted:
+            em_fit(paths[1], fast, cfg)
+        assert str(fitted.value) == str(alone.value)
+        after = em_fit(paths[0], g, cfg)
+        assert before.status == after.status == "converged"
+        np.testing.assert_array_equal(before.theta.to_vector(), after.theta.to_vector())
+
 
 class TestUpdateGenerator:
     def test_matches_weight_row_normalization(self, short_path):

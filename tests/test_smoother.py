@@ -401,6 +401,75 @@ class TestDoubling:
             np.testing.assert_array_equal(rows, np.broadcast_to(v0[:, None], (2, n + 1)))
 
 
+class TestManyRegimes:
+    """The scans match the step-by-step loop beyond the 2 to 5 regimes of
+    TestScanMatchesLoop: a regime sum of 8 or more terms is added pairwise
+    by numpy, of fewer in order, and both must stay within SCAN_TOL."""
+
+    # n = 1 and 5 are one block, 8 and 37 chain 3 and 12 block ends, 1000
+    # chains 99
+    @pytest.mark.parametrize("n", [1, 5, 8, 37, 1000])
+    @pytest.mark.parametrize("m", [6, 7, 8, 9, 12])
+    def test_scan_matches_loop(self, m, n):
+        rng = np.random.default_rng(70 + 10 * m + n)
+        theta, g, obs = small_instance(rng, n=n, m=m)
+        h = min(obs.h, 0.9 * g.max_step())
+        fs = assert_scan_matches_loop(theta, g, ObservationSeries(obs.x, h))
+        np.testing.assert_allclose(fs.filtered.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+
+
+class TestPassesAlone:
+    """A pass's bytes depend on its own request only: a worker fits the
+    replications it claims one after another, in an order set by timing,
+    and each must come out as if it ran alone."""
+
+    @staticmethod
+    def requests(m, n, count=6):
+        rng = np.random.default_rng(50 + 10 * m + n)
+        out = []
+        for r in range(count):
+            theta, g, obs = small_instance(rng, n=n, m=m)
+            init = rng.dirichlet(np.ones(m)) if r % 2 else None
+            out.append((CauchyTerms(theta, obs), g, init))
+        return out
+
+    # "backward_last" runs every forward pass before any backward pass, so
+    # a FilterState must carry all that its backward pass reads
+    @pytest.mark.parametrize("order", ["forward", "reversed", "backward_last"])
+    @pytest.mark.parametrize("n", [1, 8, 37, 1000])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_each_pass_gets_its_bytes_alone(self, m, n, order):
+        alone = []
+        for request in self.requests(m, n):
+            fs = forward_filter(*request)
+            alone.append((fs, backward_smooth(fs)))
+            # the references themselves ran after other passes: pin them to the loop
+            ref_filt, ref_w = loop_filter_smoother(fs.kernel, request[0].density,
+                                                   fs.filtered[:, 0])
+            np.testing.assert_allclose(fs.filtered, ref_filt, rtol=0, atol=SCAN_TOL)
+            np.testing.assert_allclose(alone[-1][1].w, ref_w, rtol=0, atol=SCAN_TOL)
+        requests = self.requests(m, n)
+        density = [terms.density.copy() for terms, _, _ in requests]
+        rank = list(range(len(requests)))
+        if order == "reversed":
+            rank.reverse()
+        got = {}
+        if order == "backward_last":
+            states = {r: forward_filter(*requests[r]) for r in rank}
+            got = {r: (states[r], backward_smooth(states[r])) for r in rank}
+        else:
+            for r in rank:
+                fs = forward_filter(*requests[r])
+                got[r] = (fs, backward_smooth(fs))
+        for r, (ref_fs, ref_w) in enumerate(alone):
+            fs, w = got[r]
+            for have, want in [(fs.filtered, ref_fs.filtered), (fs.kernel, ref_fs.kernel),
+                               (fs.steps, ref_fs.steps), (w.w, ref_w.w)]:
+                np.testing.assert_array_equal(have, want)
+            assert w.w.flags.c_contiguous
+            np.testing.assert_array_equal(requests[r][0].density, density[r])
+
+
 class TestSmoothedMarginals:
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(20)
