@@ -49,9 +49,9 @@ r of ``experiment`` draws it from ``[seed_base + r, 1]``, as
 
 An experiment fits its replications on ``--jobs`` workers (0 = every
 core in the process's CPU affinity set, or on the host where there is no
-such set), capped at the replication count.  A worker fits one
-replication at a time and, when it is free, claims the next one that no
-worker has claimed.  Results do not depend on the worker, so
+such set), capped at the replication count.  The pool hands each free
+worker the next replication, so a slow fit holds back no other.  Results
+do not depend on the worker, so
 ``--stable-output``, which zeroes the elapsed-time fields, makes outputs
 bit-identical across runs and ``--jobs`` values.  A trace's
 ``elapsed_ms`` is the iteration's own wall time, E-step and M-step.
@@ -63,7 +63,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -226,12 +225,17 @@ def _seed_base(sim: dict) -> int | None:
 
 
 def _parse_truth(sim: dict) -> Theta:
+    """The true theta; coinciding levels b(i) == b(j) are legal but leave
+    the model unidentified, so they are flagged."""
     get = functools.partial(_get, sim, "simulation")
     b, lam, delta = get("b", "numbers"), get("lambda", "number"), get("delta", "number")
     try:
-        return Theta(b, lam, delta)
+        theta = Theta(b, lam, delta)
     except ValueError as exc:
         raise ConfigError(f"bad true theta in simulation section: {exc}") from exc
+    if len(set(b)) < len(b):
+        warnings.warn("theta has coinciding regime levels b(i) == b(j)", RuntimeWarning)
+    return theta
 
 
 def _parse_simulation(cfg: dict) -> tuple[SimulationConfig, dict]:
@@ -513,9 +517,10 @@ def cmd_fit(args) -> int:
     return EXIT_NUMERICAL if result.status == "numerical_failure" else EXIT_OK
 
 
-def _replication(base, em_cfg, rep, seed, stable) -> dict:
+def _replication(base, em_cfg, rep, stable) -> dict:
     """Simulate one replication's path with its derived seed, fit it, and
     return its summary row."""
+    seed = base.seed + rep
     sc = dataclasses.replace(base, seed=seed)
     row = {"rep": rep, "seed": seed, "estimate": None, "qe": None, "iters": 0,
            "status": "numerical_failure", "trace": b""}
@@ -540,28 +545,6 @@ def _replication(base, em_cfg, rep, seed, stable) -> dict:
     return row
 
 
-_claims = None  # in a pool worker: the indices of the replications it claims
-
-
-def _share_claims(counter, reps: int) -> None:
-    """Pool initializer: claim, one at a time, the next of the ``reps``
-    replications that no worker of the pool has claimed."""
-
-    def claim():
-        with counter.get_lock():
-            counter.value += 1
-            return counter.value - 1
-
-    global _claims
-    _claims = itertools.takewhile(lambda k: k < reps, iter(claim, None))
-
-
-def _run_worker(tasks) -> list[dict]:
-    """Worker entry point: fit, one at a time, the replications of
-    ``tasks`` it claims."""
-    return [_replication(*tasks[k]) for k in _claims]
-
-
 def cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
     sc, _ = _parse_simulation(cfg)
@@ -581,22 +564,19 @@ def cmd_experiment(args) -> int:
     # than replications
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(args.jobs or cores or 1, reps)
-    tasks = [(sc, em_cfg, r, sc.seed + r, args.stable_output) for r in range(1, reps + 1)]
+    fit = functools.partial(_replication, sc, em_cfg, stable=args.stable_output)
     if jobs > 1:
         # imported here: simulate and fit never start a pool.  numpy loads
         # numpy.random on first use; loading it before the fork lets the
         # workers inherit it instead of each importing it again per pool
         import concurrent.futures
-        import multiprocessing
 
         import numpy.random
 
-        claims = dict(initializer=_share_claims, initargs=(multiprocessing.Value("q", 0), reps))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, **claims) as pool:
-            done = pool.map(_run_worker, [tasks] * jobs)
-            rows = sorted((row for batch in done for row in batch), key=lambda row: row["rep"])
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            rows = list(pool.map(fit, range(1, reps + 1)))
     else:
-        rows = [_replication(*task) for task in tasks]
+        rows = list(map(fit, range(1, reps + 1)))
 
     n = sc.theta_true.n_states
     header = [

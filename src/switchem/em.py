@@ -129,7 +129,7 @@ class EmConfig:
         random start redraws lam and delta until they are positive."""
         self.check_sizes(n_states)
         if self.theta0 is not None:
-            return _iterate(self.theta0)
+            return Theta.from_vector(self.theta0)
         rng = np.random.default_rng(self.init_seed)
         b = rng.uniform(*self.init_b_range, size=n_states)
         lam = delta = 0.0
@@ -137,15 +137,7 @@ class EmConfig:
             lam = float(rng.uniform(*self.init_lambda_range))
         while delta <= 0.0:
             delta = float(rng.uniform(*self.init_delta_range))
-        return _iterate(np.append(b, [lam, delta]))
-
-
-def _iterate(v) -> Theta:
-    """Theta from (b(1..N), lam, delta), without the coinciding-levels
-    warning that transient iterates may trigger."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return Theta.from_vector(v)
+        return Theta.from_vector(np.append(b, [lam, delta]))
 
 
 @dataclass(frozen=True)
@@ -198,7 +190,7 @@ def first_order_step(
     if not np.all(np.isfinite(grad)):
         raise NumericalFailure("non-finite gradient in M-step")
     lo, hi = boxes
-    return _iterate(np.clip(theta.to_vector() + rho * grad, lo, hi))
+    return Theta.from_vector(np.clip(theta.to_vector() + rho * grad, lo, hi))
 
 
 def newton_step(
@@ -222,7 +214,7 @@ def newton_step(
     v = np.clip(theta.to_vector() + step, lo, hi)
     if not np.all(np.isfinite(v)):
         return theta, True
-    return _iterate(v), False
+    return Theta.from_vector(v), False
 
 
 def termination_stat(
@@ -345,7 +337,7 @@ def sort_regimes(theta: Theta) -> Theta:
     reporting and error computation.
     """
     perm = np.argsort(-theta.b, kind="stable")
-    return _iterate(np.append(theta.b[perm], [theta.lam, theta.delta]))
+    return Theta.from_vector(np.append(theta.b[perm], [theta.lam, theta.delta]))
 
 
 def quadratic_error(theta_hat: Theta, theta_true: Theta) -> np.ndarray:

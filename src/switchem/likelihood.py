@@ -27,7 +27,6 @@ runs along the contiguous observation axis.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,8 +42,8 @@ class Theta:
     """Estimation target: regime levels b(1..N), reversion rate, noise scale.
 
     ``b[i-1]`` is the drift level of regime i.  ``lam`` and ``delta`` must
-    be positive; coinciding b levels are legal for transient iterates but
-    flagged, since the model is only identified when they differ.
+    be positive; coinciding b levels are legal, though the model is only
+    identified when they differ.
     """
 
     b: np.ndarray
@@ -58,8 +57,6 @@ class Theta:
             raise ValueError(f"lam must be > 0, got {self.lam}")
         if not (self.delta > 0.0):
             raise ValueError(f"delta must be > 0, got {self.delta}")
-        if b.size != np.unique(b).size:
-            warnings.warn("theta has coinciding regime levels b(i) == b(j)", RuntimeWarning)
 
     @property
     def n_states(self) -> int:

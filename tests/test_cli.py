@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,15 +25,9 @@ from switchem import (
     sort_regimes,
     validate_generator,
 )
-import switchem.cli
 from switchem.cli import (
     _CONFIG_KEYS, _CSV_BLOCK, _EM_KINDS, _csv_cells, _csv_text, main,
 )
-
-def _worker_claims(_):
-    """The replication indices a pool worker claims (a module-level
-    function, so that the pool can send it to its workers)."""
-    return list(switchem.cli._claims)
 
 
 BASE_CONFIG = {
@@ -86,6 +81,14 @@ class TestSimulate:
 
     def test_unreadable_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "no.json"), "--out", str(tmp_path)]) == 2
+
+    def test_coinciding_levels_warn(self, tmp_path):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["simulation"]["b"] = [3.0, 3.0]
+        p = tmp_path / "same.json"
+        p.write_text(json.dumps(cfg))
+        with pytest.warns(RuntimeWarning, match="coinciding"):
+            assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
 
     def test_env_seed_override(self, cfg_file, tmp_path, monkeypatch):
         main(["simulate", "--config", cfg_file, "--out", str(tmp_path / "a")])
@@ -274,9 +277,9 @@ class TestExperiment:
         assert read(a / "summary.csv") == read(b / "summary.csv")
         assert read(a / "rep_0002_trace.csv") == read(b / "rep_0002_trace.csv")
 
-    def test_worker_claims_do_not_change_output(self, tmp_path):
+    def test_worker_order_does_not_change_output(self, tmp_path):
         # --jobs 1 fits these 7 replications in order, --jobs 2 and 3 in
-        # workers that each claim whichever replications they reach first
+        # workers that each take the next replication whenever they are free
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["experiment"]["replications"] = 7
         p = tmp_path / "cfg.json"
@@ -374,9 +377,8 @@ class TestExperiment:
         seen = []
 
         class SerialPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 seen.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -384,11 +386,10 @@ class TestExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr("switchem.cli._claims", None)
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["experiment"] = {"replications": reps}
         p = tmp_path / "pool.json"
@@ -424,18 +425,28 @@ class TestExperiment:
         assert self.run_with_recorded_pool(tmp_path, monkeypatch, jobs, 3) == workers
         assert sorted(starts) == [(43, 1), (44, 1), (45, 1)]
 
-    def test_workers_claim_each_replication_once(self):
-        # 4 workers draw 20000 claims from one shared counter at once; a
-        # lost update would hand an index to two of them
-        import concurrent.futures
-        import multiprocessing
+    def test_slow_replication_does_not_hold_back_the_others(self, tmp_path, monkeypatch):
+        # replication 1 (seed 43) sleeps 1 s in one worker; the other
+        # worker, free sooner, fits replications 2-4 in the meantime
+        monkeypatch.delenv("SWITCHEM_SEED", raising=False)
 
-        reps = 20000
-        claims = dict(initializer=switchem.cli._share_claims,
-                      initargs=(multiprocessing.Value("q", 0), reps))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=4, **claims) as pool:
-            got = [k for part in pool.map(_worker_claims, range(4), timeout=120) for k in part]
-        assert sorted(got) == list(range(reps))
+        def record_pid(obs, g, cfg):
+            seed = cfg.init_seed[0]
+            if seed == 43:
+                time.sleep(1.0)
+            (tmp_path / str(seed)).write_text(str(os.getpid()))
+            return em_fit(obs, g, cfg)
+
+        monkeypatch.setattr("switchem.cli.em_fit", record_pid)
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["experiment"] = {"replications": 4}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(p), "--out", str(tmp_path / "o"),
+                     "--jobs", "2"]) == 0
+        pids = {seed: (tmp_path / str(seed)).read_text() for seed in (43, 44, 45, 46)}
+        assert len(set(pids.values())) == 2
+        assert pids[44] == pids[45] == pids[46] != pids[43]
 
     def test_kernel_diagonal_at_zero_does_not_abort(self, tmp_path):
         # from its random start, seed 1046 drives a generator row to

@@ -49,10 +49,6 @@ class TestBasics:
         np.testing.assert_array_equal(back.b, theta.b)
         assert (back.lam, back.delta) == (theta.lam, theta.delta)
 
-    def test_theta_warns_on_duplicate_levels(self):
-        with pytest.warns(RuntimeWarning, match="coinciding"):
-            Theta(np.array([3.0, 3.0]), 1.0, 1.0)
-
     @pytest.mark.parametrize("lam,delta", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
     def test_theta_rejects_nonpositive(self, lam, delta):
         with pytest.raises(ValueError):

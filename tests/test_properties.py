@@ -53,9 +53,7 @@ def filter_instance(draw):
     g, h = draw(generator_and_step())
     b = draw(st.lists(st.floats(-5.0, 5.0), min_size=g.n_states, max_size=g.n_states))
     lam, delta = draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 3.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # coinciding levels
-        theta = Theta(np.array(b), lam, delta)
+    theta = Theta(np.array(b), lam, delta)
     root = draw(st.integers(2, 14))
     n = draw(st.one_of(
         st.integers(2, 29),
@@ -143,9 +141,7 @@ def euler_instance(draw):
     step = draw(st.floats(1e-3, 0.1))
     lam_step = draw(st.one_of(st.floats(1e-4, 1.0), st.floats(1.0, 2.2)))
     b = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # coinciding levels
-        theta = Theta(b, lam_step / step, 1.0)
+    theta = Theta(b, lam_step / step, 1.0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     states = rng.integers(1, m + 1, n + 1)
     increments = rng.standard_cauchy(n) * draw(st.floats(1e-4, 1.0))

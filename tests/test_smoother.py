@@ -420,8 +420,8 @@ class TestManyRegimes:
 
 class TestPassesAlone:
     """A pass's bytes depend on its own request only: a worker fits the
-    replications it claims one after another, in an order set by timing,
-    and each must come out as if it ran alone."""
+    replications the pool hands it one after another, in an order set by
+    timing, and each must come out as if it ran alone."""
 
     @staticmethod
     def requests(m, n, count=6):
