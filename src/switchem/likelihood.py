@@ -215,7 +215,7 @@ def hessian_H(terms: CauchyTerms, w: SmoothedPairProbs) -> np.ndarray:
     _check_dims(terms, w)
     theta, u, h, wi = terms.theta, terms.u, terms.obs.h, w.marginals
     s, m = theta.delta * h, theta.n_states
-    r2 = (s * s + u * u) ** 2
+    r2 = terms.r * terms.r  # (s^2 + u^2)^2
     w_uu = wi * (2.0 * (u * u - s * s) / r2)
     w_us = wi * (4.0 * u * s / r2)
     v = theta.b[:, None] - terms.obs.x[:-1]

@@ -59,10 +59,14 @@ def sample_nig(p: NigParams, count: int, rng: np.random.Generator) -> np.ndarray
     Normal variance-mean mixture: V ~ InverseGaussian(mean=s/a, shape=s^2)
     followed by sqrt(V) * standard normal.  The inverse Gaussian draw uses
     the Michael-Schucany-Haas transformation (numpy's ``wald``), so each
-    variate costs constant time.  Deterministic given ``rng``'s state.
+    variate costs constant time.  The square root and the product are taken
+    in the Wald draws' own array, which is returned.  Deterministic given
+    ``rng``'s state.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     s = p.scale
     v = rng.wald(s / p.a, s * s, size=count)
-    return np.sqrt(v) * rng.standard_normal(count)
+    np.sqrt(v, out=v)
+    v *= rng.standard_normal(count)
+    return v

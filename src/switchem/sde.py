@@ -34,7 +34,8 @@ from .likelihood import ObservationSeries, Theta
 from .nig import NigParams, sample_nig
 
 GRID_TOL = 1e-9
-# most fine grid steps; a simulation holds a few arrays of this length
+# most fine grid steps; a simulation peaks at three arrays of this length,
+# about 2.4 GB at 10^8, or at four when euler_path pads a copy of the noise
 MAX_FINE_STEPS = 10**8
 
 
@@ -146,7 +147,8 @@ def euler_path(
     start, an ``nb``-step chain of the block starts under c^bl, and then the
     loop expression above down the ``bl`` columns, for all blocks at once
     from their true starts.  The path buffer first holds b(alpha_k) and is
-    overwritten column by column with X_{k+1}.
+    overwritten column by column with X_{k+1}.  ``increments`` is only
+    read; it is padded with zeros into a copy only when n is not nb * bl.
     """
     n = increments.shape[0]
     if states.shape[0] != n + 1:
@@ -161,12 +163,17 @@ def euler_path(
     nb = -(-n // bl)
     x = np.zeros(nb * bl + 1)
     x[0] = x0
-    # mode "clip" writes straight into x; "raise" would buffer a full copy
-    np.take(theta.b, labels - 1, out=x[1 : n + 1], mode="clip")
+    # the table [0, b_1, ..., b_N] takes the 1-based labels as they are; mode
+    # "clip" writes straight into x, "raise" would buffer a full copy
+    levels = np.concatenate(([0.0], theta.b))
+    np.take(levels, labels, out=x[1 : n + 1], mode="clip")
     drift = x[1:].reshape(nb, bl)
-    noise = np.zeros(nb * bl)
-    noise[:n] = increments
-    noise = noise.reshape(nb, bl)
+    if n == nb * bl:  # as for a perfect square n: the noise is read in place
+        noise = increments.reshape(nb, bl)
+    else:
+        noise = np.zeros(nb * bl)
+        noise[:n] = increments
+        noise = noise.reshape(nb, bl)
     c = 1.0 - lam * step
     powers = c ** np.arange(bl - 1, -1, -1.0)
     ends = lam * step * (drift @ powers) + noise @ powers

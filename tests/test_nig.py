@@ -67,6 +67,17 @@ class TestSampleNig:
         assert abs(np.mean(z)) < 0.05
         assert np.var(z) == pytest.approx(p.scale / p.a, rel=0.05)
 
+    @pytest.mark.parametrize("count", [1, 7, 10_001])
+    def test_in_place_mixing_keeps_the_draws(self, count):
+        # the square root and the product are taken in the Wald draws' array;
+        # the draws, their order and every bit of the result stay the same
+        p = NigParams(0.3, 1.0, 0.1)
+        s = p.scale
+        rng = np.random.default_rng(23)
+        ref = np.sqrt(rng.wald(s / p.a, s * s, size=count)) * rng.standard_normal(count)
+        z = sample_nig(p, count, np.random.default_rng(23))
+        np.testing.assert_array_equal(z.view(np.uint64), ref.view(np.uint64))
+
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             sample_nig(NigParams(0.3, 1.0), 0, np.random.default_rng(0))

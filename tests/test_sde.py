@@ -19,6 +19,34 @@ from test_acceptance import self_convergence_test
 BENCH_Q = [[-0.009, 0.009], [0.005, -0.005]]
 
 
+def padded_euler_path(x0, theta, states, increments, step):
+    """The blocked scan of ``euler_path`` on a zero-padded copy of the noise,
+    with the levels indexed by labels - 1."""
+    n, lam = increments.shape[0], theta.lam
+    bl = max(1, int(np.ceil(np.sqrt(n))))
+    nb = -(-n // bl)
+    x = np.zeros(nb * bl + 1)
+    x[0] = x0
+    x[1 : n + 1] = theta.b[states[:-1] - 1]
+    drift = x[1:].reshape(nb, bl)
+    noise = np.zeros(nb * bl)
+    noise[:n] = increments
+    noise = noise.reshape(nb, bl)
+    c = 1.0 - lam * step
+    powers = c ** np.arange(bl - 1, -1, -1.0)
+    ends = lam * step * (drift @ powers) + noise @ powers
+    starts = np.empty(nb)
+    cur, c_block = float(x0), c**bl
+    for j in range(nb):
+        starts[j] = cur
+        cur = c_block * cur + ends[j]
+    cur = starts
+    for t in range(bl):
+        cur = cur + lam * (drift[:, t] - cur) * step + noise[:, t]
+        drift[:, t] = cur
+    return x[: n + 1]
+
+
 @pytest.fixture
 def bench_cfg():
     theta = Theta(np.array([6.0, 3.0]), 2.0, 1.0)
@@ -121,6 +149,22 @@ class TestSimulatePath:
         inc = sample_nig(NigParams(bench_cfg.a_nuisance, theta.delta, step), n_fine, rng)
         x = euler_path(bench_cfg.x0, theta, chain.states, inc, step)
         np.testing.assert_array_equal(obs.x, x[::10])
+
+    @pytest.mark.parametrize("n", [10_000, 10_001])
+    def test_euler_path_reads_the_noise_in_place(self, bench_cfg, n):
+        # at a perfect square n the blocked scan reads the increments as
+        # they are; otherwise it pads a copy.  Either way the increments are
+        # left as they were and the path equals, to the bit, that of the
+        # scan on a zero-padded copy indexed by labels - 1
+        theta, step = bench_cfg.theta_true, 0.01
+        rng = np.random.default_rng(n)
+        chain = simulate_chain(bench_cfg.generator, step, n, 1, rng)
+        inc = sample_nig(NigParams(bench_cfg.a_nuisance, theta.delta, step), n, rng)
+        kept = inc.copy()
+        x = euler_path(0.0, theta, chain.states, inc, step)
+        np.testing.assert_array_equal(inc, kept)
+        ref = padded_euler_path(0.0, theta, chain.states, kept, step)
+        np.testing.assert_array_equal(x.view(np.uint64), ref.view(np.uint64))
 
     @pytest.mark.parametrize("label", [0, 3])
     def test_euler_path_rejects_labels_outside_the_regimes(self, bench_cfg, label):

@@ -418,6 +418,34 @@ class TestManyRegimes:
         np.testing.assert_allclose(fs.filtered.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
 
+class TestEinsumOrder:
+    """The scans contract with np.einsum where they once summed a broadcast
+    product over the regime axis.  Both add the N products of each entry in
+    regime order, so their results agree to the bit; the digests of every
+    simulation and fit rest on that order, and a numpy release that changes
+    it fails here first."""
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    @pytest.mark.parametrize("blocks", [1, 2, 17, 455])
+    def test_contractions_equal_broadcast_sums_bitwise(self, m, blocks):
+        rng = np.random.default_rng(100 * m + blocks)
+        a, b = rng.uniform(size=(2, m, m, blocks)) ** 4
+        v, v0 = rng.uniform(size=(m, blocks)), rng.uniform(size=m)
+        stack = rng.uniform(size=(3, m, m, blocks))
+        ref = (a[:, :, None] * b).sum(axis=1)
+        out = b.copy()  # the in-block step writes over its right operand
+        pairs = [
+            (np.einsum("ijb,jkb->ikb", a, out, out=out), ref),
+            (np.einsum("ijb,jkb->ikb", a, b), ref),
+            (np.einsum("...jb,...jkb->...kb", a, b), ref),
+            (np.einsum("...jb,...jkb->...kb", v, b), (v[:, None, :] * b).sum(axis=-3)),
+            (np.einsum("j,jkb->kb", v0, b), (v0[:, None, None] * b).sum(axis=0)),
+            (np.einsum("jb,tjkb->tkb", v, stack), (v[:, None] * stack).sum(axis=1)),
+        ]
+        for got, want in pairs:
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestPassesAlone:
     """A pass's bytes depend on its own request only: a worker fits the
     replications the pool hands it one after another, in an order set by
