@@ -49,11 +49,13 @@ r of ``experiment`` draws it from ``[seed_base + r, 1]``, as
 
 An experiment fits its replications on ``--jobs`` workers (0 = every
 core in the process's CPU affinity set, or on the host where there is no
-such set), capped at the replication count.  The pool hands each free
-worker the next replication, so a slow fit holds back no other.  Results
-do not depend on the worker, so
-``--stable-output``, which zeroes the elapsed-time fields, makes outputs
-bit-identical across runs and ``--jobs`` values.  A trace's
+such set), capped at the replication count.  The workers are forked; each
+claims the next replication from a shared counter, so a slow fit holds
+back no other, and returns its rows when the counter runs out.  A worker
+that dies aborts the experiment, and nothing is written.  Without
+``os.fork`` the replications run in-process.  Results do not depend on
+the worker, so ``--stable-output``, which zeroes the elapsed-time fields,
+makes outputs bit-identical across runs and ``--jobs`` values.  A trace's
 ``elapsed_ms`` is the iteration's own wall time, E-step and M-step.
 """
 
@@ -545,6 +547,66 @@ def _replication(base, em_cfg, rep, stable) -> dict:
     return row
 
 
+def _fit_replications(fit, reps: int, jobs: int) -> list[dict]:
+    """``fit(rep)`` for rep = 1..reps.  With ``jobs`` > 1, forked workers
+    claim replications from a shared counter, so a slow fit holds back no
+    other, and pickle their rows into their own pipes when it runs out.
+    The parent fits nothing; a worker that dies raises RuntimeError, and
+    no worker outlives the call."""
+    if jobs <= 1:
+        return list(map(fit, range(1, reps + 1)))
+    # imported here: simulate and fit never fork.  numpy loads numpy.random
+    # on first use; loading it before the fork lets the workers inherit it
+    import multiprocessing
+    import pickle
+    import signal
+
+    import numpy.random
+
+    counter = multiprocessing.get_context("fork").Value("l", 0)
+    pids, pipes = [], []
+    try:
+        for _ in range(jobs):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # a worker; os._exit keeps it out of the caller's frames
+                try:
+                    os.close(r)
+                    for fh in pipes:  # held open, they could block a writer
+                        fh.close()
+                    rows = []
+                    while True:
+                        with counter.get_lock():
+                            counter.value += 1
+                            rep = counter.value
+                        if rep > reps:
+                            break
+                        rows.append(fit(rep))
+                    with open(w, "wb") as fh:
+                        pickle.dump(rows, fh)
+                    os._exit(0)
+                finally:  # on any exception
+                    os._exit(1)
+            os.close(w)
+            pids.append(pid)
+            pipes.append(open(r, "rb"))
+        sent = [fh.read() for fh in pipes]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fh in pipes:
+            fh.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for pid, status in zip(pids, statuses):
+        if status:
+            raise RuntimeError(f"experiment worker {pid} ended without its rows "
+                               f"(wait status {status})")
+    return sorted((row for data in sent for row in pickle.loads(data)),
+                  key=lambda row: row["rep"])
+
+
 def cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
     sc, _ = _parse_simulation(cfg)
@@ -560,23 +622,12 @@ def cmd_experiment(args) -> int:
         raise ConfigError(f"--jobs must be >= 0, got {args.jobs}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # a fork pool starts all its workers at once, so never more workers
-    # than replications
+    # every worker is forked at once, so never more workers than
+    # replications; without os.fork the replications run in-process
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    jobs = min(args.jobs or cores or 1, reps)
+    jobs = min(args.jobs or cores or 1, reps) if hasattr(os, "fork") else 1
     fit = functools.partial(_replication, sc, em_cfg, stable=args.stable_output)
-    if jobs > 1:
-        # imported here: simulate and fit never start a pool.  numpy loads
-        # numpy.random on first use; loading it before the fork lets the
-        # workers inherit it instead of each importing it again per pool
-        import concurrent.futures
-
-        import numpy.random
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(fit, range(1, reps + 1)))
-    else:
-        rows = list(map(fit, range(1, reps + 1)))
+    rows = _fit_replications(fit, reps, jobs)
 
     n = sc.theta_true.n_states
     header = [

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -26,7 +27,7 @@ from switchem import (
     validate_generator,
 )
 from switchem.cli import (
-    _CONFIG_KEYS, _CSV_BLOCK, _EM_KINDS, _csv_cells, _csv_text, main,
+    _CONFIG_KEYS, _CSV_BLOCK, _EM_KINDS, _csv_cells, _csv_text, _fit_replications, main,
 )
 
 
@@ -370,48 +371,40 @@ class TestExperiment:
         )
 
     @staticmethod
-    def run_with_recorded_pool(tmp_path, monkeypatch, jobs, reps):
-        """Run an experiment with a serial stand-in for the process pool;
-        returns the worker count of each pool it started."""
-        # a fork pool starts all of its workers at the first submit
+    def run_with_recorded_workers(tmp_path, monkeypatch, jobs, reps):
+        """Run an experiment with a serial stand-in for the forked workers;
+        returns the worker count of each set of workers it was asked for."""
         seen = []
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
+        def serial(fit, reps, jobs):
+            if jobs > 1:
+                seen.append(jobs)
+            return list(map(fit, range(1, reps + 1)))
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("switchem.cli._fit_replications", serial)
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["experiment"] = {"replications": reps}
-        p = tmp_path / "pool.json"
+        p = tmp_path / "workers.json"
         p.write_text(json.dumps(cfg))
         assert main(["experiment", "--config", str(p), "--out", str(tmp_path / "o"),
                      "--jobs", str(jobs)]) == 0
         return seen
 
+    # every worker is forked at once, so never more than the replications
     @pytest.mark.parametrize("jobs,reps,workers", [(64, 2, [2]), (64, 1, []), (1, 2, [])])
-    def test_pool_never_exceeds_replications(self, tmp_path, monkeypatch, jobs, reps,
-                                             workers):
-        assert self.run_with_recorded_pool(tmp_path, monkeypatch, jobs, reps) == workers
+    def test_workers_never_exceed_replications(self, tmp_path, monkeypatch, jobs, reps,
+                                               workers):
+        assert self.run_with_recorded_workers(tmp_path, monkeypatch, jobs, reps) == workers
 
     def test_jobs_zero_counts_the_usable_cores(self, tmp_path, monkeypatch):
         # pinned to one core of a larger host (taskset -c 0), --jobs 0 runs
         # in-process: os.cpu_count() would count every core of the host
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert self.run_with_recorded_pool(tmp_path, monkeypatch, 0, 2) == []
+        assert self.run_with_recorded_workers(tmp_path, monkeypatch, 0, 2) == []
 
     # the benchmark's tracer times an experiment's fits by their em_fit
-    # calls, in-process and in pool workers alike
+    # calls, in-process and in forked workers alike
     @pytest.mark.parametrize("jobs,workers", [(1, []), (3, [3])])
     def test_each_replication_is_one_em_fit(self, tmp_path, monkeypatch, jobs, workers):
         monkeypatch.delenv("SWITCHEM_SEED", raising=False)
@@ -422,7 +415,7 @@ class TestExperiment:
             return em_fit(obs, g, cfg)
 
         monkeypatch.setattr("switchem.cli.em_fit", record)
-        assert self.run_with_recorded_pool(tmp_path, monkeypatch, jobs, 3) == workers
+        assert self.run_with_recorded_workers(tmp_path, monkeypatch, jobs, 3) == workers
         assert sorted(starts) == [(43, 1), (44, 1), (45, 1)]
 
     def test_slow_replication_does_not_hold_back_the_others(self, tmp_path, monkeypatch):
@@ -447,6 +440,78 @@ class TestExperiment:
         pids = {seed: (tmp_path / str(seed)).read_text() for seed in (43, 44, 45, 46)}
         assert len(set(pids.values())) == 2
         assert pids[44] == pids[45] == pids[46] != pids[43]
+
+    def test_shared_counter_hands_out_each_replication_once(self):
+        # more workers than cores, claiming cheap replications as fast as
+        # they can: a lost update of the counter would fit one twice
+        start = time.monotonic()
+        rows = _fit_replications(lambda rep: {"rep": rep, "pid": os.getpid()}, 3000, 8)
+        assert time.monotonic() - start < 60
+        assert [row["rep"] for row in rows] == list(range(1, 3001))
+        assert len({row["pid"] for row in rows}) > 1
+
+    def test_killed_worker_aborts_and_is_reaped(self, cfg_file, tmp_path, monkeypatch):
+        monkeypatch.delenv("SWITCHEM_SEED", raising=False)
+        victim = tmp_path / "victim"
+
+        def kill_seed_44(obs, g, cfg):
+            if cfg.init_seed == (44, 1):
+                victim.write_text(str(os.getpid()))
+                os.kill(os.getpid(), signal.SIGKILL)
+            return em_fit(obs, g, cfg)
+
+        monkeypatch.setattr("switchem.cli.em_fit", kill_seed_44)
+        out = tmp_path / "exp"
+        with pytest.raises(RuntimeError, match="ended without its rows") as exc:
+            main(["experiment", "--config", cfg_file, "--out", str(out), "--jobs", "2"])
+        assert f"worker {victim.read_text()} " in str(exc.value)
+        assert f"wait status {signal.SIGKILL.value})" in str(exc.value)
+        assert not (out / "summary.csv").exists()
+        with pytest.raises(ChildProcessError):  # every worker is reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupted_worker_never_returns_into_the_caller(self, cfg_file, tmp_path,
+                                                              monkeypatch):
+        monkeypatch.delenv("SWITCHEM_SEED", raising=False)
+
+        def interrupt_seed_44(obs, g, cfg):
+            if cfg.init_seed == (44, 1):
+                raise KeyboardInterrupt
+            return em_fit(obs, g, cfg)
+
+        monkeypatch.setattr("switchem.cli.em_fit", interrupt_seed_44)
+        out, past_main = tmp_path / "exp", tmp_path / "past_main"
+        try:
+            with pytest.raises(RuntimeError, match="ended without its rows"):
+                main(["experiment", "--config", cfg_file, "--out", str(out),
+                      "--jobs", "2"])
+        finally:
+            with open(past_main, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        assert past_main.read_text().splitlines() == [str(os.getpid())]
+        assert not (out / "summary.csv").exists()
+
+    def test_interrupted_parent_kills_its_workers(self, cfg_file, tmp_path, monkeypatch):
+        # the workers sleep in their first fit; the parent, reading their
+        # pipes, is interrupted by a timer that its forks do not inherit
+        monkeypatch.setattr("switchem.cli.em_fit", lambda obs, g, cfg: time.sleep(60))
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        handler = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                main(["experiment", "--config", cfg_file, "--out", str(tmp_path / "o"),
+                      "--jobs", "2"])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_kernel_diagonal_at_zero_does_not_abort(self, tmp_path):
         # from its random start, seed 1046 drives a generator row to
