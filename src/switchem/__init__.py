@@ -43,7 +43,6 @@ from .smoother import (
     FilterState,
     backward_smooth,
     forward_filter,
-    smoothed_marginals,
 )
 
 __version__ = "0.1.0"
@@ -77,7 +76,6 @@ __all__ = [
     "sample_nig",
     "simulate_chain",
     "simulate_path",
-    "smoothed_marginals",
     "sort_regimes",
     "termination_stat",
     "transition_matrix_approx",

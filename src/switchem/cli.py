@@ -34,9 +34,10 @@ integer other than a seed is expected, exits 2, naming the key.  So does a
 which the Euler recursion diverges, and a fine grid of over
 ``sde.MAX_FINE_STEPS`` (10^8) steps ``horizon_t / obs_step_h * fine_factor``.
 
-Exit codes: 0 success, 2 configuration or input-schema error, 3 numerical
-failure (for experiments: more than half of the replications failed; each
-failed replication prints its reason to stderr).
+Exit codes: 0 success, 2 configuration or input-schema error or an
+``--out`` directory that cannot be created, 3 numerical failure (for
+experiments: more than half of the replications failed; each failed
+replication prints its reason to stderr).
 
 The environment variable ``SWITCHEM_SEED`` overrides the configured seed
 base.  Replication r runs with seed ``seed_base + r``, so one replication
@@ -52,11 +53,12 @@ core in the process's CPU affinity set, or on the host where there is no
 such set), capped at the replication count.  The workers are forked; each
 claims the next replication from a shared counter, so a slow fit holds
 back no other, and returns its rows when the counter runs out.  A worker
-that dies aborts the experiment, and nothing is written.  Without
-``os.fork`` the replications run in-process.  Results do not depend on
-the worker, so ``--stable-output``, which zeroes the elapsed-time fields,
-makes outputs bit-identical across runs and ``--jobs`` values.  A trace's
-``elapsed_ms`` is the iteration's own wall time, E-step and M-step.
+that dies aborts the experiment, and nothing is written, not even the
+``--out`` directory.  Without ``os.fork`` the replications run
+in-process.  Results do not depend on the worker, so ``--stable-output``,
+which zeroes the elapsed-time fields, makes outputs bit-identical across
+runs and ``--jobs`` values.  A trace's ``elapsed_ms`` is the iteration's
+own wall time, E-step and M-step.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ from .em import (
 from .errors import ConfigError, EvaluationError, NumericalFailure
 from .likelihood import CauchyTerms, ObservationSeries, Theta
 from .sde import SimulationConfig, simulate_path
-from .smoother import backward_smooth, forward_filter, smoothed_marginals
+from .smoother import backward_smooth, forward_filter
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -429,12 +431,21 @@ def _read_path_csv(path: str) -> ObservationSeries:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _out_dir(path: str) -> Path:
+    """The output directory ``path``, created with its parents if missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     sc, sim = _parse_simulation(cfg)
     emit_chain_fine = _get(sim, "simulation", "emit_chain_fine", "bool", False)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     obs, chain_obs, chain_fine = simulate_path(sc)
     t = obs.t0 + obs.h * np.arange(obs.x.size)
     path_text = _csv_text(["t", "x", "alpha_true"], [t, obs.x, chain_obs.states])
@@ -484,8 +495,7 @@ def cmd_fit(args) -> int:
         # the second seed word decouples the start from the path simulation
         em_cfg = dataclasses.replace(em_cfg, init_seed=(seed, 1))
     obs = _read_path_csv(args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     t_start = time.perf_counter()
     result = em_fit(obs, g, em_cfg)
     elapsed_ms = 0.0 if args.stable_output else (time.perf_counter() - t_start) * 1e3
@@ -511,7 +521,7 @@ def cmd_fit(args) -> int:
         fs = forward_filter(
             CauchyTerms(result.theta, obs), result.generator, em_cfg.initial_filter_probs
         )
-        smoothed = smoothed_marginals(fs, backward_smooth(fs))
+        smoothed = backward_smooth(fs).smoothed
         t = obs.t0 + np.arange(smoothed.shape[1]) * obs.h
         header = ["t"] + [f"p{i + 1}" for i in range(len(smoothed))]
         _write_atomic(out / "probs.csv", _csv_text(header, [t, *smoothed]))
@@ -620,14 +630,13 @@ def cmd_experiment(args) -> int:
         raise ConfigError("experiments need simulation.seed (or SWITCHEM_SEED)")
     if args.jobs < 0:
         raise ConfigError(f"--jobs must be >= 0, got {args.jobs}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     # every worker is forked at once, so never more workers than
     # replications; without os.fork the replications run in-process
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(args.jobs or cores or 1, reps) if hasattr(os, "fork") else 1
     fit = functools.partial(_replication, sc, em_cfg, stable=args.stable_output)
     rows = _fit_replications(fit, reps, jobs)
+    out = _out_dir(args.out)
 
     n = sc.theta_true.n_states
     header = [

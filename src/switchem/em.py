@@ -246,7 +246,7 @@ def termination_stat(
 def update_generator(
     g: GeneratorMatrix, w: SmoothedPairProbs, h: float
 ) -> GeneratorMatrix:
-    """Re-estimate the generator from pairwise weights.
+    """Re-estimate the generator from the pair totals (expected transition counts).
 
     The weighted objective in the kernel entries is maximized by the
     row-normalized pair totals A[l, m] = W[l, m] / sum_m W[l, m]; converting

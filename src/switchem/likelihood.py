@@ -1,28 +1,31 @@
 """Cauchy quasi-likelihood surface: transition density, objective, derivatives.
 
-The latent-regime objective evaluated at parameters theta given pairwise
-smoothed regime weights w computed at the previous iterate is
+The latent-regime objective at parameters theta, given the pair weights
+w[i, k, j-1] = P(a_{t_{j-1}} = i, a_{t_j} = k | X) smoothed at the previous
+iterate, reads them only through the two statistics :class:`SmoothedPairProbs`
+carries: their marginals p[i, j-1] = P(a_{t_{j-1}} = i | X) and their totals
+W[i, k] = sum_j w[i, k, j-1], the expected transition counts:
 
-    H(theta; w) = sum_{j=1..n} sum_{i,k} w[i,k,j-1] *
-                  log( f(u_ij; s) * A[i,k] ),
+    H = sum_{j=1..n} sum_{i,k} w[i,k,j-1] log( f(u_ij; s) A[i,k] )
+      = sum_{j,i} p[i,j-1] log f(u_ij; s) + sum_{i,k} W[i,k] log A[i,k],
 
 where f(u; s) = s / (pi r), r = s^2 + u^2, is the Cauchy density at the Euler
 residual u = X_j - X_{j-1} - lam*(b_i - X_{j-1})*h with scale s = delta*h, and
-A is the one-step chain kernel.  H's derivatives are the chain rule: log f has
-slopes l_u = -2u/r, l_s = 1/s - 2s/r and curvatures l_uu = 2(u^2 - s^2)/r^2,
-l_us = 4us/r^2, l_ss = -1/s^2 - l_uu; the map has du/db_i = -lam*h, du/dlam =
--(b_i - X_{j-1})*h, ds/ddelta = h and one second derivative d2u/db_i dlam = -h.
+A is the one-step chain kernel.  H's derivatives are the chain rule: log f
+has slopes l_u = -2u/r, l_s = 1/s - 2s/r and curvatures l_uu = 2(u^2 -
+s^2)/r^2, l_us = 4us/r^2, l_ss = -1/s^2 - l_uu; the map has du/db_i = -lam*h,
+du/dlam = -(b_i - X_{j-1})*h, ds/ddelta = h and one second derivative
+d2u/db_i dlam = -h.
 
 One evaluation per iterate: :class:`CauchyTerms` holds the residuals u and
 r, the density s / q and its log -log(q / s), q = pi r, each computed once,
 and on first use the slopes l_u and l_s.  EM builds one per iterate, which that
-iterate's filter, H_n and derivatives all read; the weight sums over the later
-regime and over the observations are likewise kept on :class:`SmoothedPairProbs`.
+iterate's filter, H_n and derivatives all read.
 
-Index convention: the observation axis is last.  Weight arrays have shape
-(N, N, n), and w[i, k, j-1] weights the pair (a_{t_{j-1}}, a_{t_j}) = (i, k),
-j = 1..n; the terms are (N, n) arrays.  Every sum over the regimes then
-runs along the contiguous observation axis.
+Index convention: the observation axis is last.  The smoothed distributions
+have shape (N, n+1), column j for t_j; the terms are (N, n) arrays, column
+j-1 for observation j.  Every sum over the regimes then runs along the
+contiguous observation axis.
 """
 
 from __future__ import annotations
@@ -97,43 +100,39 @@ class ObservationSeries:
 
 @dataclass(frozen=True)
 class SmoothedPairProbs:
-    """Pairwise smoothed regime weights w[i, k, j-1] ~ P(a_{t_{j-1}}=i, a_{t_j}=k | data).
+    """The smoother's sufficient statistics for the M-step.
 
-    Shape (N, N, n); slice ``w[:, :, j-1]`` holds the pair (t_{j-1}, t_j)
-    and sums to 1.
+    smoothed[k, j] = P(a_{t_j} = k | X_{0..n}), shape (N, n+1), each column
+    summing to 1; totals[i, k] = sum_j P(a_{t_{j-1}} = i, a_{t_j} = k |
+    X_{0..n}), shape (N, N), the expected transition counts.
     """
 
-    w: np.ndarray
+    smoothed: np.ndarray
+    totals: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        object.__setattr__(self, "w", w)
-        if w.ndim != 3 or w.shape[0] != w.shape[1] or min(w.shape) < 1:
-            raise ValueError(f"bad weight array shape {w.shape}")
-        if not (w.min() >= 0.0 and w.max() <= 1.0):  # a NaN weight makes both NaN
-            raise ValueError("weights must lie in [0, 1]")
-        sums = self.marginals.sum(axis=0)
+        sm = np.asarray(self.smoothed, dtype=float)
+        tot = np.asarray(self.totals, dtype=float)
+        object.__setattr__(self, "smoothed", sm)
+        object.__setattr__(self, "totals", tot)
+        if sm.ndim != 2 or sm.shape[0] < 1 or sm.shape[1] < 2 or tot.shape != sm.shape[:1] * 2:
+            raise ValueError(f"bad shapes: smoothed {sm.shape}, totals {tot.shape}")
+        if not (sm.min() >= 0.0 and sm.max() <= 1.0):  # a NaN makes both NaN
+            raise ValueError("smoothed weights must lie in [0, 1]")
+        sums = sm.sum(axis=0)
         if np.any(np.abs(sums - 1.0) > PAIR_SLICE_TOL):
             j = int(np.argmax(np.abs(sums - 1.0)))
-            raise ValueError(f"pair slice {j} sums to {sums[j]!r}, not 1")
+            raise ValueError(f"smoothed column {j} sums to {sums[j]!r}, not 1")
+        if not tot.min() >= 0.0:
+            raise ValueError("pair totals must be >= 0")
 
     @property
     def n(self) -> int:
-        return self.w.shape[2]
+        return self.smoothed.shape[1] - 1
 
     @property
     def n_states(self) -> int:
-        return self.w.shape[0]
-
-    @cached_property
-    def marginals(self) -> np.ndarray:
-        """sum_k w[i, k, j-1], the (N, n) marginals over the later regime."""
-        return self.w.sum(axis=1)
-
-    @cached_property
-    def totals(self) -> np.ndarray:
-        """sum_j w[i, k, j-1], the (N, N) pair totals."""
-        return self.w.sum(axis=2)
+        return self.smoothed.shape[0]
 
 
 @dataclass(frozen=True)
@@ -184,7 +183,7 @@ def H_n(terms: CauchyTerms, a: np.ndarray, w: SmoothedPairProbs) -> float:
             f"{a[i, k]!r} but total weight {w.totals[i, k]!r}"
         )
     log_a = np.where(w.totals > 0.0, np.log(np.where(a > 0.0, a, 1.0)), 0.0)
-    return float(np.sum(w.marginals * terms.log_density) + np.sum(w.totals * log_a))
+    return float(np.sum(w.smoothed[:, :-1] * terms.log_density) + np.sum(w.totals * log_a))
 
 
 def _check_dims(terms: CauchyTerms, w: SmoothedPairProbs, *sizes: int) -> None:
@@ -200,7 +199,7 @@ def _check_dims(terms: CauchyTerms, w: SmoothedPairProbs, *sizes: int) -> None:
 def grad_H(terms: CauchyTerms, w: SmoothedPairProbs) -> np.ndarray:
     """Analytic gradient of H in the coordinates (b(1..N), lam, delta)."""
     _check_dims(terms, w)
-    h, wi = terms.obs.h, w.marginals
+    h, wi = terms.obs.h, w.smoothed[:, :-1]
     l_u, l_s = terms.slopes
     wl_u = wi * l_u
     v = terms.theta.b[:, None] - terms.obs.x[:-1]
@@ -213,7 +212,7 @@ def grad_H(terms: CauchyTerms, w: SmoothedPairProbs) -> np.ndarray:
 def hessian_H(terms: CauchyTerms, w: SmoothedPairProbs) -> np.ndarray:
     """Analytic Hessian of H; the b-b off-diagonal block is exactly zero."""
     _check_dims(terms, w)
-    theta, u, h, wi = terms.theta, terms.u, terms.obs.h, w.marginals
+    theta, u, h, wi = terms.theta, terms.u, terms.obs.h, w.smoothed[:, :-1]
     s, m = theta.delta * h, theta.n_states
     r2 = terms.r * terms.r  # (s^2 + u^2)^2
     w_uu = wi * (2.0 * (u * u - s * s) / r2)

@@ -16,13 +16,15 @@ regime depends on later data only through a_j.  With the pair
 P_j[i, k] = f_{j-1}[i] * M_j[i, k], proportional to
 P(a_{j-1} = i, a_j = k | X_{0..j}), and its marginal
 m_j[k] = sum_i P_j[i, k], let B_j[i, k] = P_j[i, k] / m_j[k]
-(0 where m_j[k] = 0).  The smoothed marginals satisfy s_{j-1} = B_j s_j
-from s_n = f_n, so s_{j-1} is proportional to B_j ... B_n f_n, and the
-pair weights are w[:, :, j-1] = B_j * s_j[None, :], each slice
-renormalized to sum to one.  B_j is the backward Markov kernel of the
-posterior chain: each of its columns sums to one, or to zero where
-m_j[k] = 0.  (Kim's 1994 pass builds the pair from A alone, dropping the
-emission d_j, and is exact only when emissions depend on the later state.)
+(0 where m_j[k] = 0), the backward Markov kernel of the posterior chain:
+each of its columns sums to one, or to zero where m_j[k] = 0.  The
+smoothed distributions satisfy s_{j-1} = B_j s_j from s_n = f_n; the scan
+gives v_{j-1} = B_j ... B_n f_n, of sum z_j, and s_{j-1} = v_{j-1} / z_j.
+The pair weights w[:, :, j-1] = B_j * v_j[None, :] / z_j are never
+stored: the M-step reads only their marginals over the later state,
+s_{j-1}, and their totals, one einsum over the B_j and the v_j / z_j.
+(Kim's 1994 pass builds the pair from A alone, dropping the emission d_j,
+and is exact only when emissions depend on the later state.)
 
 Both products are computed by blocked scans (Blelloch 1990) of one
 layout.  The stack is cut into blocks of about cbrt(n) steps whose prefix
@@ -52,15 +54,16 @@ underflow: :func:`_kernel_scan` takes plain products and carries no log
 masses.
 
 Layout.  Every per-observation array is regime-first, with the
-observation axis last and contiguous: densities (N, n); steps, pairs and
-weights (N, N, n); filtered and smoothed distributions (N, n+1); the
-scans' blocks (block length, N, N, blocks).  Each numpy call then runs
-one long loop along the observations or blocks rather than n loops of
-length N.  Every matrix product of the scans (in-block steps, doubling
-rounds, block starts and final rows) is one ``np.einsum`` contraction
-over N.  It adds each entry's N products in regime order, as a broadcast
-product summed over N does, so the two agree to the bit, but it builds no
-(N, N, N, blocks) product first.  A sum or maximum over a regime axis is
+observation axis last and contiguous: densities (N, n); the forward steps
+and backward kernels (N, N, n), which live only inside their pass;
+filtered and smoothed distributions (N, n+1); the scans' blocks (block
+length, N, N, blocks).  Each numpy call then runs one long loop along the
+observations or blocks rather than n loops of length N.  Every matrix
+product of the scans (in-block steps, doubling rounds, block starts and
+final rows) is one ``np.einsum`` contraction over N.  It adds each
+entry's N products in regime order, as a broadcast product summed over N
+does, so the two agree to the bit, but it builds no (N, N, N, blocks)
+product first.  A sum or maximum over a regime axis is
 numpy's own reduction: on these arrays the regime axes are outer, so
 numpy combines whole slices, each one pass along the observations or
 blocks.  On (455, 2, 2) top-level blocks at n = 10^4 an in-block step
@@ -72,8 +75,8 @@ forward scan, so observations whose densities underflow jointly still
 filter; the scale cancels in B_j.  Failure is located after the scan by
 one vectorized check of each step's mass under the previous distribution:
 the forward pass reports the first step whose emission mass under f_{j-1}
-is non-positive or non-finite, the backward pass the highest j whose
-slice sum is; observations before (forward) or after (backward) that step
+is non-positive or non-finite, the backward pass the highest j whose sum
+z_j is; observations before (forward) or after (backward) that step
 do not depend on it.
 """
 
@@ -97,17 +100,18 @@ _TINY = np.finfo(float).smallest_subnormal
 class FilterState:
     """Forward-pass output, observation axis last (see the module docstring).
 
-    filtered[k, j]   = P(a_{t_j} = k | X_{0..j}), shape (N, n+1);
-    kernel[i, k]     = A[i, k], the one-step chain kernel the pass ran under;
-    steps[:, :, j-1] = M_j = diag(d_j) A, the scaled step of observation j,
-    shape (N, N, n), so that ``steps[:, :, j-1] * filtered[:, j-1, None]``
-    is proportional to P(a_{t_{j-1}} = i, a_{t_j} = k | X_{0..j}).  The
-    M-step evaluates H under the same kernel.
+    filtered[k, j]  = P(a_{t_j} = k | X_{0..j}), shape (N, n+1);
+    kernel[i, k]    = A[i, k], the one-step chain kernel the pass ran under;
+    density[i, j-1] = d_j[i], the emission densities of observation j
+    scaled by their maximum, shape (N, n), so that
+    ``density[i, j-1] * kernel[i, k] * filtered[i, j-1]`` is proportional
+    to P(a_{t_{j-1}} = i, a_{t_j} = k | X_{0..j}).  The M-step evaluates H
+    under the same kernel.
     """
 
     filtered: np.ndarray
     kernel: np.ndarray
-    steps: np.ndarray
+    density: np.ndarray
 
     @property
     def n(self) -> int:
@@ -224,9 +228,8 @@ def forward_filter(terms: CauchyTerms, g: GeneratorMatrix, initial_probs=None) -
     with np.errstate(divide="ignore", invalid="ignore"):
         dm = d.max(axis=0)
         d = d / np.where((dm > 0.0) & np.isfinite(dm), dm, 1.0)
-        steps = d[:, None, :] * a[:, :, None]
-        filtered = _scan(steps, _initial_probs(g.n_states, initial_probs))
-        # sum_{i,k} filtered[i, j-1] * steps[i, k, j-1], without the N x N x n product
+        filtered = _scan(d[:, None, :] * a[:, :, None], _initial_probs(g.n_states, initial_probs))
+        # the mass sum_{i,k} filtered[i, j-1] * d_j[i] * A[i, k] of each step
         mass = (filtered[:, :-1] * d * a.sum(axis=1)[:, None]).sum(axis=0)
     bad = ~(np.isfinite(mass) & (mass > 0.0))
     if bad.any():
@@ -234,37 +237,26 @@ def forward_filter(terms: CauchyTerms, g: GeneratorMatrix, initial_probs=None) -
         raise NumericalFailure(
             f"forward filter normalizer {mass[j - 1]!r} at observation {j}", index=j
         )
-    return FilterState(filtered, a, steps)
+    return FilterState(filtered, a, d)
 
 
 def backward_smooth(fs: FilterState) -> SmoothedPairProbs:
-    """Backward pass producing the pairwise weights w[i, k, j-1] of the
-    pair (t_{j-1}, t_j), shape (N, N, n).
+    """Backward pass producing the smoothed distributions, shape (N, n+1),
+    and the pair totals, shape (N, N).
 
     The pass needs only the filter state: each pair is rebuilt from the
-    scaled step and the filtered distribution as the forward pass built it.
-    Smoothed marginals are recoverable via :func:`smoothed_marginals`.
+    scaled densities, the kernel and the filtered distribution as the
+    forward pass built its step.
     """
-    pair = fs.steps * fs.filtered[:, None, :-1]
-    pm = pair.sum(axis=0)
-    back = np.divide(pair, np.maximum(pm, _TINY), out=pair)
-    smoothed = _kernel_scan(back[:, :, ::-1].swapaxes(0, 1), fs.filtered[:, -1])[:, ::-1]
-    w = back * smoothed[:, 1:]
-    z = w.reshape(-1, fs.n).sum(axis=0)
+    pair = fs.density[:, None, :] * fs.kernel[:, :, None] * fs.filtered[:, None, :-1]
+    back = np.divide(pair, np.maximum(pair.sum(axis=0), _TINY), out=pair)
+    v = _kernel_scan(back[:, :, ::-1].swapaxes(0, 1), fs.filtered[:, -1])[:, ::-1]
+    z = v[:, :-1].sum(axis=0)
     bad = ~(np.isfinite(z) & (z > 0.0))
     if bad.any():
         j = fs.n - int(np.argmax(bad[::-1]))
         raise NumericalFailure(
             f"backward smoother slice sum {z[j - 1]!r} at observation {j}", index=j
         )
-    w /= z
-    return SmoothedPairProbs(w)
-
-
-def smoothed_marginals(fs: FilterState, w: SmoothedPairProbs) -> np.ndarray:
-    """Smoothed one-point probabilities P(a_{t_j} = k | X_{0..n}), (N, n+1).
-
-    Columns 0..n-1 are the pair weights' marginals over the later state
-    (:attr:`SmoothedPairProbs.marginals`); column n is filtered[:, n].
-    """
-    return np.hstack([w.marginals, fs.filtered[:, -1:]])
+    totals = np.einsum("ikj,kj->ik", back, v[:, 1:] / z)
+    return SmoothedPairProbs(v / np.append(z, 1.0), totals)

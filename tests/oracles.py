@@ -177,6 +177,28 @@ def loop_filter_smoother(a_kernel, dens, p0, kim=False):
     return filtered, w
 
 
+def pair_stats(w):
+    """The smoothed distributions (N, n+1) and pair totals (N, N) of pair
+    weights ``w`` (N, N, n): column j-1 of the first is slice j-1's
+    marginal over the earlier state, column n the last slice's marginal
+    over the later one, each column divided by its sum, as the smoother
+    divides, so that no entry rounds past one."""
+    sm = np.hstack([w.sum(axis=1), w[:, :, -1].sum(axis=0)[:, None]])
+    return sm / sm.sum(axis=0), w.sum(axis=2)
+
+
+def rebuilt_pairs(fs, smoothed):
+    """Pair weights (N, N, n) rebuilt from a filter state and the smoothed
+    distributions by the smoother's identity w[:, :, j-1] = B_j * s_j[None, :],
+    each slice renormalized to sum to one: B_j is the pair
+    density[i, j-1] * kernel[i, k] * filtered[i, j-1] over its column sums,
+    0 in a column without mass."""
+    pair = fs.density[:, None, :] * fs.kernel[:, :, None] * fs.filtered[:, None, :-1]
+    pm = pair.sum(axis=0)
+    w = np.where(pm > 0.0, pair / np.where(pm > 0.0, pm, 1.0), 0.0) * smoothed[:, 1:]
+    return w / w.sum(axis=(0, 1))
+
+
 def loop_update_rates(q, w, h):
     """Generator M-step as a loop over rows: each row with positive total
     pair weight becomes its row-normalized pair totals divided by ``h``,

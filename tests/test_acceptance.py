@@ -28,7 +28,6 @@ from switchem import (
     sample_nig,
     simulate_chain,
     simulate_path,
-    smoothed_marginals,
     sort_regimes,
     transition_matrix_approx,
     validate_generator,
@@ -45,6 +44,7 @@ from oracles import (
     nig_second_moment,
 )
 from test_likelihood import random_instance
+from test_smoother import pairs_of
 
 BENCH_Q = [[-0.009, 0.009], [0.005, -0.005]]
 THETA_TRUE = (6.0, 3.0, 2.0, 1.0)
@@ -90,15 +90,15 @@ def test_criterion_1_smoother_matches_enumeration():
             )
             obs, _, _ = simulate_path(cfg)
             fs = forward_filter(CauchyTerms(theta, obs), g)
-            w = backward_smooth(fs)
+            w = pairs_of(fs, backward_smooth(fs))
             a = transition_matrix_approx(g, h)
             ref_filt, ref_pair, _ = enumerate_filter_smoother(
                 obs.x, h, theta.b, theta.lam, theta.delta, a, np.full(m, 1.0 / m)
             )
             max_filt = max(max_filt, float(np.max(np.abs(fs.filtered - ref_filt))))
-            max_pair = max(max_pair, float(np.max(np.abs(w.w - ref_pair))))
+            max_pair = max(max_pair, float(np.max(np.abs(w - ref_pair))))
             for j in range(n):
-                if np.argmax(w.w[:, :, j]) != np.argmax(ref_pair[:, :, j]):
+                if np.argmax(w[:, :, j]) != np.argmax(ref_pair[:, :, j]):
                     argmax_mismatches += 1
     elapsed = time.time() - t0
     ok = max_filt < 1e-10 and max_pair < 1e-2 and argmax_mismatches == 0 and elapsed < 10.0
@@ -344,22 +344,22 @@ def test_criterion_8_probability_invariants_on_fitted_paths():
         warnings.simplefilter("ignore", RuntimeWarning)
         for theta, g, obs in FITTED_PATHS:
             fs = forward_filter(CauchyTerms(theta, obs), g)
-            w = backward_smooth(fs)
-            sm = smoothed_marginals(fs, w)
+            sw = backward_smooth(fs)
+            w, sm = pairs_of(fs, sw), sw.smoothed
             pair = fs.kernel[:, :, None] * fs.filtered[:, None, :-1]
             marginal = pair.sum(axis=0)
-            for arr in (fs.filtered, w.w, sm, pair, marginal):
+            for arr in (fs.filtered, w, sm, pair, marginal):
                 if np.any(arr < 0.0) or np.any(arr > 1.0):
                     in_range = False
             worst = max(
                 worst,
                 float(np.max(np.abs(fs.filtered.sum(axis=0) - 1.0))),
-                float(np.max(np.abs(w.w.sum(axis=(0, 1)) - 1.0))),
+                float(np.max(np.abs(w.sum(axis=(0, 1)) - 1.0))),
                 float(np.max(np.abs(sm.sum(axis=0) - 1.0))),
                 float(np.max(np.abs(pair.sum(axis=(0, 1)) - 1.0))),
                 # marginalizing pairs over the earlier state reproduces the
                 # smoothed marginal at the later time point
-                float(np.max(np.abs(w.w.sum(axis=0) - sm[:, 1:]))),
+                float(np.max(np.abs(w.sum(axis=0) - sm[:, 1:]))),
                 float(np.max(np.abs(pair.sum(axis=0) - marginal))),
             )
     ok = worst < 1e-9 and in_range

@@ -22,7 +22,6 @@ from switchem import (
     em_fit,
     forward_filter,
     simulate_path,
-    smoothed_marginals,
     sort_regimes,
     validate_generator,
 )
@@ -466,7 +465,7 @@ class TestExperiment:
             main(["experiment", "--config", cfg_file, "--out", str(out), "--jobs", "2"])
         assert f"worker {victim.read_text()} " in str(exc.value)
         assert f"wait status {signal.SIGKILL.value})" in str(exc.value)
-        assert not (out / "summary.csv").exists()
+        assert not out.exists()
         with pytest.raises(ChildProcessError):  # every worker is reaped
             os.waitpid(-1, os.WNOHANG)
 
@@ -489,7 +488,7 @@ class TestExperiment:
             with open(past_main, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
         assert past_main.read_text().splitlines() == [str(os.getpid())]
-        assert not (out / "summary.csv").exists()
+        assert not out.exists()
 
     def test_interrupted_parent_kills_its_workers(self, cfg_file, tmp_path, monkeypatch):
         # the workers sleep in their first fit; the parent, reading their
@@ -807,6 +806,23 @@ class TestInputRanges:
         assert "Traceback" not in captured.out + captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_output_directory_that_cannot_be_created_exits_2(self, tmp_path, path_csv,
+                                                            capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(BASE_CONFIG))
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"  # under a regular file
+        args = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "fit":
+            args += ["--data", path_csv]
+        elif command == "experiment":
+            args += ["--jobs", "1"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot create output directory {out}: ")
+        assert "Traceback" not in captured.out + captured.err
+
     @pytest.mark.parametrize(
         "command,section,key",
         [(c, "simulation", "seed") for c in ALL_COMMANDS]
@@ -1062,7 +1078,7 @@ class TestOptionalOutputs:
         em = EmConfig(max_iters=20, update_q=True, theta0=(6.0, 3.0, 2.0, 1.0))
         result = em_fit(obs, validate_generator(BASE_CONFIG["simulation"]["q"]), em)
         fs = forward_filter(CauchyTerms(result.theta, obs), result.generator)
-        smoothed = smoothed_marginals(fs, backward_smooth(fs))
+        smoothed = backward_smooth(fs).smoothed
         lines = read(out / "probs.csv").splitlines()
         assert lines[0] == "t,p1,p2"
         assert lines[1:] == [

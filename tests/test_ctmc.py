@@ -13,6 +13,8 @@ from switchem import (
     validate_generator,
 )
 
+from oracles import pair_stats
+
 BENCH_Q = [[-0.009, 0.009], [0.005, -0.005]]
 
 
@@ -28,7 +30,7 @@ class TestValidateGenerator:
         assert [f.name for f in dataclasses.fields(g)] == ["q"]
         assert g.n_states == g.q.shape[0] == 3
         w = np.full((3, 3, 4), 1.0 / 9.0)
-        assert update_generator(g, SmoothedPairProbs(w), 0.1).n_states == 3
+        assert update_generator(g, SmoothedPairProbs(*pair_stats(w)), 0.1).n_states == 3
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ConfigError):

@@ -28,7 +28,7 @@ from switchem import (
     validate_generator,
 )
 
-from oracles import loop_update_rates
+from oracles import loop_update_rates, pair_stats, rebuilt_pairs
 
 BENCH_Q = [[-0.009, 0.009], [0.005, -0.005]]
 
@@ -292,9 +292,10 @@ class TestUpdateGenerator:
     def test_matches_weight_row_normalization(self, short_path):
         _, g, obs = short_path
         theta = Theta(np.array([6.0, 3.0]), 2.0, 1.0)
-        w = backward_smooth(forward_filter(CauchyTerms(theta, obs), g))
+        fs = forward_filter(CauchyTerms(theta, obs), g)
+        w = backward_smooth(fs)
         g2 = update_generator(g, w, obs.h)
-        tot = w.w.sum(axis=2)
+        tot = rebuilt_pairs(fs, w.smoothed).sum(axis=2)
         a_row = tot[0] / tot[0].sum()
         assert g2.q[0, 1] == pytest.approx(a_row[1] / obs.h)
 
@@ -304,7 +305,7 @@ class TestUpdateGenerator:
         )
         w = np.zeros((3, 3, 3))
         w[0, 0], w[0, 2], w[2, 1] = 0.5, 0.3, 0.2
-        g2 = update_generator(g, SmoothedPairProbs(w), 0.1)
+        g2 = update_generator(g, SmoothedPairProbs(*pair_stats(w)), 0.1)
         np.testing.assert_array_equal(g2.q[1], g.q[1])
         np.testing.assert_array_equal(g2.q[2], [0.0, 10.0, -10.0])
 
@@ -320,7 +321,7 @@ class TestUpdateGenerator:
             w /= w.sum(axis=(1, 2), keepdims=True)
             w = w.transpose(1, 2, 0).copy()  # drawn observation-first, as always
             h = float(rng.uniform(0.05, 0.5))
-            got = update_generator(g, SmoothedPairProbs(w), h)
+            got = update_generator(g, SmoothedPairProbs(*pair_stats(w)), h)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 want = validate_generator(loop_update_rates(g.q, w, h))
@@ -332,7 +333,7 @@ class TestUpdateGenerator:
         g = validate_generator([[-1, .5, .5], [.5, -1, .5], [.5, .5, -1]])
         w = np.zeros((3, 3, 1))
         w[:, :, 0] = [[0, .04, .27], [0, .69, 0], [0, 0, 0]]
-        g2 = update_generator(g, SmoothedPairProbs(w), 0.1)
+        g2 = update_generator(g, SmoothedPairProbs(*pair_stats(w)), 0.1)
         a = transition_matrix_approx(g2, 0.1)
         assert g2.q[0, 0] == -10.0
         assert np.all((a >= 0.0) & (a <= 1.0))

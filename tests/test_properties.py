@@ -25,7 +25,8 @@ from switchem import (
 )
 from switchem.cli import _csv_text
 
-from oracles import euler_loop, fold_across, loop_filter_smoother
+from oracles import euler_loop, fold_across, loop_filter_smoother, pair_stats
+from test_smoother import pairs_of
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -90,7 +91,7 @@ def weights_without_stay_mass(draw):
     # the row is live and must jump, and every slice has mass to normalize
     w[:, row, (row + 1) % n_states] += 1.0
     w /= w.sum(axis=(1, 2), keepdims=True)
-    return g, SmoothedPairProbs(w.transpose(1, 2, 0).copy()), h
+    return g, SmoothedPairProbs(*pair_stats(w.transpose(1, 2, 0))), h
 
 
 @PROPERTY_SETTINGS
@@ -109,7 +110,7 @@ def test_filter_carries_the_kernel_and_slices_are_distributions(inst):
     assert np.array_equal(fs.kernel, transition_matrix_approx(g, obs.h))
     assert np.all(fs.filtered >= 0.0)
     np.testing.assert_allclose(fs.filtered.sum(axis=0), 1.0, rtol=0, atol=1e-12)
-    w = backward_smooth(fs).w
+    w = pairs_of(fs, backward_smooth(fs))
     assert np.all(w >= 0.0)
     np.testing.assert_allclose(w.sum(axis=(0, 1)), 1.0, rtol=0, atol=1e-12)
 
@@ -123,7 +124,7 @@ def test_scans_match_the_loop(inst):
         fs.kernel, CauchyTerms(theta, obs).density, fs.filtered[:, 0]
     )
     np.testing.assert_allclose(fs.filtered, ref_filt, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(backward_smooth(fs).w, ref_w, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pairs_of(fs, backward_smooth(fs)), ref_w, rtol=0, atol=1e-12)
 
 
 @st.composite

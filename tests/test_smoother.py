@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -18,19 +19,28 @@ from switchem import (
     grad_H,
     hessian_H,
     simulate_path,
-    smoothed_marginals,
     transition_matrix_approx,
     update_generator,
     validate_generator,
 )
 from switchem.smoother import _blocks, _kernel_scan, _scan
 
-from oracles import enumerate_filter_smoother, loop_filter_smoother
+from oracles import enumerate_filter_smoother, loop_filter_smoother, rebuilt_pairs
 
 # Scan vs loop: both round once per product in float64 (eps 2.2e-16), the
 # scan along fewer than 50 chained products at n <= 10^4, so a gap above
 # 1e-12 means a wrong product, not rounding.
 SCAN_TOL = 1e-12
+
+
+def pairs_of(fs, sw):
+    """The pair weights behind ``sw``, rebuilt from ``fs`` and the smoothed
+    distributions; the pass must have kept the filter's length, and its
+    totals must be the rebuilt pairs summed."""
+    assert sw.n == fs.n
+    w = rebuilt_pairs(fs, sw.smoothed)
+    np.testing.assert_allclose(sw.totals, w.sum(axis=2), rtol=1e-12, atol=SCAN_TOL)
+    return w
 
 
 def small_instance(rng, n=5, m=2):
@@ -105,20 +115,20 @@ class TestBackwardSmooth:
         rng = np.random.default_rng(12)
         theta, g, obs = small_instance(rng, n=150)
         fs = forward_filter(CauchyTerms(theta, obs), g)
-        w = backward_smooth(fs)
-        np.testing.assert_allclose(w.w.sum(axis=(0, 1)), 1.0, atol=1e-12)
-        assert np.all(w.w >= 0.0) and np.all(w.w <= 1.0)
+        w = pairs_of(fs, backward_smooth(fs))
+        np.testing.assert_allclose(w.sum(axis=(0, 1)), 1.0, atol=1e-12)
+        assert np.all(w >= 0.0) and np.all(w <= 1.0)
 
     def test_terminal_marginal_is_filtered(self):
         rng = np.random.default_rng(13)
         theta, g, obs = small_instance(rng, n=60)
         fs = forward_filter(CauchyTerms(theta, obs), g)
-        w = backward_smooth(fs)
-        sm = smoothed_marginals(fs, w)
+        sw = backward_smooth(fs)
+        sm = sw.smoothed
         np.testing.assert_allclose(sm[:, -1], fs.filtered[:, -1], atol=1e-12)
         # marginalizing the pair weights over i reproduces the smoothed
         # marginal at the later time point
-        np.testing.assert_allclose(w.w.sum(axis=0), sm[:, 1:], atol=1e-10)
+        np.testing.assert_allclose(pairs_of(fs, sw).sum(axis=0), sm[:, 1:], atol=1e-10)
 
     def test_matches_enumeration_exactly(self):
         # strongly informative instances, where Kim's pass is far off: the
@@ -129,12 +139,12 @@ class TestBackwardSmooth:
             n = int(rng.integers(3, 7))
             theta, g, obs = small_instance(rng, n=n, m=m)
             fs = forward_filter(CauchyTerms(theta, obs), g)
-            w = backward_smooth(fs)
+            sw = backward_smooth(fs)
             _, ref_pair, ref_marg = enumerate_filter_smoother(
                 obs.x, obs.h, theta.b, theta.lam, theta.delta, fs.kernel, np.full(m, 1.0 / m)
             )
-            np.testing.assert_allclose(w.w, ref_pair, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(smoothed_marginals(fs, w), ref_marg, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(pairs_of(fs, sw), ref_pair, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sw.smoothed, ref_marg, rtol=0, atol=1e-12)
 
     def test_close_to_enumeration_when_weakly_informative(self):
         # Kim's one-lag pass drops the next emission's information about
@@ -149,7 +159,7 @@ class TestBackwardSmooth:
         cfg = SimulationConfig(theta, 0.3, g, 0.5, 0.1, seed=3)
         obs, _, _ = simulate_path(cfg)
         fs = forward_filter(CauchyTerms(theta, obs), g)
-        w = backward_smooth(fs)
+        w = pairs_of(fs, backward_smooth(fs))
         _, ref_pair, _ = enumerate_filter_smoother(
             obs.x, obs.h, theta.b, theta.lam, theta.delta, fs.kernel, np.full(2, 0.5)
         )
@@ -157,7 +167,7 @@ class TestBackwardSmooth:
             fs.kernel, CauchyTerms(theta, obs).density, fs.filtered[:, 0], kim=True
         )
         assert np.max(np.abs(kim_w - ref_pair)) < 1e-2
-        np.testing.assert_allclose(w.w, ref_pair, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w, ref_pair, rtol=0, atol=1e-12)
 
     def test_approximation_error_can_be_large(self):
         # with strongly discriminating observations the emission factor
@@ -166,7 +176,7 @@ class TestBackwardSmooth:
         rng = np.random.default_rng(14)
         theta, g, obs = small_instance(rng, n=5)
         fs = forward_filter(CauchyTerms(theta, obs), g)
-        w = backward_smooth(fs)
+        w = pairs_of(fs, backward_smooth(fs))
         _, ref_pair, _ = enumerate_filter_smoother(
             obs.x, obs.h, theta.b, theta.lam, theta.delta, fs.kernel, np.full(2, 0.5)
         )
@@ -174,16 +184,16 @@ class TestBackwardSmooth:
             fs.kernel, CauchyTerms(theta, obs).density, fs.filtered[:, 0], kim=True
         )
         assert np.max(np.abs(kim_w - ref_pair)) > 1e-2  # Kim is not exact in general
-        assert np.max(np.abs(w.w - ref_pair)) < 1e-12
+        assert np.max(np.abs(w - ref_pair)) < 1e-12
 
 
 def assert_scan_matches_loop(theta, g, obs, initial_probs=None):
     fs = forward_filter(CauchyTerms(theta, obs), g, initial_probs)
-    w = backward_smooth(fs)
+    w = pairs_of(fs, backward_smooth(fs))
     dens = CauchyTerms(theta, obs).density
     ref_filt, ref_w = loop_filter_smoother(fs.kernel, dens, fs.filtered[:, 0])
     np.testing.assert_allclose(fs.filtered, ref_filt, rtol=0, atol=SCAN_TOL)
-    np.testing.assert_allclose(w.w, ref_w, rtol=0, atol=SCAN_TOL)
+    np.testing.assert_allclose(w, ref_w, rtol=0, atol=SCAN_TOL)
     return fs
 
 
@@ -261,14 +271,13 @@ class TestScanMatchesLoop:
 
     def test_backward_breakdown_reports_highest_index(self):
         # filtered distributions that jump between the states of an identity
-        # kernel (and identity steps) leave no predicted mass under the
+        # kernel (and flat densities) leave no predicted mass under the
         # smoothed distribution at j = 3; the ones before it are then
         # undefined, and the pass reports the highest failing step, where a
         # loop counting down from n stops
         filtered = np.array([[1.0, 0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0, 1.0]])
-        steps = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, 4))
         with pytest.raises(NumericalFailure) as exc_info:
-            backward_smooth(FilterState(filtered, np.eye(2), steps))
+            backward_smooth(FilterState(filtered, np.eye(2), np.ones((2, 4))))
         assert exc_info.value.index == 3
 
 
@@ -475,7 +484,7 @@ class TestPassesAlone:
             ref_filt, ref_w = loop_filter_smoother(fs.kernel, request[0].density,
                                                    fs.filtered[:, 0])
             np.testing.assert_allclose(fs.filtered, ref_filt, rtol=0, atol=SCAN_TOL)
-            np.testing.assert_allclose(alone[-1][1].w, ref_w, rtol=0, atol=SCAN_TOL)
+            np.testing.assert_allclose(pairs_of(*alone[-1]), ref_w, rtol=0, atol=SCAN_TOL)
         requests = self.requests(m, n)
         density = [terms.density.copy() for terms, _, _ in requests]
         rank = list(range(len(requests)))
@@ -492,9 +501,10 @@ class TestPassesAlone:
         for r, (ref_fs, ref_w) in enumerate(alone):
             fs, w = got[r]
             for have, want in [(fs.filtered, ref_fs.filtered), (fs.kernel, ref_fs.kernel),
-                               (fs.steps, ref_fs.steps), (w.w, ref_w.w)]:
+                               (fs.density, ref_fs.density), (w.smoothed, ref_w.smoothed),
+                               (w.totals, ref_w.totals)]:
                 np.testing.assert_array_equal(have, want)
-            assert w.w.flags.c_contiguous
+            assert w.smoothed.flags.c_contiguous
             np.testing.assert_array_equal(requests[r][0].density, density[r])
 
 
@@ -503,7 +513,7 @@ class TestSmoothedMarginals:
         rng = np.random.default_rng(20)
         theta, g, obs = small_instance(rng, n=80)
         fs = forward_filter(CauchyTerms(theta, obs), g)
-        sm = smoothed_marginals(fs, backward_smooth(fs))
+        sm = backward_smooth(fs).smoothed
         np.testing.assert_array_equal(sm[:, -1], fs.filtered[:, -1])
         np.testing.assert_allclose(sm.sum(axis=0), 1.0, atol=1e-12)
 
@@ -519,26 +529,30 @@ class TestMemoryLayout:
 
     def test_public_arrays_are_c_contiguous_with_the_observation_axis_last(self):
         _, _, obs, fs, w = self.instance()
-        sm = smoothed_marginals(fs, w)
-        assert fs.filtered.shape == sm.shape == (3, obs.n + 1)
-        assert fs.steps.shape == w.w.shape == (3, 3, obs.n)
-        for arr in (fs.filtered, fs.steps, w.w, sm):
+        assert fs.filtered.shape == w.smoothed.shape == (3, obs.n + 1)
+        assert fs.density.shape == (3, obs.n) and w.totals.shape == (3, 3)
+        for arr in (fs.filtered, fs.density, w.smoothed, w.totals):
             assert arr.flags.c_contiguous and arr.flags.owndata  # not a view
+        # the passes hand out no (N, N, n) array: none is larger than N (n+1)
+        for obj in (fs, w):
+            assert all(getattr(obj, f.name).size <= 3 * (obs.n + 1)
+                       for f in dataclasses.fields(obj))
 
     def test_other_memory_layouts_give_the_same_results(self):
         # callers may build their own weights and filter states in any layout
         theta, g, obs, fs, w = self.instance()
         fs_c = FilterState(np.asfortranarray(fs.filtered), fs.kernel,
-                           np.asfortranarray(fs.steps))
-        w_c = SmoothedPairProbs(np.asfortranarray(w.w))
-        assert w_c.w.flags.f_contiguous and fs_c.steps.flags.f_contiguous
+                           np.asfortranarray(fs.density))
+        w_c = SmoothedPairProbs(np.asfortranarray(w.smoothed), np.asfortranarray(w.totals))
+        assert w_c.smoothed.flags.f_contiguous and fs_c.density.flags.f_contiguous
         terms = CauchyTerms(theta, obs)
         pairs = [
             (H_n(terms, fs.kernel, w_c), H_n(terms, fs.kernel, w)),
             (grad_H(terms, w_c), grad_H(terms, w)),
             (hessian_H(terms, w_c), hessian_H(terms, w)),
             (update_generator(g, w_c, obs.h).q, update_generator(g, w, obs.h).q),
-            (backward_smooth(fs_c).w, w.w),
+            (backward_smooth(fs_c).smoothed, w.smoothed),
+            (backward_smooth(fs_c).totals, w.totals),
         ]
         for got, ref in pairs:
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
